@@ -1,17 +1,22 @@
-"""The two derivative-free conditional-gradient maximizers and three baselines.
+"""The derivative-free conditional-gradient maximizers and their baselines.
 
-* :func:`bcg` - zeroth-order Frank-Wolfe ascent for monotone DR-submodular
-  objectives: batched two-point gradient estimates on the shrunk/translated
-  feasible set, momentum averaging, closed-form linear maximization, and a
-  final lift back into the original constraint.  Accepts exact or noisy
-  value oracles.
-* :func:`dbg` - the same scheme for monotone submodular set functions through
-  sampled multilinear-extension values, finished by lossless swap rounding.
-* :func:`scg` - first-order momentum Frank-Wolfe (exact gradients for
-  continuous objectives, a 2d-query per-coordinate estimator for set
-  functions).
-* :func:`ga` / :func:`zga` - projected gradient ascent with exact gradients /
-  two-point estimates.
+All five optimizers run one ascent loop, :func:`_ascend`, and differ only in
+the parts they hand it:
+
+* a gradient source: the batched two-point sphere estimate on a value oracle
+  (:func:`bcg`, :func:`zga`) or on the ``l``-sample multilinear extension of
+  a set function (:func:`dbg`), or a first-order gradient (:func:`scg`,
+  :func:`ga`), for set functions the estimate ``f(S + i) - f(S - i)``;
+* a step rule: Frank-Wolfe (momentum, linear maximization, step ``1/T``) for
+  bcg, dbg and scg, or projected ascent (step ``eta0/sqrt(t)``) for ga and zga;
+* a lift: the zeroth-order methods iterate on the feasible set shrunk by
+  ``delta`` and translated to the origin, so their probes, trace points and
+  outputs sit at ``x + delta``; the first-order ones lift by ``0``;
+* a trace value: an uncounted peek, or the mean of uncounted set evaluations.
+
+One of two finishers checks the output: continuous runs return the lifted
+iterate after a ``contains`` check; set-function runs repair the lifted point
+onto the matroid polytope, swap-round it, and check independence.
 
 All runs are sequential in the iteration counter, deterministic given
 (parameters, seed), and do exact query accounting: bcg and zga spend `2*B*T`
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .estimators import (
     momentum_update,
     rho_schedule,
 )
-from .oracles import NoisyOracle, SetOracle, ValueOracle, sample_subset
+from .oracles import NoisyOracle, SetOracle, ValueOracle, coordinate_gradient, sampled_value
 from .polytope import lmo, project, swap_round
 
 ContinuousOracle = Union[ValueOracle, NoisyOracle]
@@ -129,61 +134,75 @@ def _query_progress(oracle, q0: int, gq0: int) -> int:
     return getattr(oracle, "gradient_query_count", 0) - gq0
 
 
-def _ascent_scale(constraint) -> float:
-    """Crude feasible-set diameter proxy: norm of the budget-saturating point."""
-    return float(np.linalg.norm(lmo(constraint, np.ones(constraint.dim))))
+Step = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, float]]
 
 
-def _sampled_set_value(
-    f: SetOracle, z: np.ndarray, samples: int, rng: np.random.Generator
-) -> float:
-    draws = [f.peek(sample_subset(z, rng)) for _ in range(samples)]
-    return float(np.mean(draws))
+def _frank_wolfe(region, T: int) -> Step:
+    """Momentum-averaged linear maximization over ``region``, step ``1/T``.
 
-
-def bcg(
-    oracle: ContinuousOracle,
-    domain: BoxDomain,
-    constraint: ConstraintSpec,
-    params: AlgoParams,
-) -> tuple[np.ndarray, RunTrace]:
-    """Derivative-free conditional-gradient ascent over a convex body.
-
-    Runs ``T`` Frank-Wolfe steps on the shrunk/translated feasible set using
-    momentum-averaged two-point gradient estimates centered at
-    ``x_t + delta*1``, then returns ``x_{T+1} + delta*1``, which is feasible
-    in the original constraint.  Spends exactly ``2*B*T`` oracle evaluations.
+    Reports the norm of the averaged gradient.
     """
-    if oracle.dim != domain.dim or oracle.dim != constraint.dim:
-        raise ValueError("oracle, domain, and constraint dimensions differ")
-    kprime = transform_constraint(domain, constraint, params.delta)
-    rng, _ = _rng_pair(params.seed)
-    d = oracle.dim
-    x = np.zeros(d)
-    state = MomentumState.initial(d)
-    q0 = oracle.query_count
+    state = MomentumState.initial(region.dim)
+
+    def step(x, g, t):
+        nonlocal state
+        state = momentum_update(state, g, rho_schedule(t))
+        return x + lmo(region, state.g_bar) / T, float(np.linalg.norm(state.g_bar))
+
+    return step
+
+
+def _projected(region, eta0: Optional[float], lipschitz_G: float) -> Step:
+    """Projected ascent onto ``region`` with step ``eta0/sqrt(t)``.
+
+    Reports the norm of the raw gradient.  ``eta0`` defaults to a crude
+    diameter proxy, the norm of the budget-saturating point, divided by the
+    Lipschitz constant.
+    """
+    if eta0 is None:
+        eta0 = float(np.linalg.norm(lmo(region, np.ones(region.dim)))) / lipschitz_G
+
+    def step(x, g, t):
+        return project(region, x + (eta0 / np.sqrt(t)) * g), float(np.linalg.norm(g))
+
+    return step
+
+
+def _ascend(
+    oracle, x: np.ndarray, grad: Callable[[np.ndarray], np.ndarray], step: Step,
+    lift: float, value: Callable[[np.ndarray], float], T: int,
+) -> tuple[np.ndarray, RunTrace]:
+    """The one ascent loop: ``T`` times ``x <- step(x, grad(x), t)``.
+
+    Records the lifted iterate ``x + lift``, its ``value``, the queries spent on
+    ``oracle`` so far, and the gradient norm the step reports.  Returns the
+    last unlifted iterate and the trace.
+    """
+    q0, gq0 = oracle.query_count, getattr(oracle, "gradient_query_count", 0)
     start = time.perf_counter()
     trace = RunTrace()
-    for t in range(1, params.T + 1):
-        sample = batch_grad(oracle, x, params.delta, params.B, rng)
-        state = momentum_update(state, sample.estimate, rho_schedule(t))
-        v = lmo(kprime, state.g_bar)
-        x = x + v / params.T
-        z = x + params.delta
+    for t in range(1, T + 1):
+        x, grad_norm = step(x, grad(x), t)
+        z = x + lift
         trace.records.append(
             TraceRecord(
                 t=t,
-                queries=oracle.query_count - q0,
+                queries=_query_progress(oracle, q0, gq0),
                 elapsed_s=time.perf_counter() - start,
                 z=z,
-                value=oracle.peek(z),
-                grad_norm=float(np.linalg.norm(state.g_bar)),
+                value=value(z),
+                grad_norm=grad_norm,
             )
         )
-    out = x + params.delta
+    return x, trace
+
+
+def _lifted(x: np.ndarray, lift: float, constraint: ConstraintSpec) -> np.ndarray:
+    """Finisher for continuous runs: the lifted point, checked feasible."""
+    out = x + lift
     if not contains(constraint, out, tol=1e-9):
         raise RuntimeError("final iterate left the constraint set; internal error")
-    return out, trace
+    return out
 
 
 def _repair_matroid_point(
@@ -209,53 +228,80 @@ def _repair_matroid_point(
     return overshoot, z
 
 
+def _rounded(
+    x: np.ndarray, lift: float, matroid: ConstraintSpec, rng: np.random.Generator,
+    trace: RunTrace,
+) -> frozenset:
+    """Finisher for set functions: repair the lifted point, swap-round, check."""
+    trace.rounding_overshoot, z = _repair_matroid_point(x + lift, matroid)
+    chosen = swap_round(z, matroid, rng)
+    if not independent(matroid, chosen):
+        raise RuntimeError("rounded set violates the matroid; internal error")
+    return chosen
+
+
+def _check_matroid(f: SetOracle, matroid: ConstraintSpec, name: str) -> None:
+    if matroid.kind != PARTITION_MATROID:
+        raise ValueError(f"{name} expects a partition-matroid constraint")
+    if matroid.dim != f.ground_size:
+        raise ValueError("oracle and matroid dimensions differ")
+
+
+def bcg(
+    oracle: ContinuousOracle,
+    domain: BoxDomain,
+    constraint: ConstraintSpec,
+    params: AlgoParams,
+) -> tuple[np.ndarray, RunTrace]:
+    """Derivative-free conditional-gradient ascent over a convex body.
+
+    Runs ``T`` Frank-Wolfe steps on the shrunk/translated feasible set using
+    momentum-averaged two-point gradient estimates centered at
+    ``x_t + delta*1``, then returns ``x_{T+1} + delta*1``, which is feasible
+    in the original constraint.  Spends exactly ``2*B*T`` oracle evaluations.
+    """
+    if oracle.dim != domain.dim or oracle.dim != constraint.dim:
+        raise ValueError("oracle, domain, and constraint dimensions differ")
+    kprime = transform_constraint(domain, constraint, params.delta)
+    rng, _ = _rng_pair(params.seed)
+    x, trace = _ascend(
+        oracle,
+        np.zeros(oracle.dim),
+        lambda x: batch_grad(oracle, x, params.delta, params.B, rng).estimate,
+        _frank_wolfe(kprime, params.T),
+        params.delta,
+        oracle.peek,
+        params.T,
+    )
+    return _lifted(x, params.delta, constraint), trace
+
+
 def dbg(
     f: SetOracle, matroid: ConstraintSpec, params: AlgoParams
 ) -> tuple[frozenset, RunTrace]:
     """Derivative-free maximization of a monotone submodular set function.
 
-    Identical skeleton to :func:`bcg` on the unit cube, with probe values
-    replaced by ``l``-sample multilinear estimates; the final fractional point
-    is lifted by ``delta`` and swap-rounded to an independent set.  Spends
+    :func:`bcg` on the unit cube with the multilinear extension as oracle:
+    :func:`discrete_batch_grad` takes each probe value as an ``l``-sample
+    estimate drawn from the run's main stream.  The final fractional point is
+    lifted by ``delta`` and swap-rounded to an independent set.  Spends
     exactly ``2*B*l*T`` set evaluations.
     """
-    if matroid.kind != PARTITION_MATROID:
-        raise ValueError("dbg expects a partition-matroid constraint")
-    if matroid.dim != f.ground_size:
-        raise ValueError("oracle and matroid dimensions differ")
+    _check_matroid(f, matroid, "dbg")
     if params.delta >= 0.5:
         raise ValueError("delta must be < 1/2 on the unit cube")
-    domain = BoxDomain.unit_cube(f.ground_size)
-    kprime = transform_constraint(domain, matroid, params.delta)
+    kprime = transform_constraint(BoxDomain.unit_cube(f.ground_size), matroid, params.delta)
     rng, instr = _rng_pair(params.seed)
-    d = f.ground_size
-    x = np.zeros(d)
-    state = MomentumState.initial(d)
-    q0 = f.query_count
-    start = time.perf_counter()
-    trace = RunTrace()
-    for t in range(1, params.T + 1):
-        sample = discrete_batch_grad(f, x, params.delta, params.B, params.l, rng)
-        state = momentum_update(state, sample.estimate, rho_schedule(t))
-        v = lmo(kprime, state.g_bar)
-        x = x + v / params.T
-        z = x + params.delta
-        trace.records.append(
-            TraceRecord(
-                t=t,
-                queries=f.query_count - q0,
-                elapsed_s=time.perf_counter() - start,
-                z=z,
-                value=_sampled_set_value(f, z, params.trace_value_samples, instr),
-                grad_norm=float(np.linalg.norm(state.g_bar)),
-            )
-        )
-    overshoot, z_final = _repair_matroid_point(x + params.delta, matroid)
-    trace.rounding_overshoot = overshoot
-    chosen = swap_round(z_final, matroid, rng)
-    if not independent(matroid, chosen):
-        raise RuntimeError("rounded set violates the matroid; internal error")
-    return chosen, trace
+    x, trace = _ascend(
+        f,
+        np.zeros(f.ground_size),
+        lambda x: discrete_batch_grad(f, x, params.delta, params.B, params.l, rng).estimate,
+        _frank_wolfe(kprime, params.T),
+        params.delta,
+        lambda z: sampled_value(f.peek, z, params.trace_value_samples, instr),
+        params.T,
+    )
+    return _rounded(x, params.delta, matroid, rng, trace), trace
 
 
 def scg(
@@ -270,75 +316,32 @@ def scg(
     sampled set per iteration (``2*d`` set queries) and a swap-rounded output.
     """
     if isinstance(oracle, SetOracle):
-        return _scg_discrete(oracle, constraint, params)
-    return _scg_continuous(oracle, constraint, params)
-
-
-def _scg_continuous(oracle, constraint, params):
+        _check_matroid(oracle, constraint, "discrete scg")
+        rng, instr = _rng_pair(params.seed)
+        x, trace = _ascend(
+            oracle,
+            np.zeros(oracle.ground_size),
+            lambda x: coordinate_gradient(oracle, x, rng),
+            _frank_wolfe(constraint, params.T),
+            0.0,
+            lambda z: sampled_value(oracle.peek, z, params.trace_value_samples, instr),
+            params.T,
+        )
+        return _rounded(x, 0.0, constraint, rng, trace), trace
     if oracle.dim != constraint.dim:
         raise ValueError("oracle and constraint dimensions differ")
     if not getattr(oracle, "has_gradient", False):
         raise ValueError("continuous scg needs a gradient-bearing oracle")
-    d = oracle.dim
-    x = np.zeros(d)
-    state = MomentumState.initial(d)
-    q0, gq0 = oracle.query_count, oracle.gradient_query_count
-    start = time.perf_counter()
-    trace = RunTrace()
-    for t in range(1, params.T + 1):
-        g = oracle.gradient(x)
-        state = momentum_update(state, g, rho_schedule(t))
-        v = lmo(constraint, state.g_bar)
-        x = x + v / params.T
-        trace.records.append(
-            TraceRecord(
-                t=t,
-                queries=_query_progress(oracle, q0, gq0),
-                elapsed_s=time.perf_counter() - start,
-                z=x,
-                value=oracle.peek(x),
-                grad_norm=float(np.linalg.norm(state.g_bar)),
-            )
-        )
-    if not contains(constraint, x, tol=1e-9):
-        raise RuntimeError("final iterate left the constraint set; internal error")
-    return x, trace
-
-
-def _scg_discrete(f: SetOracle, matroid: ConstraintSpec, params: AlgoParams):
-    if matroid.kind != PARTITION_MATROID:
-        raise ValueError("discrete scg expects a partition-matroid constraint")
-    if matroid.dim != f.ground_size:
-        raise ValueError("oracle and matroid dimensions differ")
-    rng, instr = _rng_pair(params.seed)
-    d = f.ground_size
-    x = np.zeros(d)
-    state = MomentumState.initial(d)
-    q0 = f.query_count
-    start = time.perf_counter()
-    trace = RunTrace()
-    for t in range(1, params.T + 1):
-        base = sample_subset(x, rng)
-        g = np.empty(d)
-        for i in range(d):
-            g[i] = f(base | {i}) - f(base - {i})
-        state = momentum_update(state, g, rho_schedule(t))
-        v = lmo(matroid, state.g_bar)
-        x = x + v / params.T
-        trace.records.append(
-            TraceRecord(
-                t=t,
-                queries=f.query_count - q0,
-                elapsed_s=time.perf_counter() - start,
-                z=x,
-                value=_sampled_set_value(f, x, params.trace_value_samples, instr),
-                grad_norm=float(np.linalg.norm(state.g_bar)),
-            )
-        )
-    overshoot, x_final = _repair_matroid_point(x, matroid)
-    trace.rounding_overshoot = overshoot
-    chosen = swap_round(x_final, matroid, rng)
-    return chosen, trace
+    x, trace = _ascend(
+        oracle,
+        np.zeros(oracle.dim),
+        oracle.gradient,
+        _frank_wolfe(constraint, params.T),
+        0.0,
+        oracle.peek,
+        params.T,
+    )
+    return _lifted(x, 0.0, constraint), trace
 
 
 def ga(
@@ -357,27 +360,10 @@ def ga(
         raise ValueError("oracle and constraint dimensions differ")
     if not oracle.has_gradient:
         raise ValueError("ga needs a gradient-bearing oracle")
-    eta0 = params.eta0
-    if eta0 is None:
-        eta0 = _ascent_scale(constraint) / oracle.lipschitz_G
+    step = _projected(constraint, params.eta0, oracle.lipschitz_G)
     x = project(constraint, np.zeros(oracle.dim) if x0 is None else np.asarray(x0, float))
-    q0, gq0 = oracle.query_count, oracle.gradient_query_count
-    start = time.perf_counter()
-    trace = RunTrace()
-    for t in range(1, params.T + 1):
-        g = oracle.gradient(x)
-        x = project(constraint, x + (eta0 / np.sqrt(t)) * g)
-        trace.records.append(
-            TraceRecord(
-                t=t,
-                queries=_query_progress(oracle, q0, gq0),
-                elapsed_s=time.perf_counter() - start,
-                z=x,
-                value=oracle.peek(x),
-                grad_norm=float(np.linalg.norm(g)),
-            )
-        )
-    return x, trace
+    x, trace = _ascend(oracle, x, oracle.gradient, step, 0.0, oracle.peek, params.T)
+    return _lifted(x, 0.0, constraint), trace
 
 
 def zga(
@@ -396,28 +382,13 @@ def zga(
         raise ValueError("oracle, domain, and constraint dimensions differ")
     kprime = transform_constraint(domain, constraint, params.delta)
     rng, _ = _rng_pair(params.seed)
-    eta0 = params.eta0
-    if eta0 is None:
-        eta0 = _ascent_scale(kprime) / oracle.lipschitz_G
-    x = np.zeros(oracle.dim)
-    q0 = oracle.query_count
-    start = time.perf_counter()
-    trace = RunTrace()
-    for t in range(1, params.T + 1):
-        sample = batch_grad(oracle, x, params.delta, params.B, rng)
-        x = project(kprime, x + (eta0 / np.sqrt(t)) * sample.estimate)
-        z = x + params.delta
-        trace.records.append(
-            TraceRecord(
-                t=t,
-                queries=oracle.query_count - q0,
-                elapsed_s=time.perf_counter() - start,
-                z=z,
-                value=oracle.peek(z),
-                grad_norm=float(np.linalg.norm(sample.estimate)),
-            )
-        )
-    out = x + params.delta
-    if not contains(constraint, out, tol=1e-9):
-        raise RuntimeError("final iterate left the constraint set; internal error")
-    return out, trace
+    x, trace = _ascend(
+        oracle,
+        np.zeros(oracle.dim),
+        lambda x: batch_grad(oracle, x, params.delta, params.B, rng).estimate,
+        _projected(kprime, params.eta0, oracle.lipschitz_G),
+        params.delta,
+        oracle.peek,
+        params.T,
+    )
+    return _lifted(x, params.delta, constraint), trace

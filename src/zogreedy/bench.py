@@ -204,13 +204,13 @@ def _parse_constraint(section, dim: int) -> ConstraintSpec:
 
 def _parse_algo_params(section) -> AlgoParams:
     kwargs = {}
-    for key in ("T", "B", "l", "trace_value_samples"):
-        if key in section:
-            kwargs[key] = int(section[key])
-    for key in ("delta", "eta0"):
-        if key in section:
-            kwargs[key] = float(section[key])
     try:
+        for key in ("T", "B", "l", "trace_value_samples"):
+            if key in section:
+                kwargs[key] = int(section[key])
+        for key in ("delta", "eta0"):
+            if key in section:
+                kwargs[key] = float(section[key])
         return AlgoParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -268,6 +268,10 @@ def build_objective(cfg: ExperimentConfig) -> Union[ValueOracle, SetOracle]:
     raise ConfigError(f"objective: unknown kind {kind!r}")
 
 
+_NUMERIC_OBJECTIVE_KEYS = {"seed": int, "noise": float, "topics": int, "articles": int,
+                           "rows": int, "attributes": int, "bandwidth": float}
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
     path = Path(path)
@@ -292,6 +296,12 @@ def load_config(path) -> ExperimentConfig:
     discrete = spec["kind"] in ("logdet", "influence") or as_set
     if as_set and spec["kind"] != "coverage":
         raise ConfigError("objective.discrete applies to the coverage kind only")
+    for key, parse in _NUMERIC_OBJECTIVE_KEYS.items():
+        if key in spec:
+            try:
+                spec[key] = parse(spec[key])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: objective.{key}: {exc}") from exc
     try:
         dim = _objective_dim(spec)
     except (ValueError, KeyError) as exc:
@@ -325,9 +335,9 @@ def load_config(path) -> ExperimentConfig:
     if not algorithms:
         raise ConfigError(f"{path}: no algorithm sections found")
 
-    noise = float(spec.get("noise", "0"))
-    if noise < 0:
-        raise ConfigError("objective.noise must be non-negative")
+    noise = spec.get("noise", 0.0)
+    if not 0 <= noise < math.inf:
+        raise ConfigError("objective.noise must be finite and non-negative")
 
     return ExperimentConfig(
         name=run.get("name", path.stem),

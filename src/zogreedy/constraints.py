@@ -12,7 +12,7 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,21 +168,18 @@ class TransformedConstraint:
     For domain ``[0, a]``, base set K, and margin ``delta`` this is
     ``{x : 0 <= x <= min(a - 2*delta, cap - delta), block sums <= b_k - delta*|B_k|}``,
     i.e. the intersection of the twice-shrunk box with K translated by
-    ``-delta``.  Every member x satisfies ``x + delta*1 in K``.
+    ``-delta``.  Every member x satisfies ``x + delta*1 in K``.  It exposes the
+    same ``upper``/``blocks``/``budgets`` fields as :class:`ConstraintSpec`,
+    but its caps and budgets may be zero or fractional.
     """
 
-    base: ConstraintSpec
-    delta: float
     upper: np.ndarray
-    budgets: tuple[float, ...] = field(default=())
+    blocks: tuple[tuple[int, ...], ...] = ()
+    budgets: tuple[float, ...] = ()
 
     def __post_init__(self):
         arr = _as_readonly_array(self.upper, "upper")
         object.__setattr__(self, "upper", arr)
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.base.blocks
 
     @property
     def dim(self) -> int:
@@ -233,28 +230,19 @@ def transform_constraint(
             )
         budgets.append(max(adjusted, 0.0))
     return TransformedConstraint(
-        base=constraint, delta=float(delta), upper=upper, budgets=tuple(budgets)
+        upper=upper, blocks=constraint.blocks, budgets=tuple(budgets)
     )
-
-
-def linear_system(constraint) -> tuple[np.ndarray, tuple, tuple]:
-    """Uniform (caps, blocks, budgets) view over raw and transformed sets."""
-    if isinstance(constraint, TransformedConstraint):
-        return constraint.upper, constraint.base.blocks, constraint.budgets
-    if isinstance(constraint, ConstraintSpec):
-        return constraint.upper, constraint.blocks, constraint.budgets
-    raise TypeError(f"unsupported constraint type {type(constraint).__name__}")
 
 
 def contains(constraint, x: np.ndarray, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
     """True iff every box and budget inequality holds within additive ``tol``."""
-    upper, blocks, budgets = linear_system(constraint)
+    upper = constraint.upper
     x = np.asarray(x, dtype=float)
     if x.shape != upper.shape:
         raise ValueError(f"point has shape {x.shape}, expected {upper.shape}")
     if np.any(x < -tol) or np.any(x > upper + tol):
         return False
-    for block, budget in zip(blocks, budgets):
+    for block, budget in zip(constraint.blocks, constraint.budgets):
         if float(np.sum(x[list(block)])) > budget + tol:
             return False
     return True

@@ -8,12 +8,12 @@ momentum recursion then damps their variance across iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constraints import DomainError
-from .oracles import SetOracle, sample_subset
+from .oracles import SetOracle, multilinear_sample
 
 
 @dataclass(frozen=True)
@@ -124,34 +124,25 @@ def discrete_batch_grad(
 ) -> GradientSample:
     """Two-point estimate for a multilinear extension known only by sampling.
 
-    Each probe value is the average of ``inner_samples`` evaluations f(S) with
-    S drawn from the probe point's product distribution.  Spends exactly
+    This is :func:`batch_grad` over the ``inner_samples``-sample multilinear
+    extension: each probe value is the average of ``inner_samples``
+    evaluations f(S), with S drawn from the probe point's product
+    distribution on the same ``rng``.  Spends exactly
     ``2 * batch * inner_samples`` set evaluations.
     """
     if batch < 1 or inner_samples < 1:
         raise ValueError("batch and inner sample sizes must be >= 1")
-    x_t = np.asarray(x_t, dtype=float)
-    d = x_t.size
-    center = x_t + delta
-    total = np.zeros(d)
-    for _ in range(batch):
-        u = sample_sphere(d, rng)
-        y_plus = center + delta * u
-        y_minus = center - delta * u
-        for y in (y_plus, y_minus):
-            if np.any(y < -1e-9) or np.any(y > 1.0 + 1e-9):
-                raise DomainError(
-                    "probe point leaves the unit cube; keep x_t + delta in "
-                    "[delta, 1 - delta] per coordinate"
-                )
-        f_plus = np.mean([f(sample_subset(y_plus, rng)) for _ in range(inner_samples)])
-        f_minus = np.mean([f(sample_subset(y_minus, rng)) for _ in range(inner_samples)])
-        total += (d / (2.0 * delta)) * (f_plus - f_minus) * u
-    return GradientSample(
-        estimate=total / batch,
-        queries_used=2 * batch * inner_samples,
-        center=center,
-    )
+
+    def probe(y: np.ndarray) -> float:
+        if np.any(y < -1e-9) or np.any(y > 1.0 + 1e-9):
+            raise DomainError(
+                "probe point leaves the unit cube; keep x_t + delta in "
+                "[delta, 1 - delta] per coordinate"
+            )
+        return multilinear_sample(f, y, inner_samples, rng)
+
+    sample = batch_grad(probe, x_t, delta, batch, rng)
+    return replace(sample, queries_used=sample.queries_used * inner_samples)
 
 
 def momentum_update(state: MomentumState, g_t: np.ndarray, rho_t: float) -> MomentumState:

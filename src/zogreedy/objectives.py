@@ -67,7 +67,6 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray, domain: BoxDomain | None = None) ->
         lipschitz_G=max(G, 1e-12),
         grad=lambda x: H @ x + b,
         domain=domain,
-        smooth_L=float(np.linalg.norm(H, 2)),
         name="nqp",
     )
 

@@ -8,6 +8,7 @@ is reserved for instrumentation (trace columns, final reporting).
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional
 
@@ -29,7 +30,6 @@ class ValueOracle:
     grad : optional gradient callable; required by the first-order baselines.
     domain : optional box; when given, counted evaluations outside it raise
         :class:`DomainError`.
-    smooth_L : optional user-supplied smoothness constant, stored untouched.
 
     The evaluation counter is lock-protected so concurrent workers never lose
     increments.
@@ -42,7 +42,6 @@ class ValueOracle:
         lipschitz_G: float,
         grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         domain: Optional[BoxDomain] = None,
-        smooth_L: Optional[float] = None,
         peek_fn: Optional[Callable[[np.ndarray], float]] = None,
         name: str = "",
     ):
@@ -54,7 +53,6 @@ class ValueOracle:
         self.lipschitz_G = float(lipschitz_G)
         self._grad = grad
         self.domain = domain
-        self.smooth_L = smooth_L
         self.name = name
         self._lock = threading.Lock()
         self._queries = 0
@@ -72,7 +70,10 @@ class ValueOracle:
         x = self._check(x)
         with self._lock:
             self._queries += 1
-        return float(self._fn(x))
+        value = float(self._fn(x))
+        if not math.isfinite(value):
+            raise ValueError(f"oracle {self.name!r} returned non-finite value {value}")
+        return value
 
     def peek(self, x: np.ndarray) -> float:
         """Evaluate without touching the query counter (instrumentation only)."""
@@ -84,7 +85,10 @@ class ValueOracle:
         x = self._check(x)
         with self._lock:
             self._grad_queries += 1
-        return np.asarray(self._grad(x), dtype=float)
+        g = np.asarray(self._grad(x), dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"oracle {self.name!r} returned a non-finite gradient")
+        return g
 
     @property
     def has_gradient(self) -> bool:
@@ -183,6 +187,8 @@ class SetOracle:
         with self._lock:
             self._queries += 1
         value = float(self._fn(members))
+        if not math.isfinite(value):
+            raise ValueError(f"set function returned non-finite value {value}")
         if abs(value) > self.bound_M + 1e-9:
             raise ValueError(
                 f"set function value {value} exceeds declared bound {self.bound_M}"
@@ -239,6 +245,34 @@ def sample_subset(x: np.ndarray, rng: np.random.Generator) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(rng.random(x.size) < x))
 
 
+def sampled_value(
+    evaluate: Callable[[frozenset], float],
+    x: np.ndarray,
+    samples: int,
+    rng: np.random.Generator,
+) -> float:
+    """Mean of ``evaluate(S)`` over ``samples`` sets S ~ x drawn from ``rng``.
+
+    Pass a :class:`SetOracle` itself for counted evaluations or its ``peek``
+    for uncounted instrumentation.
+    """
+    return float(np.mean([evaluate(sample_subset(x, rng)) for _ in range(samples)]))
+
+
+def coordinate_gradient(
+    f: SetOracle, x: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-coordinate estimate ``f(S + i) - f(S - i)`` of the multilinear gradient.
+
+    Draws one set S ~ x and spends ``2*ground_size`` counted set queries.
+    """
+    base = sample_subset(x, rng)
+    g = np.empty(f.ground_size)
+    for i in range(f.ground_size):
+        g[i] = f(base | {i}) - f(base - {i})
+    return g
+
+
 def multilinear_sample(
     f: SetOracle, x: np.ndarray, l: int, rng: np.random.Generator
 ) -> float:
@@ -248,7 +282,7 @@ def multilinear_sample(
     x = np.asarray(x, dtype=float)
     if x.shape != (f.ground_size,):
         raise ValueError(f"point has shape {x.shape}, expected ({f.ground_size},)")
-    return float(np.mean([f(sample_subset(x, rng)) for _ in range(l)]))
+    return sampled_value(f, x, l, rng)
 
 
 class _SetBackedValueOracle(ValueOracle):
@@ -281,29 +315,13 @@ def multilinear_value_oracle(
     main_seq, peek_seq = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(main_seq)
     peek_rng = np.random.default_rng(peek_seq)
-
-    def eval_fn(x: np.ndarray) -> float:
-        return multilinear_sample(f, np.clip(x, 0.0, 1.0), l, rng)
-
-    def grad_fn(x: np.ndarray) -> np.ndarray:
-        base = sample_subset(x, rng)
-        g = np.empty(d)
-        for i in range(d):
-            g[i] = f(base | {i}) - f(base - {i})
-        return g
-
-    def peek_fn(x: np.ndarray) -> float:
-        x = np.clip(x, 0.0, 1.0)
-        draws = [f.peek(sample_subset(x, peek_rng)) for _ in range(peek_samples)]
-        return float(np.mean(draws))
-
     return _SetBackedValueOracle(
         cost_source=f,
-        fn=eval_fn,
+        fn=lambda x: multilinear_sample(f, x, l, rng),
         dim=d,
         lipschitz_G=2.0 * f.bound_M * np.sqrt(d),
-        grad=grad_fn,
+        grad=lambda x: coordinate_gradient(f, x, rng),
         domain=BoxDomain.unit_cube(d),
-        peek_fn=peek_fn,
+        peek_fn=lambda x: sampled_value(f.peek, x, peek_samples, peek_rng),
         name=f"multilinear[{f.name}]" if f.name else "multilinear",
     )

@@ -14,12 +14,7 @@ import itertools
 
 import numpy as np
 
-from .constraints import (
-    PARTITION_MATROID,
-    ConstraintSpec,
-    contains,
-    linear_system,
-)
+from .constraints import PARTITION_MATROID, ConstraintSpec, contains
 
 _INTEGRALITY_EPS = 1e-12
 
@@ -32,12 +27,12 @@ def lmo(constraint, g: np.ndarray) -> np.ndarray:
     weight order, ties broken toward the lowest index, and the last coordinate
     funded may be fractional.
     """
-    upper, blocks, budgets = linear_system(constraint)
+    upper = constraint.upper
     g = np.asarray(g, dtype=float)
     if g.shape != upper.shape:
         raise ValueError(f"gradient has shape {g.shape}, expected {upper.shape}")
     v = np.where(g > 0.0, upper, 0.0)
-    for block, budget in zip(blocks, budgets):
+    for block, budget in zip(constraint.blocks, constraint.budgets):
         order = sorted(block, key=lambda i: (-g[i], i))
         remaining = budget
         for i in order:
@@ -58,12 +53,12 @@ def project(constraint, y: np.ndarray, bisect_tol: float = 1e-10) -> np.ndarray:
     the water level at which the block sum equals the budget, found by
     bisection.
     """
-    upper, blocks, budgets = linear_system(constraint)
+    upper = constraint.upper
     y = np.asarray(y, dtype=float)
     if y.shape != upper.shape:
         raise ValueError(f"point has shape {y.shape}, expected {upper.shape}")
     x = np.clip(y, 0.0, upper)
-    for block, budget in zip(blocks, budgets):
+    for block, budget in zip(constraint.blocks, constraint.budgets):
         idx = list(block)
         if float(np.sum(x[idx])) <= budget:
             continue
@@ -145,7 +140,7 @@ def enumerate_vertices(constraint, max_dim: int = 10) -> list[np.ndarray]:
     list is a feasibility-filtered superset of the vertex set, built from all
     per-block assignments that saturate caps and budgets.
     """
-    upper, blocks, budgets = linear_system(constraint)
+    upper, blocks, budgets = constraint.upper, constraint.blocks, constraint.budgets
     d = upper.size
     if d > max_dim:
         raise ValueError(f"vertex enumeration limited to dim <= {max_dim}")

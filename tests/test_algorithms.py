@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zogreedy.algorithms as algorithms
 from zogreedy import (
     AlgoParams,
     BoxDomain,
@@ -107,6 +108,13 @@ class TestBcg:
             nqp_oracle(H, b).peek(trace.final.z)
         )
 
+    def test_nan_value_oracle_raises(self):
+        F = ValueOracle(lambda x: float("nan"), dim=2, lipschitz_G=1.0,
+                        domain=BoxDomain.unit_cube(2))
+        K = ConstraintSpec.box(np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            bcg(F, BoxDomain.unit_cube(2), K, AlgoParams(T=5, delta=0.1))
+
     def test_trace_value_nondecreasing_for_monotone_objective(self):
         H, b = nqp_generate(5, seed=8)
         K = ConstraintSpec.block_budget(5, [(0, 1, 2, 3, 4)], [2.0])
@@ -187,6 +195,12 @@ class TestDbg:
         with pytest.raises(ValueError):
             dbg(f, K, AlgoParams(T=5, delta=0.1))
 
+    def test_nan_set_function_raises(self):
+        f = SetOracle(lambda S: float("nan"), ground_size=3, bound_M=1.0)
+        M = ConstraintSpec.partition_matroid(3, [(0, 1, 2)], [2])
+        with pytest.raises(ValueError, match="non-finite"):
+            dbg(f, M, AlgoParams(T=5, delta=0.1))
+
 
 class TestScg:
     def test_linear_objective_reaches_the_best_vertex(self):
@@ -219,6 +233,13 @@ class TestScg:
         K = ConstraintSpec.box(np.ones(2))
         with pytest.raises(ValueError):
             scg(F, K, AlgoParams(T=5))
+
+    def test_discrete_checks_the_rounded_set(self, monkeypatch):
+        f = SetOracle(lambda S: float(len(S)), ground_size=4, bound_M=4.0)
+        M = ConstraintSpec.partition_matroid(4, [(0, 1), (2, 3)], [1, 1])
+        monkeypatch.setattr(algorithms, "swap_round", lambda x, m, rng: frozenset({0, 1}))
+        with pytest.raises(RuntimeError, match="violates the matroid"):
+            scg(f, M, AlgoParams(T=5, trace_value_samples=1))
 
 
 class TestGa:

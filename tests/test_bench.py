@@ -288,14 +288,26 @@ trace_value_samples = 4
 [scg]
 T = 10
 trace_value_samples = 4
+
+[ga]
+T = 10
+l = 2
+
+[zga]
+T = 10
+B = 2
+l = 2
+delta = 0.05
 """.format(out=tmp_path / "out"))
         cfg = load_config(p)
         trace_path, summary_path = run_experiment(cfg)
         rows = read_csv(trace_path)
-        assert len(rows) == 1 + 2 * 10
+        assert len(rows) == 1 + 4 * 10
         by_algo = {r[0]: r for r in read_csv(summary_path)[1:]}
         assert int(by_algo["dbg"][3]) == 2 * 1 * 1 * 10
         assert int(by_algo["scg"][3]) == 2 * 34 * 10
+        assert int(by_algo["ga"][3]) == 2 * 34 * 10
+        assert int(by_algo["zga"][3]) == 2 * 2 * 2 * 10
 
     def test_svg_emission(self, tmp_path):
         p = write_config(tmp_path, TINY_CONFIG.format(out=tmp_path / "out"))

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+import zogreedy.bench
+from zogreedy import SetOracle
 from zogreedy.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -51,6 +53,28 @@ delta = 0.05
 trace_value_samples = 2
 """
 
+LOGDET = """
+[objective]
+kind = logdet
+rows = 8
+attributes = 4
+bandwidth = 0.75
+seed = 1
+
+[constraint]
+kind = partition_matroid
+blocks = 0-1 2-3
+budgets = 1 1
+
+[run]
+seeds = 1
+out_dir = {out}
+
+[dbg]
+T = 8
+delta = 0.05
+"""
+
 
 @pytest.fixture
 def continuous_config(tmp_path):
@@ -96,6 +120,35 @@ class TestRunCommand:
         p = tmp_path / "bad.ini"
         p.write_text("[objective]\nkind = unknown_thing\n")
         assert main(["run", str(p)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("template, line, bad", [
+        (CONTINUOUS, "T = 8", "T = abc"),
+        (CONTINUOUS, "delta = 0.05", "delta = small"),
+        (CONTINUOUS, "seed = 3", "seed = x"),
+        (CONTINUOUS, "kind = nqp", "kind = nqp\nnoise = abc"),
+        (CONTINUOUS, "kind = nqp", "kind = nqp\nnoise = nan"),
+        (DISCRETE, "topics = 4", "topics = four"),
+        (DISCRETE, "articles = 6", "articles = 6.5"),
+        (LOGDET, "rows = 8", "rows = many"),
+        (LOGDET, "attributes = 4", "attributes = x"),
+        (LOGDET, "bandwidth = 0.75", "bandwidth = wide"),
+    ], ids=["T", "delta", "seed", "noise", "noise_nan", "topics", "articles", "rows",
+            "attributes", "bandwidth"])
+    def test_malformed_key_is_config_error(self, template, line, bad, tmp_path, capsys):
+        assert template.count(line) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(template.replace(line, bad).format(out=tmp_path / "out"))
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_nan_objective_cell_is_runtime_error(self, discrete_config, tmp_path,
+                                                  monkeypatch):
+        nan_oracle = SetOracle(lambda S: float("nan"), ground_size=6, bound_M=1.0)
+        monkeypatch.setattr(zogreedy.bench, "build_objective", lambda cfg: nan_oracle)
+        assert main(["run", str(discrete_config)]) == EXIT_RUNTIME
+        failures = (tmp_path / "out" / "cli_cover_failures.txt").read_text()
+        assert failures.startswith("dbg seed=1: ValueError")
+        assert "non-finite" in failures
 
 
 class TestOptCommand:

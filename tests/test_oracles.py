@@ -51,6 +51,15 @@ class TestValueOracle:
         with pytest.raises(ValueError):
             F.gradient(np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_and_gradient_raise(self, bad):
+        F = ValueOracle(lambda x: bad, dim=2, lipschitz_G=1.0,
+                        grad=lambda x: np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            F(np.zeros(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            F.gradient(np.zeros(2))
+
 
 class TestNoisyOracle:
     def test_zero_sigma_is_exact(self):
@@ -105,6 +114,12 @@ class TestSetOracle:
         f = or_oracle()
         with pytest.raises(ValueError):
             f({3})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_raises(self, bad):
+        f = SetOracle(lambda S: bad, ground_size=2, bound_M=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            f({0})
 
 
 class TestMultilinearExact:
