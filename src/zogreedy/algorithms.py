@@ -175,15 +175,17 @@ def _ascend(
     """The one ascent loop: ``T`` times ``x <- step(x, grad(x), t)``.
 
     Records the lifted iterate ``x + lift``, its ``value``, the queries spent on
-    ``oracle`` so far, and the gradient norm the step reports.  Returns the
-    last unlifted iterate and the trace.
+    ``oracle`` so far, and the gradient norm the step reports.  The lifted
+    iterates are the rows of one ``(T, d)`` buffer.  Returns the last unlifted
+    iterate and the trace.
     """
     q0, gq0 = oracle.query_count, getattr(oracle, "gradient_query_count", 0)
     start = time.perf_counter()
     trace = RunTrace()
+    zs = np.empty((T, x.size))
     for t in range(1, T + 1):
         x, grad_norm = step(x, grad(x), t)
-        z = x + lift
+        z = np.add(x, lift, out=zs[t - 1])
         trace.records.append(
             TraceRecord(
                 t=t,
@@ -215,8 +217,7 @@ def _repair_matroid_point(
     """
     overshoot = max(0.0, float(np.max(z - 1.0)), float(np.max(-z)))
     z = np.clip(z, 0.0, 1.0).copy()
-    for block, limit in zip(matroid.blocks, matroid.budgets):
-        idx = list(block)
+    for idx, limit in zip(matroid.block_index, matroid.budgets):
         s = float(np.sum(z[idx]))
         if s > limit:
             overshoot = max(overshoot, s - limit)

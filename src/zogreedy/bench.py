@@ -130,6 +130,8 @@ def load_matrix_csv(path, unit_interval: bool = False) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     matrix = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{path}: entries must be finite")
     if unit_interval and (np.any(matrix < 0) or np.any(matrix > 1)):
         raise ValueError(f"{path}: entries must lie in [0, 1]")
     return matrix
@@ -302,6 +304,8 @@ def load_config(path) -> ExperimentConfig:
                 spec[key] = parse(spec[key])
             except ValueError as exc:
                 raise ConfigError(f"{path}: objective.{key}: {exc}") from exc
+    if spec.get("seed", 0) < 0:
+        raise ConfigError(f"{path}: objective.seed must be non-negative")
     try:
         dim = _objective_dim(spec)
     except (ValueError, KeyError) as exc:
@@ -428,8 +432,8 @@ def _cell_seed(base_seed: int, algorithm: str) -> int:
 def run_cell(cfg: ExperimentConfig, algorithm: str, seed: int) -> CellResult:
     """Execute one (algorithm, seed) cell on a freshly built oracle."""
     params = replace(cfg.algorithms[algorithm], seed=_cell_seed(seed, algorithm))
-    oracle = build_objective(cfg)
     try:
+        oracle = build_objective(cfg)
         if cfg.discrete:
             output, trace = _run_discrete(oracle, cfg, algorithm, params)
             final_value = oracle.peek(output)

@@ -12,7 +12,7 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +87,16 @@ def _normalize_blocks(dim: int, blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _index_arrays(blocks) -> tuple[np.ndarray, ...]:
+    """Read-only ``np.intp`` index arrays of ``blocks``, built once per constraint."""
+    out = []
+    for block in blocks:
+        idx = np.array(block, dtype=np.intp)
+        idx.setflags(write=False)
+        out.append(idx)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ConstraintSpec:
     """One of the three supported constraint families.
@@ -98,13 +108,15 @@ class ConstraintSpec:
       block-budget set with unit caps and integer per-block limits.
 
     ``upper`` stores the per-coordinate cap for all three kinds so membership,
-    linear maximization, and projection can treat them uniformly.
+    linear maximization, and projection can treat them uniformly;
+    ``block_index`` holds each block as an index array for the same code.
     """
 
     kind: str
     upper: np.ndarray
     blocks: tuple[tuple[int, ...], ...] = ()
     budgets: tuple[float, ...] = ()
+    block_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -133,6 +145,7 @@ class ConstraintSpec:
                     raise ValueError("partition matroid limits must be integers")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "budgets", budgets)
+        object.__setattr__(self, "block_index", _index_arrays(blocks))
 
     @property
     def dim(self) -> int:
@@ -176,10 +189,12 @@ class TransformedConstraint:
     upper: np.ndarray
     blocks: tuple[tuple[int, ...], ...] = ()
     budgets: tuple[float, ...] = ()
+    block_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_readonly_array(self.upper, "upper")
         object.__setattr__(self, "upper", arr)
+        object.__setattr__(self, "block_index", _index_arrays(self.blocks))
 
     @property
     def dim(self) -> int:
@@ -242,8 +257,8 @@ def contains(constraint, x: np.ndarray, tol: float = DEFAULT_FEASIBILITY_TOL) ->
         raise ValueError(f"point has shape {x.shape}, expected {upper.shape}")
     if np.any(x < -tol) or np.any(x > upper + tol):
         return False
-    for block, budget in zip(constraint.blocks, constraint.budgets):
-        if float(np.sum(x[list(block)])) > budget + tol:
+    for idx, budget in zip(constraint.block_index, constraint.budgets):
+        if float(np.sum(x[idx])) > budget + tol:
             return False
     return True
 

@@ -130,10 +130,12 @@ class NoisyOracle:
     def __call__(self, x: np.ndarray) -> float:
         value = self.inner(x)
         if self._noise is not None:
-            return value + float(self._noise(self._rng))
-        if self.sigma0 == 0.0:
-            return value
-        return value + self._rng.normal(0.0, self.sigma0)
+            value += float(self._noise(self._rng))
+        elif self.sigma0 != 0.0:
+            value += self._rng.normal(0.0, self.sigma0)
+        if not math.isfinite(value):
+            raise ValueError(f"noisy oracle returned non-finite value {value}")
+        return value
 
     def peek(self, x: np.ndarray) -> float:
         return self.inner.peek(x)
@@ -254,9 +256,12 @@ def sampled_value(
     """Mean of ``evaluate(S)`` over ``samples`` sets S ~ x drawn from ``rng``.
 
     Pass a :class:`SetOracle` itself for counted evaluations or its ``peek``
-    for uncounted instrumentation.
+    for uncounted instrumentation.  All masks come from one draw, the same
+    stream as ``samples`` calls of :func:`sample_subset`.
     """
-    return float(np.mean([evaluate(sample_subset(x, rng)) for _ in range(samples)]))
+    x = np.asarray(x, dtype=float)
+    masks = rng.random((samples, x.size)) < x
+    return float(np.mean([evaluate(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
 
 
 def coordinate_gradient(

@@ -25,53 +25,53 @@ def lmo(constraint, g: np.ndarray) -> np.ndarray:
     Coordinates with non-positive weight receive 0 (the sets are down-closed,
     so they never help).  Within a block, capacity is granted in decreasing
     weight order, ties broken toward the lowest index, and the last coordinate
-    funded may be fractional.
+    funded may be fractional.  The budget left before each grant is a running
+    difference, the same arithmetic as granting one coordinate at a time.
     """
     upper = constraint.upper
     g = np.asarray(g, dtype=float)
     if g.shape != upper.shape:
         raise ValueError(f"gradient has shape {g.shape}, expected {upper.shape}")
     v = np.where(g > 0.0, upper, 0.0)
-    for block, budget in zip(constraint.blocks, constraint.budgets):
-        order = sorted(block, key=lambda i: (-g[i], i))
-        remaining = budget
-        for i in order:
-            if g[i] <= 0.0 or remaining <= 0.0:
-                v[i] = 0.0
-                continue
-            take = min(upper[i], remaining)
-            v[i] = take
-            remaining -= take
+    for idx, budget in zip(constraint.block_index, constraint.budgets):
+        order = idx[np.lexsort((idx, -g[idx]))]
+        caps = upper[order]
+        remaining = np.subtract.accumulate(np.concatenate(([budget], caps)))[:-1]
+        funded = (g[order] > 0.0) & (remaining > 0.0)
+        v[order] = np.where(funded, np.minimum(caps, remaining), 0.0)
     return v
 
 
-def project(constraint, y: np.ndarray, bisect_tol: float = 1e-10) -> np.ndarray:
+def project(constraint, y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto a box or block-budget set.
 
     Per block the KKT conditions give ``x_i = clip(y_i - lam, 0, cap_i)`` with
     ``lam = 0`` when the clipped point already meets the budget and otherwise
-    the water level at which the block sum equals the budget, found by
-    bisection.
+    the exact water level where the block sum ``h(lam)`` equals the budget.
+    ``h`` is piecewise linear with breakpoints ``y`` and ``y - cap``; running
+    sums over them in decreasing order give ``h`` at each breakpoint, and
+    ``lam`` is interpolated on the piece where ``h`` crosses the budget.
     """
     upper = constraint.upper
     y = np.asarray(y, dtype=float)
     if y.shape != upper.shape:
         raise ValueError(f"point has shape {y.shape}, expected {upper.shape}")
     x = np.clip(y, 0.0, upper)
-    for block, budget in zip(constraint.blocks, constraint.budgets):
-        idx = list(block)
+    for idx, budget in zip(constraint.block_index, constraint.budgets):
         if float(np.sum(x[idx])) <= budget:
             continue
-        yb = y[idx]
-        cb = upper[idx]
-        lo, hi = 0.0, float(np.max(yb))
-        while hi - lo > bisect_tol * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if float(np.sum(np.clip(yb - mid, 0.0, cb))) > budget:
-                lo = mid
-            else:
-                hi = mid
-        x[idx] = np.clip(yb - hi, 0.0, cb)
+        yb, cb = y[idx], upper[idx]
+        points = np.concatenate((yb, yb - cb))
+        order = np.argsort(-points)
+        points = points[order]
+        signs = np.where(order < idx.size, 1.0, -1.0)
+        h = np.cumsum(signs * points) - np.cumsum(signs) * points
+        j = int(np.argmax(h > budget))
+        if j == 0:  # the budget equals the block capacity up to rounding
+            continue
+        frac = (h[j] - budget) / (h[j] - h[j - 1])
+        lam = points[j] + frac * (points[j - 1] - points[j])
+        x[idx] = np.clip(yb - lam, 0.0, cb)
     return x
 
 

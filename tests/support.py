@@ -148,3 +148,43 @@ def random_point_in(constraint, rng: np.random.Generator) -> np.ndarray:
             x[idx] *= rng.uniform(0.5, 1.0) * budget / s
     assert contains(constraint, x, 1e-9)
     return x
+
+
+def lmo_reference(constraint, g: np.ndarray) -> np.ndarray:
+    """Coordinate-at-a-time greedy linear maximization (the original scalar loop)."""
+    upper = constraint.upper
+    g = np.asarray(g, dtype=float)
+    v = np.where(g > 0.0, upper, 0.0)
+    for block, budget in zip(constraint.blocks, constraint.budgets):
+        order = sorted(block, key=lambda i: (-g[i], i))
+        remaining = budget
+        for i in order:
+            if g[i] <= 0.0 or remaining <= 0.0:
+                v[i] = 0.0
+                continue
+            take = min(upper[i], remaining)
+            v[i] = take
+            remaining -= take
+    return v
+
+
+def project_reference(constraint, y: np.ndarray, bisect_tol: float = 1e-10) -> np.ndarray:
+    """Euclidean projection with the water level found by bisection."""
+    upper = constraint.upper
+    y = np.asarray(y, dtype=float)
+    x = np.clip(y, 0.0, upper)
+    for block, budget in zip(constraint.blocks, constraint.budgets):
+        idx = list(block)
+        if float(np.sum(x[idx])) <= budget:
+            continue
+        yb = y[idx]
+        cb = upper[idx]
+        lo, hi = 0.0, float(np.max(yb))
+        while hi - lo > bisect_tol * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if float(np.sum(np.clip(yb - mid, 0.0, cb))) > budget:
+                lo = mid
+            else:
+                hi = mid
+        x[idx] = np.clip(yb - hi, 0.0, cb)
+    return x

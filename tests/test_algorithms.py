@@ -6,6 +6,7 @@ from zogreedy import (
     AlgoParams,
     BoxDomain,
     ConstraintSpec,
+    NoisyOracle,
     SetOracle,
     ValueOracle,
     bcg,
@@ -114,6 +115,24 @@ class TestBcg:
         K = ConstraintSpec.box(np.ones(2))
         with pytest.raises(ValueError, match="non-finite"):
             bcg(F, BoxDomain.unit_cube(2), K, AlgoParams(T=5, delta=0.1))
+
+    def test_nan_noise_raises(self):
+        H, b = nqp_generate(3, seed=6)
+        noisy = NoisyOracle(nqp_oracle(H, b), 0.1, noise=lambda rng: float("nan"))
+        K = ConstraintSpec.box(np.ones(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            bcg(noisy, BoxDomain.unit_cube(3), K, AlgoParams(T=5, delta=0.1))
+
+    def test_iterates_are_distinct_snapshots(self):
+        H, b = nqp_generate(4, seed=2)
+        K = ConstraintSpec.block_budget(4, [(0, 1), (2, 3)], [1.0, 1.5])
+        _, trace = bcg(nqp_oracle(H, b), BoxDomain.unit_cube(4), K,
+                       AlgoParams(T=6, delta=0.05, B=1, seed=3))
+        zs = trace.iterates()
+        assert len({row.tobytes() for row in zs}) == 6
+        for t, rec in enumerate(trace.records):
+            np.testing.assert_array_equal(rec.z, zs[t])
+            assert rec.value == nqp_oracle(H, b).peek(zs[t])
 
     def test_trace_value_nondecreasing_for_monotone_objective(self):
         H, b = nqp_generate(5, seed=8)

@@ -79,6 +79,14 @@ class TestLoadMatrixCsv:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             load_matrix_csv(p, unit_interval=True)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("unit_interval", [False, True])
+    def test_non_finite_cell_rejected(self, tmp_path, cell, unit_interval):
+        p = tmp_path / "m.csv"
+        p.write_text(f"0.5,{cell}\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_matrix_csv(p, unit_interval=unit_interval)
+
 
 class TestSynthetics:
     def test_topic_columns_are_distributions(self):

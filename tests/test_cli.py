@@ -125,6 +125,8 @@ class TestRunCommand:
         (CONTINUOUS, "T = 8", "T = abc"),
         (CONTINUOUS, "delta = 0.05", "delta = small"),
         (CONTINUOUS, "seed = 3", "seed = x"),
+        (CONTINUOUS, "seed = 3", "seed = -1"),
+        (LOGDET, "seed = 1", "seed = -1"),
         (CONTINUOUS, "kind = nqp", "kind = nqp\nnoise = abc"),
         (CONTINUOUS, "kind = nqp", "kind = nqp\nnoise = nan"),
         (DISCRETE, "topics = 4", "topics = four"),
@@ -132,14 +134,36 @@ class TestRunCommand:
         (LOGDET, "rows = 8", "rows = many"),
         (LOGDET, "attributes = 4", "attributes = x"),
         (LOGDET, "bandwidth = 0.75", "bandwidth = wide"),
-    ], ids=["T", "delta", "seed", "noise", "noise_nan", "topics", "articles", "rows",
-            "attributes", "bandwidth"])
+    ], ids=["T", "delta", "seed", "seed_negative", "seed_negative_logdet", "noise",
+            "noise_nan", "topics", "articles", "rows", "attributes", "bandwidth"])
     def test_malformed_key_is_config_error(self, template, line, bad, tmp_path, capsys):
         assert template.count(line) == 1
         p = tmp_path / "bad.ini"
         p.write_text(template.replace(line, bad).format(out=tmp_path / "out"))
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_nan_topics_csv_is_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "topics.csv"
+        rows = [[0.5] * 6 for _ in range(3)]
+        rows[1][4] = "nan"
+        csv.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+        p = tmp_path / "bad.ini"
+        p.write_text(DISCRETE.replace("topics = 4\narticles = 6", "topics_csv = topics.csv")
+                     .format(out=tmp_path / "out"))
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+
+    def test_objective_build_failure_is_a_failed_cell(self, discrete_config, tmp_path,
+                                                      monkeypatch):
+        def broken(cfg):
+            raise ValueError("cannot build")
+
+        monkeypatch.setattr(zogreedy.bench, "build_objective", broken)
+        assert main(["run", str(discrete_config)]) == EXIT_RUNTIME
+        failures = (tmp_path / "out" / "cli_cover_failures.txt").read_text()
+        assert failures == "dbg seed=1: ValueError: cannot build\n"
+        assert (tmp_path / "out" / "cli_cover_trace.csv").exists()
 
     def test_nan_objective_cell_is_runtime_error(self, discrete_config, tmp_path,
                                                   monkeypatch):

@@ -12,6 +12,8 @@ from zogreedy import (
     noisy_wrap,
 )
 
+from zogreedy.oracles import sample_subset, sampled_value
+
 from support import multilinear_bruteforce, random_weighted_coverage
 
 
@@ -96,6 +98,14 @@ class TestNoisyOracle:
                             noise=lambda rng: rng.uniform(-1, 1))
         draws = [noisy(np.zeros(1)) for _ in range(100)]
         assert all(-1 <= v <= 1 for v in draws)
+
+    def test_non_finite_noise_raises(self):
+        from zogreedy import NoisyOracle
+
+        F = ValueOracle(lambda x: 0.0, dim=1, lipschitz_G=1.0)
+        noisy = NoisyOracle(F, sigma0=1.0, noise=lambda rng: float("inf"))
+        with pytest.raises(ValueError, match="non-finite"):
+            noisy(np.zeros(1))
 
 
 class TestSetOracle:
@@ -185,6 +195,17 @@ class TestMultilinearSample:
         f = or_oracle()
         multilinear_sample(f, np.array([0.5, 0.5]), 13, np.random.default_rng(0))
         assert f.query_count == 13
+
+    def test_one_draw_matches_per_sample_draws(self):
+        x = np.array([0.3, -0.2, 1.4, 0.5, 0.0, 1.0, 0.9])
+        seen = []
+        rng = np.random.default_rng(17)
+        value = sampled_value(lambda S: seen.append(S) or len(S), x, 11, rng)
+        ref_rng = np.random.default_rng(17)
+        ref = [sample_subset(x, ref_rng) for _ in range(11)]
+        assert seen == ref
+        assert value == float(np.mean([len(S) for S in ref]))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMultilinearValueOracle:

@@ -4,6 +4,7 @@ import pytest
 from zogreedy import (
     BoxDomain,
     ConstraintSpec,
+    TransformedConstraint,
     contains,
     enumerate_vertices,
     independent,
@@ -14,12 +15,32 @@ from zogreedy import (
 )
 
 from support import (
+    lmo_reference,
     multilinear_bruteforce,
+    project_reference,
     random_matroid,
     random_point_in,
     random_small_constraint,
     random_weighted_coverage,
 )
+
+
+def random_geometry(rng, d):
+    """A random constraint: shipped family, shrunk image, or zero caps/budgets."""
+    C = random_small_constraint(rng, d)
+    r = rng.random()
+    if r < 0.3:
+        try:
+            return transform_constraint(
+                BoxDomain.unit_cube(d), C, float(rng.choice([0.02, 0.1, 1 / 3, 0.45]))
+            )
+        except ValueError:
+            return C
+    if r < 0.5:
+        upper = np.where(rng.random(d) < 0.3, 0.0, rng.uniform(0.0, 1.0, d))
+        budgets = [float(rng.choice([0.0, rng.uniform(0.0, 1.5)])) for _ in C.blocks]
+        return TransformedConstraint(upper=upper, blocks=C.blocks, budgets=tuple(budgets))
+    return C
 
 
 def simplex_like():
@@ -80,6 +101,16 @@ class TestLmo:
                 best = max(float(g @ w) for w in vertices)
                 assert float(g @ v) >= best - 1e-9
 
+    def test_bitwise_equal_to_scalar_reference(self):
+        rng = np.random.default_rng(34)
+        for _ in range(2000):
+            d = int(rng.integers(1, 12))
+            C = random_geometry(rng, d)
+            g = rng.standard_normal(d)
+            if rng.random() < 0.5:
+                g = np.round(g)  # ties and zero weights
+            assert np.array_equal(lmo(C, g), lmo_reference(C, g))
+
 
 class TestProject:
     def test_feasible_point_unchanged(self):
@@ -119,6 +150,34 @@ class TestProject:
                 for _ in range(10):
                     z = random_point_in(C, rng)
                     assert dp <= float(np.linalg.norm(z - y)) + 1e-8
+
+    def test_matches_bisection_reference(self):
+        rng = np.random.default_rng(35)
+        for _ in range(2000):
+            d = int(rng.integers(1, 12))
+            C = random_geometry(rng, d)
+            y = rng.uniform(-1.0, 3.0, d)
+            if rng.random() < 0.3:
+                y = np.round(y, 1)  # tied breakpoints
+            p = project(C, y)
+            np.testing.assert_allclose(p, project_reference(C, y), rtol=0, atol=1e-9)
+            assert contains(C, p, 1e-12)
+            for block, budget in zip(C.blocks, C.budgets):
+                idx = list(block)
+                if np.sum(np.clip(y[idx], 0.0, C.upper[idx])) > budget:
+                    assert abs(float(np.sum(p[idx])) - budget) <= 1e-12
+
+    def test_budget_at_block_capacity(self):
+        # the budget is the capacity summed in another order, one ulp below
+        # the clipped sum: no breakpoint's block sum exceeds it
+        caps = np.array([0.7, 0.3, 1 / 3, 0.3, 0.7, 0.3, 0.3, 0.7, 1 / 3, 0.2, 0.2, 0.3, 0.2])
+        budget = float(np.cumsum(caps[::-1])[-1])
+        assert budget < float(np.sum(caps))
+        C = ConstraintSpec(kind="block_budget", upper=caps,
+                           blocks=(tuple(range(caps.size)),), budgets=(budget,))
+        p = project(C, caps + 0.5)
+        np.testing.assert_allclose(p, caps, rtol=0, atol=1e-12)
+        assert contains(C, p, 1e-12)
 
 
 class TestEnumerateVertices:
