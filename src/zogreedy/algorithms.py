@@ -12,7 +12,8 @@ the parts they hand it:
 * a lift: the zeroth-order methods iterate on the feasible set shrunk by
   ``delta`` and translated to the origin, so their probes, trace points and
   outputs sit at ``x + delta``; the first-order ones lift by ``0``;
-* a trace value: an uncounted peek, or the mean of uncounted set evaluations.
+* a trace value: an uncounted peek, or the mean of uncounted set values
+  evaluated in one batch over the sampled masks.
 
 One of two finishers checks the output: continuous runs return the lifted
 iterate after a ``contains`` check; set-function runs repair the lifted point
@@ -27,6 +28,7 @@ separate random stream.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -48,7 +50,13 @@ from .estimators import (
     momentum_update,
     rho_schedule,
 )
-from .oracles import NoisyOracle, SetOracle, ValueOracle, coordinate_gradient, sampled_value
+from .oracles import (
+    NoisyOracle,
+    SetOracle,
+    ValueOracle,
+    coordinate_gradient,
+    peek_sampled_value,
+)
 from .polytope import lmo, project, swap_round
 
 ContinuousOracle = Union[ValueOracle, NoisyOracle]
@@ -75,16 +83,18 @@ class AlgoParams:
     trace_value_samples: int = 64
 
     def __post_init__(self):
-        if int(self.T) != self.T or self.T < 4:
+        if not isinstance(self.T, numbers.Integral) or self.T < 4:
             raise ValueError("iteration count T must be an integer >= 4")
-        if self.delta <= 0:
+        # "not > 0" so that NaN fails too
+        if not self.delta > 0:
             raise ValueError("smoothing radius delta must be positive")
-        if self.B < 1 or self.l < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.eta0 is not None and self.eta0 <= 0:
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.B, self.l)):
+            raise ValueError("batch sizes B and l must be integers >= 1")
+        if self.eta0 is not None and not self.eta0 > 0:
             raise ValueError("eta0 must be positive when given")
-        if self.trace_value_samples < 1:
-            raise ValueError("trace_value_samples must be >= 1")
+        samples = self.trace_value_samples
+        if not isinstance(samples, numbers.Integral) or samples < 1:
+            raise ValueError("trace_value_samples must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -299,7 +309,7 @@ def dbg(
         lambda x: discrete_batch_grad(f, x, params.delta, params.B, params.l, rng).estimate,
         _frank_wolfe(kprime, params.T),
         params.delta,
-        lambda z: sampled_value(f.peek, z, params.trace_value_samples, instr),
+        lambda z: peek_sampled_value(f, z, params.trace_value_samples, instr),
         params.T,
     )
     return _rounded(x, params.delta, matroid, rng, trace), trace
@@ -325,7 +335,7 @@ def scg(
             lambda x: coordinate_gradient(oracle, x, rng),
             _frank_wolfe(constraint, params.T),
             0.0,
-            lambda z: sampled_value(oracle.peek, z, params.trace_value_samples, instr),
+            lambda z: peek_sampled_value(oracle, z, params.trace_value_samples, instr),
             params.T,
         )
         return _rounded(x, 0.0, constraint, rng, trace), trace

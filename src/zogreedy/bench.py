@@ -510,7 +510,8 @@ def run_experiment(
     """Run every (algorithm, seed) cell and write trace + summary CSVs.
 
     Returns the two output paths.  Failed cells are skipped in the CSVs and
-    reported in the summary's stderr companion ``<name>_failures.txt``.
+    reported in the summary's stderr companion ``<name>_failures.txt``; a run
+    without failures removes that file if an earlier run left one.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -572,10 +573,13 @@ def run_experiment(
             )
 
     failures = [r for r in results if r.error is not None]
+    failures_path = out / f"{cfg.name}_failures.txt"
     if failures:
-        with open(out / f"{cfg.name}_failures.txt", "w", encoding="utf-8") as fh:
+        with open(failures_path, "w", encoding="utf-8") as fh:
             for r in failures:
                 fh.write(f"{r.algorithm} seed={r.seed}: {r.error}\n")
+    else:
+        failures_path.unlink(missing_ok=True)  # left by an earlier run
     return trace_path, summary_path
 
 

@@ -52,10 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     if args.seed_override:
         cfg = replace(cfg, seeds=tuple(args.seed_override))
-    trace_path, summary_path = run_experiment(cfg, jobs=max(1, args.jobs), out_dir=args.out_dir)
+    trace_path, summary_path = run_experiment(cfg, jobs=args.jobs, out_dir=args.out_dir)
     print(f"trace:   {trace_path}")
     print(f"summary: {summary_path}")
     failures = trace_path.parent / f"{cfg.name}_failures.txt"

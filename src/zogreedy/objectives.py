@@ -5,6 +5,8 @@ interaction matrix, and probabilistic topic coverage (the closed-form
 multilinear extension of a coverage set function).  Discrete objectives:
 log-determinant active-set selection and one-hop influence coverage on an
 undirected graph.  All four are monotone (DR-)submodular on their domains.
+The set-function builders also hand their oracle a batched kernel that
+evaluates the sets given as rows of a boolean mask matrix in one array pass.
 """
 
 from __future__ import annotations
@@ -133,6 +135,12 @@ def coverage_value_oracle(P: np.ndarray) -> ValueOracle:
     )
 
 
+def coverage_batch(P: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """:func:`coverage_eval` at each row of a boolean ``(n, articles)`` mask matrix."""
+    factors = 1.0 - P[None, :, :] * masks[:, None, :]
+    return np.mean(1.0 - np.prod(factors, axis=2), axis=1)
+
+
 def coverage_set_oracle(P: np.ndarray) -> SetOracle:
     """Coverage as a set function; its multilinear extension is coverage_eval."""
     P = np.asarray(P, dtype=float)
@@ -144,7 +152,10 @@ def coverage_set_oracle(P: np.ndarray) -> SetOracle:
             x[sorted(S)] = 1.0
         return coverage_eval(P, x)
 
-    return SetOracle(fn, ground_size=d, bound_M=1.0, name="coverage")
+    return SetOracle(
+        fn, ground_size=d, bound_M=1.0, name="coverage",
+        batch_fn=lambda masks: coverage_batch(P, masks),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +197,41 @@ def logdet_eval(sigma: np.ndarray, S) -> float:
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
+# Bytes of one stacked (rows, d, d) float block in logdet_batch; bounds the
+# batch's working memory whatever the number of masks or attributes.
+LOGDET_CHUNK_BYTES = 4 * 2**20
+
+
+def logdet_batch(sigma: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """:func:`logdet_eval` at each row of a boolean ``(n, d)`` mask matrix.
+
+    Factors ``I + (m m^T) * Sigma`` for each mask ``m`` with one stacked
+    Cholesky: rows outside S are identity rows, so the log-determinant equals
+    that of ``I + Sigma[S, S]`` and the empty set gives 0.  The masks are
+    processed in chunks of at most :data:`LOGDET_CHUNK_BYTES` per stack.
+    """
+    d = sigma.shape[0]
+    rows = max(1, LOGDET_CHUNK_BYTES // (8 * d * d))
+    eye = np.eye(d)
+    out = np.empty(masks.shape[0])
+    for lo in range(0, masks.shape[0], rows):
+        m = masks[lo:lo + rows].astype(float)
+        stack = m[:, :, None] * m[:, None, :]
+        stack *= sigma
+        stack += eye
+        chol = np.linalg.cholesky(stack)
+        out[lo:lo + rows] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return out
+
+
 def logdet_set_oracle(sigma: np.ndarray) -> SetOracle:
     """Active-set selection objective f(S) = log det(I + Sigma[S, S])."""
     sigma = np.asarray(sigma, dtype=float)
     d = sigma.shape[0]
     bound = max(logdet_eval(sigma, range(d)), 1e-12)
     return SetOracle(
-        lambda S: logdet_eval(sigma, S), ground_size=d, bound_M=bound, name="logdet"
+        lambda S: logdet_eval(sigma, S), ground_size=d, bound_M=bound, name="logdet",
+        batch_fn=lambda masks: logdet_batch(sigma, masks),
     )
 
 
@@ -238,10 +277,24 @@ def influence_eval(graph: Graph, S) -> float:
     return float(len(reached))
 
 
+def influence_batch(reach: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """:func:`influence_eval` at each row of a boolean mask matrix.
+
+    ``reach`` is the dense ``A + I`` of the graph: node ``v`` is reached from
+    seeds ``m`` exactly when ``(m @ reach)[v] > 0``.
+    """
+    return np.count_nonzero(masks @ reach > 0, axis=1).astype(float)
+
+
 def influence_set_oracle(graph: Graph) -> SetOracle:
+    n = graph.num_nodes
+    reach = np.eye(n)
+    for u, nbrs in enumerate(graph.neighbors):
+        reach[u, list(nbrs)] = 1.0
     return SetOracle(
         lambda S: influence_eval(graph, S),
-        ground_size=graph.num_nodes,
-        bound_M=float(graph.num_nodes),
+        ground_size=n,
+        bound_M=float(n),
         name="influence",
+        batch_fn=lambda masks: influence_batch(reach, masks),
     )

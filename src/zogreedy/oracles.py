@@ -3,7 +3,9 @@
 Every optimizer in this package sees its objective through one of these
 wrappers, which do exact bookkeeping of how many evaluations were spent.
 Counted calls go through ``__call__``; ``peek`` evaluates without counting and
-is reserved for instrumentation (trace columns, final reporting).
+is reserved for instrumentation (trace columns, final reporting).  Set oracles
+also evaluate whole batches of sets, given as rows of a boolean mask matrix,
+without counting (:meth:`SetOracle.peek_masks`).
 """
 
 from __future__ import annotations
@@ -77,7 +79,10 @@ class ValueOracle:
 
     def peek(self, x: np.ndarray) -> float:
         """Evaluate without touching the query counter (instrumentation only)."""
-        return float(self._peek_fn(np.asarray(x, dtype=float)))
+        value = float(self._peek_fn(np.asarray(x, dtype=float)))
+        if not math.isfinite(value):
+            raise ValueError(f"oracle {self.name!r} peeked non-finite value {value}")
+        return value
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         if self._grad is None:
@@ -159,7 +164,12 @@ def noisy_wrap(oracle: ValueOracle, sigma0: float, seed: int = 0) -> NoisyOracle
 
 
 class SetOracle:
-    """Set function on ground set ``{0, .., ground_size-1}`` with |f| <= bound_M."""
+    """Set function on ground set ``{0, .., ground_size-1}`` with |f| <= bound_M.
+
+    ``batch_fn``, when given, maps a boolean ``(n, ground_size)`` mask matrix
+    to the ``n`` values of the sets its rows select; it must agree with ``fn``
+    and serves only the uncounted :meth:`peek_masks`.
+    """
 
     def __init__(
         self,
@@ -167,10 +177,12 @@ class SetOracle:
         ground_size: int,
         bound_M: float,
         name: str = "",
+        batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         if bound_M <= 0:
             raise ValueError("bound_M must be strictly positive")
         self._fn = fn
+        self._batch_fn = batch_fn
         self.ground_size = int(ground_size)
         self.bound_M = float(bound_M)
         self.name = name
@@ -198,7 +210,36 @@ class SetOracle:
         return value
 
     def peek(self, subset) -> float:
-        return float(self._fn(self._check(subset)))
+        value = float(self._fn(self._check(subset)))
+        if not math.isfinite(value):
+            raise ValueError(f"set function peeked non-finite value {value}")
+        return value
+
+    def peek_masks(self, masks: np.ndarray) -> np.ndarray:
+        """Uncounted values of the sets selected by the rows of a boolean matrix.
+
+        Uses ``batch_fn`` when the oracle has one and ``fn`` row by row
+        otherwise.  Never touches the query counter.
+        """
+        masks = np.asarray(masks)
+        if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != self.ground_size:
+            raise ValueError(
+                f"masks must be a bool array of shape (n, {self.ground_size}), "
+                f"got {masks.dtype} {masks.shape}"
+            )
+        if self._batch_fn is not None:
+            values = np.asarray(self._batch_fn(masks), dtype=float)
+        else:
+            values = np.array(
+                [self._fn(frozenset(np.flatnonzero(m).tolist())) for m in masks], dtype=float
+            )
+        if values.shape != (masks.shape[0],):
+            raise ValueError(
+                f"batch of {masks.shape[0]} sets gave values of shape {values.shape}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("set function peeked a non-finite value")
+        return values
 
     @property
     def query_count(self) -> int:
@@ -247,6 +288,15 @@ def sample_subset(x: np.ndarray, rng: np.random.Generator) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(rng.random(x.size) < x))
 
 
+def sample_masks(x: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows are ``samples`` sets S ~ x as boolean masks, drawn at once from ``rng``.
+
+    The same stream as ``samples`` calls of :func:`sample_subset`.
+    """
+    x = np.asarray(x, dtype=float)
+    return rng.random((samples, x.size)) < x
+
+
 def sampled_value(
     evaluate: Callable[[frozenset], float],
     x: np.ndarray,
@@ -255,13 +305,21 @@ def sampled_value(
 ) -> float:
     """Mean of ``evaluate(S)`` over ``samples`` sets S ~ x drawn from ``rng``.
 
-    Pass a :class:`SetOracle` itself for counted evaluations or its ``peek``
-    for uncounted instrumentation.  All masks come from one draw, the same
-    stream as ``samples`` calls of :func:`sample_subset`.
+    One call of ``evaluate`` per set, so a :class:`SetOracle` passed here
+    counts every evaluation.
     """
-    x = np.asarray(x, dtype=float)
-    masks = rng.random((samples, x.size)) < x
+    masks = sample_masks(x, samples, rng)
     return float(np.mean([evaluate(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
+
+
+def peek_sampled_value(
+    f: SetOracle, x: np.ndarray, samples: int, rng: np.random.Generator
+) -> float:
+    """Uncounted :func:`sampled_value` of ``f``: one batched ``peek_masks`` call.
+
+    Draws the same sets from ``rng`` as :func:`sampled_value`.
+    """
+    return float(np.mean(f.peek_masks(sample_masks(x, samples, rng))))
 
 
 def coordinate_gradient(
@@ -327,6 +385,6 @@ def multilinear_value_oracle(
         lipschitz_G=2.0 * f.bound_M * np.sqrt(d),
         grad=lambda x: coordinate_gradient(f, x, rng),
         domain=BoxDomain.unit_cube(d),
-        peek_fn=lambda x: sampled_value(f.peek, x, peek_samples, peek_rng),
+        peek_fn=lambda x: peek_sampled_value(f, x, peek_samples, peek_rng),
         name=f"multilinear[{f.name}]" if f.name else "multilinear",
     )

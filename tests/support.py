@@ -188,3 +188,15 @@ def project_reference(constraint, y: np.ndarray, bisect_tol: float = 1e-10) -> n
                 hi = mid
         x[idx] = np.clip(yb - hi, 0.0, cb)
     return x
+
+
+def sampled_peek_reference(f: SetOracle, x: np.ndarray, samples: int,
+                           rng: np.random.Generator) -> float:
+    """Uncounted sampled set value with one ``peek`` per sampled set.
+
+    The per-set path the discrete traces used before set values were batched
+    over masks; it draws the same masks from ``rng``.
+    """
+    x = np.asarray(x, dtype=float)
+    masks = rng.random((samples, x.size)) < x
+    return float(np.mean([f.peek(frozenset(np.flatnonzero(m).tolist())) for m in masks]))

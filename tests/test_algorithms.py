@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,11 @@ from zogreedy import (
     zga,
 )
 
-from support import random_matroid, random_weighted_coverage
+from zogreedy.bench import build_objective, load_config
+
+from support import random_matroid, random_weighted_coverage, sampled_peek_reference
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 def identity_oracle():
@@ -48,6 +54,20 @@ class TestAlgoParams:
             AlgoParams(B=0)
         with pytest.raises(ValueError):
             AlgoParams(l=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"T": 4.5}, {"T": 8.0}, {"B": 1.5}, {"B": 2.0}, {"l": 2.5},
+        {"trace_value_samples": 2.5},
+    ], ids=["T", "T_float", "B", "B_float", "l", "trace_value_samples"])
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="integer"):
+            AlgoParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"delta": float("nan")}, {"eta0": float("nan")}],
+                             ids=["delta", "eta0"])
+    def test_nan_step_sizes_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="positive"):
+            AlgoParams(**kwargs)
 
 
 class TestBcg:
@@ -112,6 +132,13 @@ class TestBcg:
     def test_nan_value_oracle_raises(self):
         F = ValueOracle(lambda x: float("nan"), dim=2, lipschitz_G=1.0,
                         domain=BoxDomain.unit_cube(2))
+        K = ConstraintSpec.box(np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            bcg(F, BoxDomain.unit_cube(2), K, AlgoParams(T=5, delta=0.1))
+
+    def test_nan_peek_raises(self):
+        F = ValueOracle(lambda x: float(x.sum()), dim=2, lipschitz_G=2.0,
+                        domain=BoxDomain.unit_cube(2), peek_fn=lambda x: float("nan"))
         K = ConstraintSpec.box(np.ones(2))
         with pytest.raises(ValueError, match="non-finite"):
             bcg(F, BoxDomain.unit_cube(2), K, AlgoParams(T=5, delta=0.1))
@@ -321,3 +348,60 @@ class TestZga:
         assert contains(K, out, 1e-9)
         for rec in trace.records:
             assert contains(K, rec.z, 1e-9)
+
+
+# influence.ini is one-hop influence on the karate graph
+DISCRETE_RUNS = [
+    ("influence", "dbg", AlgoParams(T=25, delta=0.05, B=2, l=2, seed=3)),
+    ("influence", "scg", AlgoParams(T=15, seed=3)),
+    ("active_set", "dbg", AlgoParams(T=25, delta=0.05, B=1, l=3, seed=4)),
+    ("active_set", "scg", AlgoParams(T=15, seed=4)),
+]
+RUN_IDS = ["karate-dbg", "karate-scg", "active_set-dbg", "active_set-scg"]
+
+
+def run_discrete(config, algorithm, params):
+    """Run a discrete optimizer on a fresh oracle of a shipped config."""
+    cfg = load_config(CONFIG_DIR / f"{config}.ini")
+    f = build_objective(cfg)
+    S, trace = (dbg if algorithm == "dbg" else scg)(f, cfg.constraint, params)
+    return f, S, trace
+
+
+class TestDiscreteTraceValue:
+    """The batched trace value against the per-set reference, and the call rule."""
+
+    @pytest.mark.parametrize("config, algorithm, params", DISCRETE_RUNS, ids=RUN_IDS)
+    def test_matches_per_set_reference(self, config, algorithm, params, monkeypatch):
+        f, S, trace = run_discrete(config, algorithm, params)
+        monkeypatch.setattr(algorithms, "peek_sampled_value", sampled_peek_reference)
+        f_ref, S_ref, ref = run_discrete(config, algorithm, params)
+        assert S == S_ref
+        assert f.query_count == f_ref.query_count
+        assert np.array_equal(trace.values(), ref.values())
+        assert np.array_equal(trace.queries(), ref.queries())
+
+    @pytest.mark.parametrize("config, algorithm, params", DISCRETE_RUNS, ids=RUN_IDS)
+    def test_one_counted_call_per_query_and_no_per_set_peeks(
+        self, config, algorithm, params, monkeypatch
+    ):
+        calls = {"__call__": 0, "peek": 0}
+
+        def counting(name):
+            original = getattr(SetOracle, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(SetOracle, name, counting(name))
+        f, _, _ = run_discrete(config, algorithm, params)
+        if algorithm == "dbg":
+            expected = 2 * params.B * params.l * params.T
+        else:
+            expected = 2 * f.ground_size * params.T
+        assert calls == {"__call__": expected, "peek": 0}
+        assert f.query_count == expected

@@ -131,6 +131,16 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="enumeration budget"):
             brute_force_opt(f, M)
 
+    @pytest.mark.parametrize("fn", [
+        lambda S: float("nan"),
+        lambda S: float("nan") if S == {2} else float(len(S)),
+    ], ids=["all_nan", "partly_nan"])
+    def test_non_finite_value_raises(self, fn):
+        f = SetOracle(fn, ground_size=3, bound_M=3.0)
+        M = ConstraintSpec.partition_matroid(3, [(0, 1, 2)], [1])
+        with pytest.raises(ValueError, match="non-finite"):
+            brute_force_opt(f, M)
+
 
 def write_config(tmp_path, text) -> Path:
     p = tmp_path / "exp.ini"

@@ -113,6 +113,22 @@ class TestRunCommand:
     def test_jobs_flag(self, continuous_config):
         assert main(["run", str(continuous_config), "--jobs", "2"]) == EXIT_OK
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, continuous_config, tmp_path, jobs, capsys):
+        assert main(["run", str(continuous_config), "--jobs", jobs]) == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_clean_run_removes_stale_failures_file(self, discrete_config, tmp_path):
+        text = discrete_config.read_text()
+        discrete_config.write_text(text.replace("delta = 0.05", "delta = 0.6"))
+        assert main(["run", str(discrete_config)]) == EXIT_RUNTIME
+        failures = tmp_path / "out" / "cli_cover_failures.txt"
+        assert failures.exists()
+        discrete_config.write_text(text)
+        assert main(["run", str(discrete_config)]) == EXIT_OK
+        assert not failures.exists()
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG
 
@@ -124,6 +140,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("template, line, bad", [
         (CONTINUOUS, "T = 8", "T = abc"),
         (CONTINUOUS, "delta = 0.05", "delta = small"),
+        (CONTINUOUS, "delta = 0.05", "delta = nan"),
+        (CONTINUOUS, "T = 8", "T = 8\nB = 1.5"),
         (CONTINUOUS, "seed = 3", "seed = x"),
         (CONTINUOUS, "seed = 3", "seed = -1"),
         (LOGDET, "seed = 1", "seed = -1"),
@@ -134,7 +152,7 @@ class TestRunCommand:
         (LOGDET, "rows = 8", "rows = many"),
         (LOGDET, "attributes = 4", "attributes = x"),
         (LOGDET, "bandwidth = 0.75", "bandwidth = wide"),
-    ], ids=["T", "delta", "seed", "seed_negative", "seed_negative_logdet", "noise",
+    ], ids=["T", "delta", "delta_nan", "B", "seed", "seed_negative", "seed_negative_logdet", "noise",
             "noise_nan", "topics", "articles", "rows", "attributes", "bandwidth"])
     def test_malformed_key_is_config_error(self, template, line, bad, tmp_path, capsys):
         assert template.count(line) == 1

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import zogreedy.objectives as objectives
 from zogreedy import (
     Graph,
+    SetOracle,
     coverage_eval,
     coverage_gradient,
     coverage_set_oracle,
@@ -19,6 +21,8 @@ from zogreedy import (
     nqp_oracle,
     rbf_covariance,
 )
+
+from zogreedy.bench import karate_club_graph, synthetic_data_matrix, synthetic_topics
 
 from support import (
     gradient_bruteforce,
@@ -272,3 +276,53 @@ class TestOracleBuilders:
         sigma = rbf_covariance(rng.standard_normal((4, 5)), 0.75)
         f = logdet_set_oracle(sigma)
         assert f.bound_M == pytest.approx(logdet_eval(sigma, range(5)))
+
+
+def random_masks(rng, n: int, d: int) -> np.ndarray:
+    """Boolean (n, d) masks of varied density, with an empty and a full row."""
+    masks = rng.random((n, d)) < rng.random((n, 1))
+    masks[0] = False
+    masks[1] = True
+    return masks
+
+
+def per_set_peeks(f, masks) -> np.ndarray:
+    return np.array([f.peek(np.flatnonzero(m)) for m in masks])
+
+
+class TestBatchedPeek:
+    """``peek_masks`` through each builder's kernel against per-set ``peek``."""
+
+    def test_influence_is_exact(self):
+        f = influence_set_oracle(karate_club_graph())
+        masks = random_masks(np.random.default_rng(0), 500, f.ground_size)
+        assert np.array_equal(f.peek_masks(masks), per_set_peeks(f, masks))
+
+    @pytest.mark.parametrize("bandwidth", [0.75, 2.0, 5.0])
+    def test_logdet_matches(self, bandwidth):
+        sigma = rbf_covariance(synthetic_data_matrix(60, 22, seed=5), bandwidth)
+        f = logdet_set_oracle(sigma)
+        masks = random_masks(np.random.default_rng(1), 500, f.ground_size)
+        values = f.peek_masks(masks)
+        np.testing.assert_allclose(values, per_set_peeks(f, masks), rtol=1e-12, atol=0.0)
+        assert values[0] == 0.0
+
+    def test_logdet_chunks_agree(self, monkeypatch):
+        sigma = rbf_covariance(synthetic_data_matrix(30, 9, seed=2), 3.0)
+        masks = random_masks(np.random.default_rng(2), 50, 9)
+        whole = objectives.logdet_batch(sigma, masks)
+        monkeypatch.setattr(objectives, "LOGDET_CHUNK_BYTES", 8 * 9 * 9 * 7)
+        assert np.array_equal(objectives.logdet_batch(sigma, masks), whole)
+
+    def test_coverage_matches(self):
+        f = coverage_set_oracle(synthetic_topics(10, 24, seed=3))
+        masks = random_masks(np.random.default_rng(3), 500, f.ground_size)
+        np.testing.assert_allclose(f.peek_masks(masks), per_set_peeks(f, masks),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_row_by_row_fallback_is_exact(self):
+        w = np.random.default_rng(4).uniform(0.1, 1.0, size=7)
+        f = SetOracle(lambda S: float(np.sqrt(sum(w[i] for i in S))), ground_size=7,
+                      bound_M=float(np.sqrt(w.sum())))
+        masks = random_masks(np.random.default_rng(5), 200, 7)
+        assert np.array_equal(f.peek_masks(masks), per_set_peeks(f, masks))

@@ -54,6 +54,12 @@ class TestValueOracle:
             F.gradient(np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_peek_raises(self, bad):
+        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0, peek_fn=lambda x: bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            F.peek(np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_and_gradient_raise(self, bad):
         F = ValueOracle(lambda x: bad, dim=2, lipschitz_G=1.0,
                         grad=lambda x: np.array([0.0, bad]))
@@ -130,6 +136,46 @@ class TestSetOracle:
         f = SetOracle(lambda S: bad, ground_size=2, bound_M=1.0)
         with pytest.raises(ValueError, match="non-finite"):
             f({0})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_peek_raises(self, bad):
+        f = SetOracle(lambda S: bad if 1 in S else 0.0, ground_size=2, bound_M=1.0)
+        batched = SetOracle(lambda S: 0.0, ground_size=2, bound_M=1.0,
+                            batch_fn=lambda masks: np.where(masks[:, 1], bad, 0.0))
+        masks = np.array([[True, False], [False, True]])
+        with pytest.raises(ValueError, match="non-finite"):
+            f.peek({1})
+        for oracle in (f, batched):
+            with pytest.raises(ValueError, match="non-finite"):
+                oracle.peek_masks(masks)
+        assert f.peek_masks(masks[:1]).tolist() == [0.0]
+
+    def test_peek_masks_is_uncounted(self):
+        f = or_oracle()
+        batched = SetOracle(lambda S: 1.0 if S else 0.0, ground_size=2, bound_M=1.0,
+                            batch_fn=lambda masks: masks.any(axis=1).astype(float))
+        masks = np.array([[False, False], [True, False], [True, True]])
+        for oracle in (f, batched):
+            assert oracle.peek_masks(masks).tolist() == [0.0, 1.0, 1.0]
+            assert oracle.peek_masks(masks[:0]).shape == (0,)
+            assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("masks", [
+        np.zeros((3, 2)),
+        np.zeros((3, 2), dtype=int),
+        np.zeros((3, 3), dtype=bool),
+        np.zeros(2, dtype=bool),
+        np.zeros((1, 3, 2), dtype=bool),
+    ], ids=["float", "int", "columns", "one_dim", "three_dim"])
+    def test_peek_masks_rejects_bad_masks(self, masks):
+        with pytest.raises(ValueError, match="bool array of shape"):
+            or_oracle().peek_masks(masks)
+
+    def test_peek_masks_rejects_misshapen_batch_values(self):
+        f = SetOracle(lambda S: 0.0, ground_size=2, bound_M=1.0,
+                      batch_fn=lambda masks: np.zeros((len(masks), 1)))
+        with pytest.raises(ValueError, match="shape"):
+            f.peek_masks(np.zeros((3, 2), dtype=bool))
 
 
 class TestMultilinearExact:
