@@ -59,6 +59,11 @@ from .oracles import SetOracle, ValueOracle, multilinear_value_oracle, noisy_wra
 from .polytope import project, swap_round
 
 MAX_BRUTE_FORCE_SETS = 10**6
+# Bytes of feasible-set masks brute_force_opt holds at once.  The influence
+# kernel makes two float arrays of 8 bytes per mask byte, so a chunk needs
+# about 256 kB more, little enough not to raise a run's peak memory; all
+# 332,416 masks of configs/influence.ini would take 11.3 MB.
+BRUTE_FORCE_CHUNK_BYTES = 2**14
 
 CONTINUOUS_ALGOS = ("bcg", "scg", "ga", "zga")
 DISCRETE_ALGOS = ("dbg", "scg", "ga", "zga")
@@ -370,42 +375,68 @@ def count_feasible_sets(matroid: ConstraintSpec) -> int:
     return total
 
 
-def iter_feasible_sets(matroid: ConstraintSpec) -> Iterator[frozenset]:
-    """Yield every independent set of a partition matroid (free coords too)."""
+def _feasible_choices(matroid: ConstraintSpec) -> list[list[tuple[int, ...]]]:
+    """The choices of each block, then of the free coordinates, in enumeration order.
+
+    Every independent set is one choice from each list, and crossing the
+    lists with the last varying fastest gives :func:`iter_feasible_sets` order.
+    """
     covered = set(chain.from_iterable(matroid.blocks))
     free = [i for i in range(matroid.dim) if i not in covered]
-    per_block: list[list[tuple[int, ...]]] = []
+    choices = []
     for block, limit in zip(matroid.blocks, matroid.budgets):
         k = int(round(limit))
-        choices = [
+        choices.append([
             subset
             for r in range(min(k, len(block)) + 1)
             for subset in combinations(block, r)
-        ]
-        per_block.append(choices)
-    free_choices = [
-        subset for r in range(len(free) + 1) for subset in combinations(free, r)
-    ]
-    for combo in product(*per_block) if per_block else [()]:
-        base = frozenset(chain.from_iterable(combo))
-        for extra in free_choices:
-            yield base | frozenset(extra)
+        ])
+    choices.append([subset for r in range(len(free) + 1) for subset in combinations(free, r)])
+    return choices
+
+
+def iter_feasible_sets(matroid: ConstraintSpec) -> Iterator[frozenset]:
+    """Yield every independent set of a partition matroid (free coords too)."""
+    for combo in product(*_feasible_choices(matroid)):
+        yield frozenset(chain.from_iterable(combo))
+
+
+def _choice_masks(choices: list[tuple[int, ...]], dim: int) -> np.ndarray:
+    """Boolean ``(len(choices), dim)`` matrix whose rows select the choices."""
+    masks = np.zeros((len(choices), dim), dtype=bool)
+    rows = np.repeat(np.arange(len(choices)), [len(c) for c in choices])
+    masks[rows, np.fromiter(chain.from_iterable(choices), dtype=np.intp)] = True
+    return masks
 
 
 def brute_force_opt(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, float]:
-    """Exhaustive maximum of a set function over a small partition matroid."""
+    """Exhaustive maximum of a set function over a small partition matroid.
+
+    The feasible sets are evaluated as boolean masks through
+    :meth:`SetOracle.peek_masks`, at most :data:`BRUTE_FORCE_CHUNK_BYTES` of
+    masks at a time, in :func:`iter_feasible_sets` order; the first set with
+    the largest value wins.
+    """
     if matroid.kind != "partition_matroid":
         raise ValueError("brute force optimum needs a partition matroid")
     n = count_feasible_sets(matroid)
     if n > MAX_BRUTE_FORCE_SETS:
         raise ValueError(f"{n} feasible sets exceed the enumeration budget")
-    best_set: frozenset = frozenset()
-    best_value = -math.inf
-    for candidate in iter_feasible_sets(matroid):
-        value = f.peek(candidate)
-        if value > best_value:
-            best_set, best_value = candidate, value
-    return best_set, best_value
+    d = matroid.dim
+    tables = [_choice_masks(c, d) for c in _feasible_choices(matroid)]
+    shape = tuple(len(t) for t in tables)
+    rows = max(1, BRUTE_FORCE_CHUNK_BYTES // d)
+    best_mask, best_value = None, -math.inf
+    for lo in range(0, n, rows):
+        digits = np.unravel_index(np.arange(lo, min(lo + rows, n)), shape)
+        masks = tables[0][digits[0]]
+        for table, digit in zip(tables[1:], digits[1:]):
+            masks |= table[digit]
+        values = f.peek_masks(masks)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_mask, best_value = masks[i].copy(), float(values[i])
+    return frozenset(np.flatnonzero(best_mask).tolist()), best_value
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ class BoxDomain:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        return bool(np.all(x >= -tol) and np.all(x <= self.upper + tol))
+        # min() is NaN when any coordinate is, so a NaN point fails too
+        return bool(x.min() >= -tol and (x <= self.upper + tol).all())
 
 
 def _normalize_blocks(dim: int, blocks) -> tuple[tuple[int, ...], ...]:

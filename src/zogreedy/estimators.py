@@ -108,8 +108,7 @@ def batch_grad(
     x_t = np.asarray(x_t, dtype=float)
     center = x_t + delta
     total = np.zeros_like(center)
-    for _ in range(batch):
-        u = sample_sphere(center.size, rng)
+    for u in sample_sphere(center.size, rng, size=batch):
         total += two_point_grad(oracle, center, delta, u)
     return GradientSample(estimate=total / batch, queries_used=2 * batch, center=center)
 

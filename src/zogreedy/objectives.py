@@ -11,7 +11,7 @@ evaluates the sets given as rows of a boolean mask matrix in one array pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,18 +183,21 @@ def rbf_covariance(X: np.ndarray, h: float) -> np.ndarray:
 def logdet_eval(sigma: np.ndarray, S) -> float:
     """log det(I + Sigma[S, S]) via Cholesky; 0 on the empty set.
 
+    ``S`` is read as a set: repeated indices count once.
+
     Raises ``numpy.linalg.LinAlgError`` when I + Sigma[S, S] is not positive
     definite (i.e. Sigma is not PSD).
     """
     sigma = np.asarray(sigma, dtype=float)
-    idx = sorted(int(i) for i in S)
+    idx = sorted(set(map(int, S)))
     if not idx:
         return 0.0
     if idx[0] < 0 or idx[-1] >= sigma.shape[0]:
         raise ValueError(f"subset {idx} outside the index range of Sigma")
-    sub = np.eye(len(idx)) + sigma[np.ix_(idx, idx)]
+    sub = sigma.take(idx, 0).take(idx, 1)
+    sub.reshape(-1)[::len(idx) + 1] += 1.0  # I + Sigma[S, S], in place
     chol = np.linalg.cholesky(sub)
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    return float(2.0 * np.log(chol.diagonal()).sum())
 
 
 # Bytes of one stacked (rows, d, d) float block in logdet_batch; bounds the
@@ -241,9 +244,20 @@ def logdet_set_oracle(sigma: np.ndarray) -> SetOracle:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph as per-node neighbor sets."""
+    """Undirected simple graph as per-node neighbor sets.
+
+    ``reach[u]`` is the bitmask (bit ``v`` set <=> ``v`` reached) of node
+    ``u`` and its neighbors, built once per graph.
+    """
 
     neighbors: tuple[frozenset, ...]
+    reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        reach = tuple(
+            sum(1 << v for v in nbrs | {u}) for u, nbrs in enumerate(self.neighbors)
+        )
+        object.__setattr__(self, "reach", reach)
 
     @property
     def num_nodes(self) -> int:
@@ -267,14 +281,14 @@ class Graph:
 
 def influence_eval(graph: Graph, S) -> float:
     """Number of nodes reached by the seed set through one hop, seeds included."""
-    members = set(int(i) for i in S)
-    for u in members:
-        if not 0 <= u < graph.num_nodes:
+    reach = graph.reach
+    n = len(reach)
+    reached = 0
+    for u in map(int, S):
+        if not 0 <= u < n:
             raise ValueError(f"node {u} outside the graph")
-    reached = set(members)
-    for u in members:
-        reached |= graph.neighbors[u]
-    return float(len(reached))
+        reached |= reach[u]
+    return float(reached.bit_count())
 
 
 def influence_batch(reach: np.ndarray, masks: np.ndarray) -> np.ndarray:

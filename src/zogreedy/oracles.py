@@ -11,6 +11,7 @@ without counting (:meth:`SetOracle.peek_masks`).
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from typing import Callable, Optional
 
@@ -190,10 +191,14 @@ class SetOracle:
         self._queries = 0
 
     def _check(self, subset) -> frozenset:
-        members = frozenset(int(i) for i in subset)
-        for i in members:
-            if not 0 <= i < self.ground_size:
-                raise ValueError(f"element {i} outside the ground set")
+        try:
+            members = frozenset(map(operator.index, subset))
+        except TypeError as exc:
+            raise ValueError(f"set elements must be integers: {exc}") from None
+        n = self.ground_size
+        if members and (min(members) < 0 or max(members) >= n):
+            i = next(i for i in members if not 0 <= i < n)
+            raise ValueError(f"element {i} outside the ground set")
         return members
 
     def __call__(self, subset) -> float:

@@ -200,3 +200,53 @@ def sampled_peek_reference(f: SetOracle, x: np.ndarray, samples: int,
     x = np.asarray(x, dtype=float)
     masks = rng.random((samples, x.size)) < x
     return float(np.mean([f.peek(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
+
+
+def logdet_reference(sigma: np.ndarray, S) -> float:
+    """log det(I + Sigma[S, S]) through ``np.ix_`` and ``np.eye`` (the original kernel)."""
+    idx = sorted(int(i) for i in S)
+    if not idx:
+        return 0.0
+    sub = np.eye(len(idx)) + sigma[np.ix_(idx, idx)]
+    chol = np.linalg.cholesky(sub)
+    return float(2.0 * np.sum(np.log(np.diag(chol))))
+
+
+def influence_reference(graph, S) -> float:
+    """One-hop reach of ``S`` as a union of Python sets (the original kernel)."""
+    members = set(int(i) for i in S)
+    reached = set(members)
+    for u in members:
+        reached |= graph.neighbors[u]
+    return float(len(reached))
+
+
+def box_contains_reference(upper: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """Box membership with two ``np.all`` tests (the original predicate)."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(x >= -tol) and np.all(x <= upper + tol))
+
+
+def batch_grad_reference(oracle, x_t: np.ndarray, delta: float, batch: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Two-point batch estimate with one ``sample_sphere`` draw per direction."""
+    from zogreedy import sample_sphere, two_point_grad
+
+    center = np.asarray(x_t, dtype=float) + delta
+    total = np.zeros_like(center)
+    for _ in range(batch):
+        u = sample_sphere(center.size, rng)
+        total += two_point_grad(oracle, center, delta, u)
+    return total / batch
+
+
+def brute_force_reference(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, float]:
+    """First maximum over ``iter_feasible_sets`` with one ``peek`` per set (the original loop)."""
+    from zogreedy.bench import iter_feasible_sets
+
+    best_set, best_value = frozenset(), -np.inf
+    for candidate in iter_feasible_sets(matroid):
+        value = f.peek(candidate)
+        if value > best_value:
+            best_set, best_value = candidate, value
+    return best_set, best_value

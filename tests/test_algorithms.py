@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from zogreedy import (
     zga,
 )
 
-from zogreedy.bench import build_objective, load_config
+from zogreedy.bench import build_objective, load_config, run_cell
 
 from support import random_matroid, random_weighted_coverage, sampled_peek_reference
 
@@ -405,3 +406,32 @@ class TestDiscreteTraceValue:
             expected = 2 * f.ground_size * params.T
         assert calls == {"__call__": expected, "peek": 0}
         assert f.query_count == expected
+
+
+SHIPPED_CELLS = [
+    (config, algorithm)
+    for configs, algos in ((("nqp_small", "topics"), ("bcg", "scg", "ga", "zga")),
+                           (("active_set", "influence"), ("dbg", "scg", "ga", "zga")))
+    for config in configs
+    for algorithm in algos
+]
+
+
+@pytest.mark.parametrize("config, algorithm", SHIPPED_CELLS)
+def test_every_iterate_is_counted_and_feasible(config, algorithm):
+    """Each trace record of a shipped objective spends its exact query share and
+    has its lifted iterate inside the constraint."""
+    cfg = load_config(CONFIG_DIR / f"{config}.ini")
+    params = AlgoParams(T=6, delta=0.05, B=2, l=3, trace_value_samples=4)
+    cfg = replace(cfg, algorithms={algorithm: params})
+    result = run_cell(cfg, algorithm, seed=5)
+    assert result.error is None
+    B, l, d = params.B, params.l, cfg.dim
+    if algorithm in ("scg", "ga"):
+        per_step = 2 * d if cfg.discrete else 1
+    else:  # bcg, dbg, zga: 2B probes of l set queries each on set functions
+        per_step = 2 * B * l if cfg.discrete else 2 * B
+    assert [r.t for r in result.trace.records] == list(range(1, params.T + 1))
+    for rec in result.trace.records:
+        assert rec.queries == per_step * rec.t
+        assert contains(cfg.constraint, rec.z, tol=1e-9)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zogreedy.bench as bench
 from zogreedy import ConstraintSpec, SetOracle, coverage_set_oracle
 from zogreedy.bench import (
     ConfigError,
@@ -21,6 +22,10 @@ from zogreedy.bench import (
     synthetic_topics,
     write_svg,
 )
+
+from support import brute_force_reference
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 class TestLoadEdgeList:
@@ -130,6 +135,36 @@ class TestBruteForce:
         f = SetOracle(lambda S: 0.0, ground_size=24, bound_M=1.0)
         with pytest.raises(ValueError, match="enumeration budget"):
             brute_force_opt(f, M)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, None])
+    def test_matches_per_set_loop_with_ties(self, chunk_rows, monkeypatch):
+        """Same set and value as the per-set loop, first maximum kept across chunks."""
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            d = int(rng.integers(1, 9))
+            cut = int(rng.integers(0, d + 1))  # coordinates >= cut are free
+            blocks, i = [], 0
+            while i < cut:
+                size = int(rng.integers(1, cut - i + 1))
+                blocks.append(tuple(range(i, i + size)))
+                i += size
+            M = ConstraintSpec.partition_matroid(
+                d, blocks, [int(rng.integers(1, len(b) + 1)) for b in blocks])
+            w = rng.integers(0, 3, size=d).astype(float)  # ties are common
+            f = SetOracle(lambda S: float(min(sum(w[j] for j in S), 4.0)),
+                          ground_size=d, bound_M=4.0,
+                          batch_fn=lambda masks: np.minimum(masks @ w, 4.0))
+            if chunk_rows is not None:
+                monkeypatch.setattr(bench, "BRUTE_FORCE_CHUNK_BYTES", chunk_rows * d)
+            assert brute_force_opt(f, M) == brute_force_reference(f, M)
+
+    @pytest.mark.parametrize("config", ["active_set", "influence"])
+    def test_shipped_configs_match_per_set_loop(self, config):
+        cfg = load_config(CONFIG_DIR / f"{config}.ini")
+        f = build_objective(cfg)
+        best = brute_force_opt(f, cfg.constraint)
+        assert best == brute_force_reference(f, cfg.constraint)
+        assert f.query_count == 0
 
     @pytest.mark.parametrize("fn", [
         lambda S: float("nan"),

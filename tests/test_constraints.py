@@ -12,7 +12,7 @@ from zogreedy import (
     transform_constraint,
 )
 
-from support import random_small_constraint, random_point_in
+from support import box_contains_reference, random_small_constraint, random_point_in
 
 
 class TestShrinkDomain:
@@ -81,6 +81,38 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains(self.kp, np.zeros(3))
+
+
+class TestBoxContains:
+    """``BoxDomain.contains`` against the original two-``np.all`` predicate."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
+    def test_matches_reference(self, tol):
+        rng = np.random.default_rng(21)
+        upper = rng.uniform(0.5, 2.0, size=6)
+        box = BoxDomain(upper)
+        edges = np.concatenate([
+            np.array([np.nan, np.inf, -np.inf, 0.0, -tol, tol]),
+            np.nextafter(-tol, [-np.inf, np.inf]),
+        ])
+        verdicts = []
+        for _ in range(3000):
+            x = rng.uniform(0.0, 1.0, size=6) * upper
+            for i in np.flatnonzero(rng.random(6) < 0.4):
+                top = upper[i] + tol
+                near_upper = [upper[i] - tol, upper[i], top, *np.nextafter(top, [-np.inf, np.inf])]
+                x[i] = rng.choice(np.concatenate([edges, near_upper]))
+            verdict = box.contains(x, tol)
+            assert verdict == box_contains_reference(upper, x, tol)
+            verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_fail(self, bad):
+        for i in range(3):
+            x = np.full(3, 0.5)
+            x[i] = bad
+            assert not BoxDomain.unit_cube(3).contains(x)
 
 
 class TestTransformProperties:

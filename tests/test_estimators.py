@@ -17,6 +17,8 @@ from zogreedy import (
     two_point_grad,
 )
 
+from support import batch_grad_reference
+
 
 def linear_oracle(c):
     c = np.asarray(c, dtype=float)
@@ -140,6 +142,26 @@ class TestBatchGrad:
                         domain=BoxDomain.unit_cube(2))
         with pytest.raises(DomainError):
             batch_grad(F, np.array([0.95, 0.95]), 0.1, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d, batch", [(1, 3), (7, 1), (7, 5), (1000, 4)])
+    def test_same_stream_as_single_draws(self, d, batch):
+        """One ``size=batch`` draw gives the directions of ``batch`` single draws."""
+        c = np.random.default_rng(d).standard_normal(d)
+
+        def recording(probes):
+            def oracle(x):
+                probes.append(np.array(x))
+                return float(c @ x)
+            return oracle
+
+        x = np.full(d, 0.3)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        probes, ref_probes = [], []
+        sample = batch_grad(recording(probes), x, 0.05, batch, rng)
+        expected = batch_grad_reference(recording(ref_probes), x, 0.05, batch, ref_rng)
+        assert np.array_equal(np.array(probes), np.array(ref_probes))
+        assert np.array_equal(sample.estimate, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDiscreteBatchGrad:

@@ -26,6 +26,8 @@ from zogreedy.bench import karate_club_graph, synthetic_data_matrix, synthetic_t
 
 from support import (
     gradient_bruteforce,
+    influence_reference,
+    logdet_reference,
     mixed_second_bruteforce,
     partial_bruteforce,
     random_weighted_coverage,
@@ -151,6 +153,14 @@ class TestLogdet:
         with pytest.raises(np.linalg.LinAlgError):
             logdet_eval(sigma, {0, 1})
 
+    @pytest.mark.parametrize("S, members", [
+        ([0, 0], {0}), ([2, 0, 2, 2], {0, 2}), ((1, 1, 1), {1}), ([3, 3, 1, 0, 1], {0, 1, 3}),
+    ])
+    def test_repeated_indices_count_once(self, S, members):
+        sigma = rbf_covariance(np.random.default_rng(3).standard_normal((5, 4)), 0.75)
+        assert logdet_eval(sigma, S) == logdet_eval(sigma, members)
+        assert logdet_eval(np.eye(4), S) == pytest.approx(len(members) * math.log(2.0))
+
 
 class TestRbfCovariance:
     def test_identical_columns(self):
@@ -194,6 +204,17 @@ class TestInfluence:
     def test_out_of_range_node(self):
         with pytest.raises(ValueError):
             influence_eval(self.path3(), {7})
+
+    def test_negative_node(self):
+        # reach[-1] would read the last node's mask
+        with pytest.raises(ValueError, match="outside the graph"):
+            influence_eval(self.path3(), [0, -1])
+
+    def test_reach_bitmasks(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2)])
+        assert g.reach == (0b0011, 0b0111, 0b0110, 0b1000)
+        assert g == Graph(g.neighbors)
+        assert "reach" not in repr(g)
 
 
 def _check_monotone_submodular(eval_set, d):
@@ -326,3 +347,37 @@ class TestBatchedPeek:
                       bound_M=float(np.sqrt(w.sum())))
         masks = random_masks(np.random.default_rng(5), 200, 7)
         assert np.array_equal(f.peek_masks(masks), per_set_peeks(f, masks))
+
+
+class TestKernelsMatchReference:
+    """The per-set kernels against their original implementations, with ``==``."""
+
+    @pytest.mark.parametrize("bandwidth", [0.75, 2.0, 5.0])
+    def test_logdet_bitwise(self, bandwidth):
+        sigma = rbf_covariance(synthetic_data_matrix(60, 22, seed=5), bandwidth)
+        masks = random_masks(np.random.default_rng(6), 600, 22)
+        masks[2] = False
+        masks[2, 13] = True
+        sets = [np.flatnonzero(m).tolist() for m in masks]
+        assert [logdet_eval(sigma, S) for S in sets] == [
+            logdet_reference(sigma, S) for S in sets
+        ]
+
+    def test_influence_on_karate(self):
+        g = karate_club_graph()
+        sets = [np.flatnonzero(m).tolist()
+                for m in random_masks(np.random.default_rng(7), 600, g.num_nodes)]
+        assert [influence_eval(g, S) for S in sets] == [influence_reference(g, S) for S in sets]
+
+    def test_influence_with_isolated_nodes(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(1, 70))
+            active = int(rng.integers(0, n + 1))  # nodes >= active have no edges
+            edges = rng.integers(0, max(active, 1), size=(int(rng.integers(0, 3 * n)), 2))
+            g = Graph.from_edges(n, edges if active else [])
+            assert sum(len(nb) == 0 for nb in g.neighbors) >= n - active
+            sets = [np.flatnonzero(m).tolist() for m in random_masks(rng, 50, n)]
+            assert [influence_eval(g, S) for S in sets] == [
+                influence_reference(g, S) for S in sets
+            ]

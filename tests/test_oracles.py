@@ -131,6 +131,25 @@ class TestSetOracle:
         with pytest.raises(ValueError):
             f({3})
 
+    @pytest.mark.parametrize("subset", [
+        [0.5], [1.7], [1.0], [np.float64(0.0)], [0, "1"],
+    ], ids=["half", "one_point_seven", "integral_float", "numpy_float", "string"])
+    def test_non_integer_elements_rejected(self, subset):
+        f = or_oracle()
+        for evaluate in (f, f.peek):
+            with pytest.raises(ValueError, match="integers"):
+                evaluate(subset)
+        assert f.query_count == 0
+
+    @pytest.mark.parametrize("subset, value", [
+        ([np.int64(1)], 0.5), ([np.int32(0), 1], 1.0), (np.array([0, 1]), 1.0),
+        (np.array([], dtype=np.intp), 0.0), ([1, 1, 1], 0.5),
+    ], ids=["numpy_int64", "mixed_ints", "int_array", "empty_array", "repeated"])
+    def test_integer_elements_accepted(self, subset, value):
+        f = SetOracle(lambda S: len(S) / 2, ground_size=2, bound_M=1.0)
+        assert f(subset) == f.peek(subset) == value
+        assert f.query_count == 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_value_raises(self, bad):
         f = SetOracle(lambda S: bad, ground_size=2, bound_M=1.0)
