@@ -12,8 +12,8 @@ the parts they hand it:
 * a lift: the zeroth-order methods iterate on the feasible set shrunk by
   ``delta`` and translated to the origin, so their probes, trace points and
   outputs sit at ``x + delta``; the first-order ones lift by ``0``;
-* a trace value: an uncounted peek, or the mean of uncounted set values
-  evaluated in one batch over the sampled masks.
+* trace values: uncounted peeks, or means of uncounted set values over
+  sampled masks, computed for all iterates in one pass after the loop.
 
 One of two finishers checks the output: continuous runs return the lifted
 iterate after a ``contains`` check; set-function runs repair the lifted point
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .oracles import (
     SetOracle,
     ValueOracle,
     coordinate_gradient,
-    peek_sampled_value,
+    peek_sampled_values,
 )
 from .polytope import lmo, project, swap_round
 
@@ -180,33 +180,29 @@ def _projected(region, eta0: Optional[float], lipschitz_G: float) -> Step:
 
 def _ascend(
     oracle, x: np.ndarray, grad: Callable[[np.ndarray], np.ndarray], step: Step,
-    lift: float, value: Callable[[np.ndarray], float], T: int,
+    lift: float, values: Callable[[np.ndarray], Iterable[float]], T: int,
 ) -> tuple[np.ndarray, RunTrace]:
     """The one ascent loop: ``T`` times ``x <- step(x, grad(x), t)``.
 
-    Records the lifted iterate ``x + lift``, its ``value``, the queries spent on
-    ``oracle`` so far, and the gradient norm the step reports.  The lifted
-    iterates are the rows of one ``(T, d)`` buffer.  Returns the last unlifted
-    iterate and the trace.
+    Records the lifted iterate ``x + lift``, the queries spent on ``oracle`` so
+    far, the elapsed time and the gradient norm the step reports.  The lifted
+    iterates are the rows of one ``(T, d)`` buffer, which one uncounted
+    ``values`` pass turns into the trace values after the loop, so the times
+    are algorithm time only.  Returns the last unlifted iterate and the trace.
     """
     q0, gq0 = oracle.query_count, getattr(oracle, "gradient_query_count", 0)
     start = time.perf_counter()
-    trace = RunTrace()
     zs = np.empty((T, x.size))
+    progress = []
     for t in range(1, T + 1):
         x, grad_norm = step(x, grad(x), t)
-        z = np.add(x, lift, out=zs[t - 1])
-        trace.records.append(
-            TraceRecord(
-                t=t,
-                queries=_query_progress(oracle, q0, gq0),
-                elapsed_s=time.perf_counter() - start,
-                z=z,
-                value=value(z),
-                grad_norm=grad_norm,
-            )
-        )
-    return x, trace
+        np.add(x, lift, out=zs[t - 1])
+        queries = _query_progress(oracle, q0, gq0)
+        progress.append((t, queries, time.perf_counter() - start, grad_norm))
+    return x, RunTrace([
+        TraceRecord(t, queries, elapsed, z, float(value), grad_norm)
+        for (t, queries, elapsed, grad_norm), z, value in zip(progress, zs, values(zs))
+    ])
 
 
 def _lifted(x: np.ndarray, lift: float, constraint: ConstraintSpec) -> np.ndarray:
@@ -281,7 +277,7 @@ def bcg(
         lambda x: batch_grad(oracle, x, params.delta, params.B, rng).estimate,
         _frank_wolfe(kprime, params.T),
         params.delta,
-        oracle.peek,
+        lambda Z: map(oracle.peek, Z),
         params.T,
     )
     return _lifted(x, params.delta, constraint), trace
@@ -309,7 +305,7 @@ def dbg(
         lambda x: discrete_batch_grad(f, x, params.delta, params.B, params.l, rng).estimate,
         _frank_wolfe(kprime, params.T),
         params.delta,
-        lambda z: peek_sampled_value(f, z, params.trace_value_samples, instr),
+        lambda Z: peek_sampled_values(f, Z, params.trace_value_samples, instr),
         params.T,
     )
     return _rounded(x, params.delta, matroid, rng, trace), trace
@@ -335,7 +331,7 @@ def scg(
             lambda x: coordinate_gradient(oracle, x, rng),
             _frank_wolfe(constraint, params.T),
             0.0,
-            lambda z: peek_sampled_value(oracle, z, params.trace_value_samples, instr),
+            lambda Z: peek_sampled_values(oracle, Z, params.trace_value_samples, instr),
             params.T,
         )
         return _rounded(x, 0.0, constraint, rng, trace), trace
@@ -349,7 +345,7 @@ def scg(
         oracle.gradient,
         _frank_wolfe(constraint, params.T),
         0.0,
-        oracle.peek,
+        lambda Z: map(oracle.peek, Z),
         params.T,
     )
     return _lifted(x, 0.0, constraint), trace
@@ -373,7 +369,9 @@ def ga(
         raise ValueError("ga needs a gradient-bearing oracle")
     step = _projected(constraint, params.eta0, oracle.lipschitz_G)
     x = project(constraint, np.zeros(oracle.dim) if x0 is None else np.asarray(x0, float))
-    x, trace = _ascend(oracle, x, oracle.gradient, step, 0.0, oracle.peek, params.T)
+    x, trace = _ascend(
+        oracle, x, oracle.gradient, step, 0.0, lambda Z: map(oracle.peek, Z), params.T
+    )
     return _lifted(x, 0.0, constraint), trace
 
 
@@ -399,7 +397,7 @@ def zga(
         lambda x: batch_grad(oracle, x, params.delta, params.B, rng).estimate,
         _projected(kprime, params.eta0, oracle.lipschitz_G),
         params.delta,
-        oracle.peek,
+        lambda Z: map(oracle.peek, Z),
         params.T,
     )
     return _lifted(x, params.delta, constraint), trace

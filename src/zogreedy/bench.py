@@ -60,8 +60,8 @@ from .polytope import project, swap_round
 
 MAX_BRUTE_FORCE_SETS = 10**6
 # Bytes of feasible-set masks brute_force_opt holds at once.  The influence
-# kernel makes two float arrays of 8 bytes per mask byte, so a chunk needs
-# about 256 kB more, little enough not to raise a run's peak memory; all
+# kernel makes two float32 arrays of 4 bytes per mask byte, so a chunk needs
+# about 128 kB more, little enough not to raise a run's peak memory; all
 # 332,416 masks of configs/influence.ini would take 11.3 MB.
 BRUTE_FORCE_CHUNK_BYTES = 2**14
 

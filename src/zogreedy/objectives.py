@@ -11,6 +11,7 @@ evaluates the sets given as rows of a boolean mask matrix in one array pass.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,13 +184,13 @@ def rbf_covariance(X: np.ndarray, h: float) -> np.ndarray:
 def logdet_eval(sigma: np.ndarray, S) -> float:
     """log det(I + Sigma[S, S]) via Cholesky; 0 on the empty set.
 
-    ``S`` is read as a set: repeated indices count once.
+    ``S`` is read as a set of integers: repeats count once, ``0.5`` raises.
 
     Raises ``numpy.linalg.LinAlgError`` when I + Sigma[S, S] is not positive
     definite (i.e. Sigma is not PSD).
     """
     sigma = np.asarray(sigma, dtype=float)
-    idx = sorted(set(map(int, S)))
+    idx = sorted(set(map(operator.index, S)))
     if not idx:
         return 0.0
     if idx[0] < 0 or idx[-1] >= sigma.shape[0]:
@@ -200,30 +201,31 @@ def logdet_eval(sigma: np.ndarray, S) -> float:
     return float(2.0 * np.log(chol.diagonal()).sum())
 
 
-# Bytes of one stacked (rows, d, d) float block in logdet_batch; bounds the
-# batch's working memory whatever the number of masks or attributes.
-LOGDET_CHUNK_BYTES = 4 * 2**20
+# Bytes of one stacked (rows, k, k) block of k-element sets in logdet_batch;
+# bounds the batch's working memory whatever the number of masks or attributes.
+LOGDET_CHUNK_BYTES = 2**20
 
 
 def logdet_batch(sigma: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """:func:`logdet_eval` at each row of a boolean ``(n, d)`` mask matrix.
 
-    Factors ``I + (m m^T) * Sigma`` for each mask ``m`` with one stacked
-    Cholesky: rows outside S are identity rows, so the log-determinant equals
-    that of ``I + Sigma[S, S]`` and the empty set gives 0.  The masks are
-    processed in chunks of at most :data:`LOGDET_CHUNK_BYTES` per stack.
+    Groups the rows by set size ``k`` and factors each group's ``I + Sigma[S, S]``
+    blocks as stacked ``(rows, k, k)`` Cholesky calls of at most
+    :data:`LOGDET_CHUNK_BYTES`: the ``k x k`` factorization of :func:`logdet_eval`,
+    so the values are bitwise equal.  The empty set gives 0.
     """
-    d = sigma.shape[0]
-    rows = max(1, LOGDET_CHUNK_BYTES // (8 * d * d))
-    eye = np.eye(d)
-    out = np.empty(masks.shape[0])
-    for lo in range(0, masks.shape[0], rows):
-        m = masks[lo:lo + rows].astype(float)
-        stack = m[:, :, None] * m[:, None, :]
-        stack *= sigma
-        stack += eye
-        chol = np.linalg.cholesky(stack)
-        out[lo:lo + rows] = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    sizes = np.count_nonzero(masks, axis=1)
+    out = np.zeros(masks.shape[0])
+    for k in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
+        group = np.flatnonzero(sizes == k)
+        rows = max(1, LOGDET_CHUNK_BYTES // (8 * k * k))
+        for lo in range(0, group.size, rows):
+            at = group[lo:lo + rows]
+            idx = np.nonzero(masks[at])[1].reshape(-1, k)
+            stack = sigma[idx[:, :, None], idx[:, None, :]]
+            stack.reshape(-1, k * k)[:, ::k + 1] += 1.0
+            chol = np.linalg.cholesky(stack)
+            out[at] = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     return out
 
 
@@ -280,11 +282,11 @@ class Graph:
 
 
 def influence_eval(graph: Graph, S) -> float:
-    """Number of nodes reached by the seed set through one hop, seeds included."""
+    """Nodes reached from the integer seed set through one hop, seeds included."""
     reach = graph.reach
     n = len(reach)
     reached = 0
-    for u in map(int, S):
+    for u in map(operator.index, S):
         if not 0 <= u < n:
             raise ValueError(f"node {u} outside the graph")
         reached |= reach[u]
@@ -294,15 +296,15 @@ def influence_eval(graph: Graph, S) -> float:
 def influence_batch(reach: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """:func:`influence_eval` at each row of a boolean mask matrix.
 
-    ``reach`` is the dense ``A + I`` of the graph: node ``v`` is reached from
-    seeds ``m`` exactly when ``(m @ reach)[v] > 0``.
+    ``reach`` is the dense float32 ``A + I`` of the graph (exact up to 2^24 nodes):
+    node ``v`` is reached from seeds ``m`` exactly when ``(m @ reach)[v] > 0``.
     """
     return np.count_nonzero(masks @ reach > 0, axis=1).astype(float)
 
 
 def influence_set_oracle(graph: Graph) -> SetOracle:
     n = graph.num_nodes
-    reach = np.eye(n)
+    reach = np.eye(n, dtype=np.float32)
     for u, nbrs in enumerate(graph.neighbors):
         reach[u, list(nbrs)] = 1.0
     return SetOracle(

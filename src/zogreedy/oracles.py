@@ -288,18 +288,17 @@ def multilinear_exact(f: SetOracle, x: np.ndarray) -> float:
 
 
 def sample_subset(x: np.ndarray, rng: np.random.Generator) -> frozenset:
-    """Draw S ~ x: element i enters independently with probability x_i."""
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    return frozenset(int(i) for i in np.flatnonzero(rng.random(x.size) < x))
+    """Draw one set S ~ x: the single row of :func:`sample_masks`, as a frozenset."""
+    return frozenset(np.flatnonzero(sample_masks(x, 1, rng)[0]).tolist())
 
 
 def sample_masks(x: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Rows are ``samples`` sets S ~ x as boolean masks, drawn at once from ``rng``.
 
-    The same stream as ``samples`` calls of :func:`sample_subset`.
+    A ``(points, d)`` matrix ``x`` gives ``(points, samples, d)``, drawn point by point.
     """
     x = np.asarray(x, dtype=float)
-    return rng.random((samples, x.size)) < x
+    return rng.random(x.shape[:-1] + (samples, x.shape[-1])) < x[..., None, :]
 
 
 def sampled_value(
@@ -317,14 +316,25 @@ def sampled_value(
     return float(np.mean([evaluate(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
 
 
-def peek_sampled_value(
-    f: SetOracle, x: np.ndarray, samples: int, rng: np.random.Generator
-) -> float:
-    """Uncounted :func:`sampled_value` of ``f``: one batched ``peek_masks`` call.
+SAMPLE_CHUNK_BYTES = 2**16
 
-    Draws the same sets from ``rng`` as :func:`sampled_value`.
+
+def peek_sampled_values(
+    f: SetOracle, Z: np.ndarray, samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Uncounted :func:`sampled_value` of ``f`` at each row of ``Z``, in row order.
+
+    Draws the same sets from ``rng`` as one :func:`sampled_value` per row, with
+    one ``peek_masks`` call per chunk of rows whose uniform draws take at most
+    :data:`SAMPLE_CHUNK_BYTES`, so its memory is bounded whatever the input size.
     """
-    return float(np.mean(f.peek_masks(sample_masks(x, samples, rng))))
+    n, d = np.shape(Z)
+    rows = max(1, SAMPLE_CHUNK_BYTES // (8 * samples * d))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        masks = sample_masks(Z[lo:lo + rows], samples, rng).reshape(-1, d)
+        out[lo:lo + rows] = f.peek_masks(masks).reshape(-1, samples).mean(axis=1)
+    return out
 
 
 def coordinate_gradient(
@@ -379,6 +389,8 @@ def multilinear_value_oracle(
     Lipschitz bound ``2*M*sqrt(d)`` of any bounded multilinear extension is
     used as G.
     """
+    if peek_samples < 1:
+        raise ValueError("peek sample count must be >= 1")
     d = f.ground_size
     main_seq, peek_seq = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(main_seq)
@@ -390,6 +402,6 @@ def multilinear_value_oracle(
         lipschitz_G=2.0 * f.bound_M * np.sqrt(d),
         grad=lambda x: coordinate_gradient(f, x, rng),
         domain=BoxDomain.unit_cube(d),
-        peek_fn=lambda x: peek_sampled_value(f, x, peek_samples, peek_rng),
+        peek_fn=lambda x: peek_sampled_values(f, x[None], peek_samples, peek_rng)[0],
         name=f"multilinear[{f.name}]" if f.name else "multilinear",
     )

@@ -190,16 +190,39 @@ def project_reference(constraint, y: np.ndarray, bisect_tol: float = 1e-10) -> n
     return x
 
 
-def sampled_peek_reference(f: SetOracle, x: np.ndarray, samples: int,
-                           rng: np.random.Generator) -> float:
-    """Uncounted sampled set value with one ``peek`` per sampled set.
+def sampled_peeks_reference(f: SetOracle, Z: np.ndarray, samples: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Uncounted sampled set values at each row of ``Z``, one ``peek`` per sampled set.
 
-    The per-set path the discrete traces used before set values were batched
-    over masks; it draws the same masks from ``rng``.
+    The per-iteration, per-set path the discrete traces used before set values
+    were batched: for each row in turn it draws ``(samples, d)`` masks from
+    ``rng``.
     """
-    x = np.asarray(x, dtype=float)
-    masks = rng.random((samples, x.size)) < x
-    return float(np.mean([f.peek(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
+    values = []
+    for x in np.asarray(Z, dtype=float):
+        masks = rng.random((samples, x.size)) < x
+        values.append(np.mean([f.peek(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
+    return np.array(values)
+
+
+def ascend_reference(oracle, x, grad, step, lift, values, T):
+    """The ascent loop with each trace value computed inside it, one iterate at a time.
+
+    The loop before trace values were deferred to one pass after it: it calls
+    ``values`` on a one-row matrix at every iteration.
+    """
+    from zogreedy.algorithms import RunTrace, TraceRecord, _query_progress
+
+    q0, gq0 = oracle.query_count, getattr(oracle, "gradient_query_count", 0)
+    trace = RunTrace()
+    for t in range(1, T + 1):
+        x, grad_norm = step(x, grad(x), t)
+        z = x + lift
+        trace.records.append(TraceRecord(
+            t=t, queries=_query_progress(oracle, q0, gq0), elapsed_s=0.0, z=z,
+            value=float(next(iter(values(z[None])))), grad_norm=grad_norm,
+        ))
+    return x, trace
 
 
 def logdet_reference(sigma: np.ndarray, S) -> float:

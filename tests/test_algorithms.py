@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import zogreedy.algorithms as algorithms
+import zogreedy.oracles as oracles
 from zogreedy import (
     AlgoParams,
     BoxDomain,
@@ -28,7 +29,12 @@ from zogreedy import (
 
 from zogreedy.bench import build_objective, load_config, run_cell
 
-from support import random_matroid, random_weighted_coverage, sampled_peek_reference
+from support import (
+    ascend_reference,
+    random_matroid,
+    random_weighted_coverage,
+    sampled_peeks_reference,
+)
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -375,7 +381,7 @@ class TestDiscreteTraceValue:
     @pytest.mark.parametrize("config, algorithm, params", DISCRETE_RUNS, ids=RUN_IDS)
     def test_matches_per_set_reference(self, config, algorithm, params, monkeypatch):
         f, S, trace = run_discrete(config, algorithm, params)
-        monkeypatch.setattr(algorithms, "peek_sampled_value", sampled_peek_reference)
+        monkeypatch.setattr(algorithms, "peek_sampled_values", sampled_peeks_reference)
         f_ref, S_ref, ref = run_discrete(config, algorithm, params)
         assert S == S_ref
         assert f.query_count == f_ref.query_count
@@ -435,3 +441,41 @@ def test_every_iterate_is_counted_and_feasible(config, algorithm):
     for rec in result.trace.records:
         assert rec.queries == per_step * rec.t
         assert contains(cfg.constraint, rec.z, tol=1e-9)
+
+
+@pytest.mark.parametrize("config, algorithm", SHIPPED_CELLS)
+def test_deferred_trace_values_match_per_iteration_loop(config, algorithm, monkeypatch):
+    """Trace values computed in one pass after the loop equal those computed
+    inside it, one iterate at a time, and leave the trace stream in the same
+    state."""
+    cfg = load_config(CONFIG_DIR / f"{config}.ini")
+    cfg = replace(cfg, algorithms={algorithm: AlgoParams(T=8, delta=0.05, B=2, l=3)})
+
+    batched = oracles.peek_sampled_values
+
+    def run():
+        streams = []
+
+        def recording(f, Z, samples, rng):
+            streams.append(rng)
+            return batched(f, Z, samples, rng)
+
+        with monkeypatch.context() as m:
+            m.setattr(algorithms, "peek_sampled_values", recording)
+            m.setattr(oracles, "peek_sampled_values", recording)
+            result = run_cell(cfg, algorithm, seed=5)
+        assert result.error is None
+        assert len({id(rng) for rng in streams}) == (1 if cfg.discrete else 0)
+        return result, [rng.bit_generator.state for rng in streams[-1:]]
+
+    deferred, deferred_state = run()
+    monkeypatch.setattr(algorithms, "_ascend", ascend_reference)
+    reference, reference_state = run()
+    assert np.array_equal(deferred.trace.values(), reference.trace.values())
+    assert np.array_equal(deferred.trace.iterates(), reference.trace.iterates())
+    assert np.array_equal(deferred.trace.queries(), reference.trace.queries())
+    assert [r.grad_norm for r in deferred.trace.records] == [
+        r.grad_norm for r in reference.trace.records
+    ]
+    assert deferred_state == reference_state
+    assert deferred.final_value == reference.final_value

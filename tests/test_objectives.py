@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import zogreedy.objectives as objectives
+import zogreedy.oracles as oracles
 from zogreedy import (
     Graph,
     SetOracle,
@@ -24,6 +25,8 @@ from zogreedy import (
 
 from zogreedy.bench import karate_club_graph, synthetic_data_matrix, synthetic_topics
 
+from zogreedy.oracles import peek_sampled_values
+
 from support import (
     gradient_bruteforce,
     influence_reference,
@@ -31,6 +34,7 @@ from support import (
     mixed_second_bruteforce,
     partial_bruteforce,
     random_weighted_coverage,
+    sampled_peeks_reference,
 )
 
 
@@ -161,6 +165,15 @@ class TestLogdet:
         assert logdet_eval(sigma, S) == logdet_eval(sigma, members)
         assert logdet_eval(np.eye(4), S) == pytest.approx(len(members) * math.log(2.0))
 
+    @pytest.mark.parametrize("S", [[0.5], [1.7], [0, 2.0], [np.float64(1.0)], ["1"]])
+    def test_non_integral_indices_rejected(self, S):
+        with pytest.raises(TypeError):
+            logdet_eval(np.eye(3), S)
+
+    @pytest.mark.parametrize("S", [[np.int64(2), 0], np.array([0, 2]), range(0, 3, 2)])
+    def test_integer_likes_accepted(self, S):
+        assert logdet_eval(np.eye(3), S) == pytest.approx(2 * math.log(2.0))
+
 
 class TestRbfCovariance:
     def test_identical_columns(self):
@@ -209,6 +222,15 @@ class TestInfluence:
         # reach[-1] would read the last node's mask
         with pytest.raises(ValueError, match="outside the graph"):
             influence_eval(self.path3(), [0, -1])
+
+    @pytest.mark.parametrize("S", [[0.5], [1.7], [0, 2.0], [np.float64(1.0)], ["1"]])
+    def test_non_integral_node_rejected(self, S):
+        with pytest.raises(TypeError):
+            influence_eval(self.path3(), S)
+
+    @pytest.mark.parametrize("S", [[np.int64(1)], np.array([0, 2]), (np.int32(1),)])
+    def test_integer_like_nodes_accepted(self, S):
+        assert influence_eval(self.path3(), S) == influence_eval(self.path3(), [int(u) for u in S])
 
     def test_reach_bitmasks(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
@@ -320,13 +342,35 @@ class TestBatchedPeek:
         assert np.array_equal(f.peek_masks(masks), per_set_peeks(f, masks))
 
     @pytest.mark.parametrize("bandwidth", [0.75, 2.0, 5.0])
-    def test_logdet_matches(self, bandwidth):
+    def test_logdet_matches(self, bandwidth, monkeypatch):
         sigma = rbf_covariance(synthetic_data_matrix(60, 22, seed=5), bandwidth)
         f = logdet_set_oracle(sigma)
-        masks = random_masks(np.random.default_rng(1), 500, f.ground_size)
+        rng = np.random.default_rng(1)
+        # three sets of every size 0..d, then random ones with an empty and a full row
+        ranks = np.argsort(rng.random((3 * 23, 22)), axis=1)
+        sized = ranks < np.repeat(np.arange(23), 3)[:, None]
+        masks = np.concatenate([random_masks(rng, 500, f.ground_size), sized])
         values = f.peek_masks(masks)
-        np.testing.assert_allclose(values, per_set_peeks(f, masks), rtol=1e-12, atol=0.0)
+        assert np.array_equal(values, per_set_peeks(f, masks))
         assert values[0] == 0.0
+        # one row per stack splits every size group
+        monkeypatch.setattr(objectives, "LOGDET_CHUNK_BYTES", 8)
+        assert np.array_equal(f.peek_masks(masks), values)
+
+    @pytest.mark.parametrize("build", ["logdet", "influence"])
+    def test_sampled_values_chunks_agree(self, build, monkeypatch):
+        if build == "logdet":
+            f = logdet_set_oracle(rbf_covariance(synthetic_data_matrix(60, 22, seed=5), 0.75))
+        else:
+            f = influence_set_oracle(karate_club_graph())
+        Z = np.random.default_rng(10).random((37, f.ground_size))
+        Z[0], Z[1] = 0.0, 1.0
+        rngs = [np.random.default_rng(11) for _ in range(3)]
+        whole = peek_sampled_values(f, Z, 16, rngs[0])
+        monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", 8)
+        assert np.array_equal(peek_sampled_values(f, Z, 16, rngs[1]), whole)
+        assert np.array_equal(sampled_peeks_reference(f, Z, 16, rngs[2]), whole)
+        assert len({str(rng.bit_generator.state) for rng in rngs}) == 1
 
     def test_logdet_chunks_agree(self, monkeypatch):
         sigma = rbf_covariance(synthetic_data_matrix(30, 9, seed=2), 3.0)

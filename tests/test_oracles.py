@@ -283,6 +283,12 @@ class TestMultilinearValueOracle:
         F.gradient(np.full(3, 0.5))
         assert f.query_count == 4 + 2 * 3
 
+    @pytest.mark.parametrize("peek_samples", [0, -3])
+    def test_rejects_empty_peek_sample(self, peek_samples):
+        f, _ = random_weighted_coverage(3, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="peek sample count"):
+            multilinear_value_oracle(f, l=4, seed=0, peek_samples=peek_samples)
+
     def test_peek_spends_nothing(self):
         rng = np.random.default_rng(3)
         f, _ = random_weighted_coverage(3, rng)
