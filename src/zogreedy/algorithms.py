@@ -31,7 +31,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def _projected(region, eta0: Optional[float], lipschitz_G: float) -> Step:
 
 def _ascend(
     oracle, x: np.ndarray, grad: Callable[[np.ndarray], np.ndarray], step: Step,
-    lift: float, values: Callable[[np.ndarray], Iterable[float]], T: int,
+    lift: float, values: Callable[[np.ndarray], np.ndarray], T: int,
 ) -> tuple[np.ndarray, RunTrace]:
     """The one ascent loop: ``T`` times ``x <- step(x, grad(x), t)``.
 
@@ -277,7 +277,7 @@ def bcg(
         lambda x: batch_grad(oracle, x, params.delta, params.B, rng).estimate,
         _frank_wolfe(kprime, params.T),
         params.delta,
-        lambda Z: map(oracle.peek, Z),
+        oracle.peek_rows,
         params.T,
     )
     return _lifted(x, params.delta, constraint), trace
@@ -345,7 +345,7 @@ def scg(
         oracle.gradient,
         _frank_wolfe(constraint, params.T),
         0.0,
-        lambda Z: map(oracle.peek, Z),
+        oracle.peek_rows,
         params.T,
     )
     return _lifted(x, 0.0, constraint), trace
@@ -370,7 +370,7 @@ def ga(
     step = _projected(constraint, params.eta0, oracle.lipschitz_G)
     x = project(constraint, np.zeros(oracle.dim) if x0 is None else np.asarray(x0, float))
     x, trace = _ascend(
-        oracle, x, oracle.gradient, step, 0.0, lambda Z: map(oracle.peek, Z), params.T
+        oracle, x, oracle.gradient, step, 0.0, oracle.peek_rows, params.T
     )
     return _lifted(x, 0.0, constraint), trace
 
@@ -397,7 +397,7 @@ def zga(
         lambda x: batch_grad(oracle, x, params.delta, params.B, rng).estimate,
         _projected(kprime, params.eta0, oracle.lipschitz_G),
         params.delta,
-        lambda Z: map(oracle.peek, Z),
+        oracle.peek_rows,
         params.T,
     )
     return _lifted(x, params.delta, constraint), trace

@@ -78,59 +78,96 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray, domain: BoxDomain | None = None) ->
 # Probabilistic coverage of topics
 # ---------------------------------------------------------------------------
 
+def _topic_matrix(P) -> np.ndarray:
+    """Read-only float copy of a (topics x articles) matrix with entries in [0, 1]."""
+    P = np.array(P, dtype=float)
+    if P.ndim != 2 or P.size == 0:
+        raise ValueError(f"topic matrix must be a non-empty 2-D array, got shape {P.shape}")
+    # "not (min >= 0 and max <= 1)" so that NaN fails too
+    if not (P.min() >= 0.0 and P.max() <= 1.0):
+        raise ValueError("topic matrix entries must lie in [0, 1]")
+    P.setflags(write=False)
+    return P
+
+
+def _selection(P: np.ndarray, x) -> np.ndarray:
+    """``x`` as a float vector with one entry in [0, 1] per article of ``P``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (P.shape[1],):
+        raise ValueError(f"inconsistent shapes P{P.shape}, x{x.shape}")
+    if not (x.min() >= -1e-12 and x.max() <= 1 + 1e-12):
+        raise ValueError("selection entries must lie in [0, 1]")
+    return x
+
+
+def _coverage(P: np.ndarray, x) -> float:
+    """:func:`coverage_eval` for a ``P`` already checked by :func:`_topic_matrix`."""
+    x = _selection(P, x)
+    return float((1.0 - np.prod(1.0 - P * x, axis=1)).sum() / P.shape[0])
+
+
+def _coverage_gradient(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`coverage_gradient` for checked ``P`` and ``x``.
+
+    Topic ``j`` adds ``P[j] * prod(row) / row`` with ``row = 1 - P[j] * x``.
+    A row with one vanishing factor adds only that factor's partial, the
+    product of the others; a row with two or more adds nothing.  The rows are
+    summed one after another, in topic order.
+    """
+    k, d = P.shape
+    factors = 1.0 - P * x
+    vanishing = np.abs(factors) < 1e-300
+    counts = np.count_nonzero(vanishing, axis=1)
+    if counts.any():
+        free = counts == 0
+        contrib = np.zeros((k, d))
+        contrib[free] = P[free] * (np.prod(factors[free], axis=1)[:, None] / factors[free])
+        for j in np.flatnonzero(counts == 1).tolist():
+            a = int(np.flatnonzero(vanishing[j])[0])
+            contrib[j, a] = P[j, a] * np.prod(np.delete(factors[j], a))
+    else:
+        contrib = P * (np.prod(factors, axis=1)[:, None] / factors)
+    # A cumulative sum adds the rows in order (a plain sum may pair them up);
+    # "+ 0.0" turns a column of -0.0 terms into the 0.0 that summing from 0 gives.
+    return (np.cumsum(contrib, axis=0)[-1] + 0.0) / k
+
+
 def coverage_eval(P: np.ndarray, x: np.ndarray) -> float:
     """Average probabilistic topic coverage of a fractional article selection.
 
     ``P`` is a (topics x articles) matrix with entries in [0, 1]; column ``a``
     is the topic distribution of article ``a``.  Returns
     ``mean_j [1 - prod_a (1 - P[j, a] * x[a])]``, which at 0/1 vectors equals
-    the coverage set function.
+    the coverage set function.  Raises ``ValueError`` on a NaN or out-of-range
+    entry of ``P`` or ``x`` and on inconsistent shapes.
     """
-    P = np.asarray(P, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if P.ndim != 2 or x.shape != (P.shape[1],):
-        raise ValueError(f"inconsistent shapes P{P.shape}, x{x.shape}")
-    if np.any(P < 0) or np.any(P > 1):
-        raise ValueError("topic matrix entries must lie in [0, 1]")
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError("selection entries must lie in [0, 1]")
-    return float(np.mean(1.0 - np.prod(1.0 - P * x, axis=1)))
+    return _coverage(_topic_matrix(P), x)
 
 
 def coverage_gradient(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of :func:`coverage_eval` in the selection vector."""
-    P = np.asarray(P, dtype=float)
-    x = np.asarray(x, dtype=float)
-    k, d = P.shape
-    factors = 1.0 - P * x  # (k, d)
-    grad = np.zeros(d)
-    for j in range(k):
-        row = factors[j]
-        zeros = np.flatnonzero(np.abs(row) < 1e-300)
-        if zeros.size == 0:
-            full = np.prod(row)
-            grad += P[j] * (full / row)
-        elif zeros.size == 1:
-            # only the zeroed factor's coordinate sees a non-zero partial
-            others = np.prod(np.delete(row, zeros[0]))
-            contrib = np.zeros(d)
-            contrib[zeros[0]] = P[j, zeros[0]] * others
-            grad += contrib
-        # two or more vanishing factors: the whole row's partials vanish
-    return grad / k
+    """Exact gradient of :func:`coverage_eval` in the selection vector.
+
+    Checks ``P`` and ``x`` as :func:`coverage_eval` does.
+    """
+    P = _topic_matrix(P)
+    return _coverage_gradient(P, _selection(P, x))
 
 
 def coverage_value_oracle(P: np.ndarray) -> ValueOracle:
-    """Continuous coverage oracle with exact gradient, on the unit cube."""
-    P = np.asarray(P, dtype=float)
+    """Continuous coverage oracle with exact gradient, on the unit cube.
+
+    ``P`` is checked and copied once, here; each call then runs only the
+    arithmetic and the check of its point.
+    """
+    P = _topic_matrix(P)
     d = P.shape[1]
     col = P.sum(axis=0) / P.shape[0]
     G = float(np.linalg.norm(col))
     return ValueOracle(
-        fn=lambda x: coverage_eval(P, x),
+        fn=lambda x: _coverage(P, x),
         dim=d,
         lipschitz_G=max(G, 1e-12),
-        grad=lambda x: coverage_gradient(P, x),
+        grad=lambda x: _coverage_gradient(P, x),
         domain=BoxDomain.unit_cube(d),
         name="coverage",
     )
@@ -143,15 +180,18 @@ def coverage_batch(P: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def coverage_set_oracle(P: np.ndarray) -> SetOracle:
-    """Coverage as a set function; its multilinear extension is coverage_eval."""
-    P = np.asarray(P, dtype=float)
+    """Coverage as a set function; its multilinear extension is coverage_eval.
+
+    ``P`` is checked and copied once, here.
+    """
+    P = _topic_matrix(P)
     d = P.shape[1]
 
     def fn(S: frozenset) -> float:
         x = np.zeros(d)
         if S:
             x[sorted(S)] = 1.0
-        return coverage_eval(P, x)
+        return _coverage(P, x)
 
     return SetOracle(
         fn, ground_size=d, bound_M=1.0, name="coverage",

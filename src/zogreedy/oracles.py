@@ -3,7 +3,8 @@
 Every optimizer in this package sees its objective through one of these
 wrappers, which do exact bookkeeping of how many evaluations were spent.
 Counted calls go through ``__call__``; ``peek`` evaluates without counting and
-is reserved for instrumentation (trace columns, final reporting).  Set oracles
+is reserved for instrumentation (trace columns, final reporting), as is
+``peek_rows``, which evaluates every row of a matrix of points.  Set oracles
 also evaluate whole batches of sets, given as rows of a boolean mask matrix,
 without counting (:meth:`SetOracle.peek_masks`).
 """
@@ -33,6 +34,10 @@ class ValueOracle:
     grad : optional gradient callable; required by the first-order baselines.
     domain : optional box; when given, counted evaluations outside it raise
         :class:`DomainError`.
+    peek_fn : optional uncounted evaluation for :meth:`peek`; defaults to ``fn``.
+    peek_rows_fn : optional uncounted evaluation of every row of a
+        ``(n, dim)`` matrix at once, for :meth:`peek_rows`; defaults to
+        :meth:`peek` row by row.
 
     The evaluation counter is lock-protected so concurrent workers never lose
     increments.
@@ -47,11 +52,13 @@ class ValueOracle:
         domain: Optional[BoxDomain] = None,
         peek_fn: Optional[Callable[[np.ndarray], float]] = None,
         name: str = "",
+        peek_rows_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         if lipschitz_G <= 0:
             raise ValueError("lipschitz_G must be strictly positive")
         self._fn = fn
         self._peek_fn = peek_fn if peek_fn is not None else fn
+        self._peek_rows_fn = peek_rows_fn
         self.dim = int(dim)
         self.lipschitz_G = float(lipschitz_G)
         self._grad = grad
@@ -84,6 +91,20 @@ class ValueOracle:
         if not math.isfinite(value):
             raise ValueError(f"oracle {self.name!r} peeked non-finite value {value}")
         return value
+
+    def peek_rows(self, Z: np.ndarray) -> np.ndarray:
+        """Uncounted values at the rows of a ``(n, dim)`` matrix, in row order."""
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != self.dim:
+            raise ValueError(f"points have shape {Z.shape}, expected (n, {self.dim})")
+        if self._peek_rows_fn is None:
+            return np.array([self.peek(z) for z in Z])
+        values = np.asarray(self._peek_rows_fn(Z), dtype=float)
+        if values.shape != (Z.shape[0],):
+            raise ValueError(f"{Z.shape[0]} points gave values of shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"oracle {self.name!r} peeked a non-finite value")
+        return values
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         if self._grad is None:
@@ -145,6 +166,9 @@ class NoisyOracle:
 
     def peek(self, x: np.ndarray) -> float:
         return self.inner.peek(x)
+
+    def peek_rows(self, Z: np.ndarray) -> np.ndarray:
+        return self.inner.peek_rows(Z)
 
     @property
     def dim(self) -> int:
@@ -384,8 +408,9 @@ def multilinear_value_oracle(
     extension (spending ``l`` set queries each); the gradient callable returns
     the per-coordinate stochastic estimate built from one sampled set S ~ x
     and the pairs ``f(S + i) - f(S - i)``, spending ``2*ground_size`` set
-    queries.  ``peek`` uses uncounted set evaluations and a separate stream so
-    instrumentation never disturbs the counted sampling sequence.  The
+    queries.  ``peek`` and ``peek_rows`` use uncounted set evaluations and a
+    separate stream so instrumentation never disturbs the counted sampling
+    sequence; ``peek_rows`` draws the same sets as one ``peek`` per row.  The
     Lipschitz bound ``2*M*sqrt(d)`` of any bounded multilinear extension is
     used as G.
     """
@@ -395,6 +420,10 @@ def multilinear_value_oracle(
     main_seq, peek_seq = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(main_seq)
     peek_rng = np.random.default_rng(peek_seq)
+
+    def peek_rows(Z: np.ndarray) -> np.ndarray:
+        return peek_sampled_values(f, Z, peek_samples, peek_rng)
+
     return _SetBackedValueOracle(
         cost_source=f,
         fn=lambda x: multilinear_sample(f, x, l, rng),
@@ -402,6 +431,7 @@ def multilinear_value_oracle(
         lipschitz_G=2.0 * f.bound_M * np.sqrt(d),
         grad=lambda x: coordinate_gradient(f, x, rng),
         domain=BoxDomain.unit_cube(d),
-        peek_fn=lambda x: peek_sampled_values(f, x[None], peek_samples, peek_rng)[0],
+        peek_fn=lambda x: peek_rows(x[None])[0],
         name=f"multilinear[{f.name}]" if f.name else "multilinear",
+        peek_rows_fn=peek_rows,
     )

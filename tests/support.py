@@ -273,3 +273,29 @@ def brute_force_reference(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozen
         if value > best_value:
             best_set, best_value = candidate, value
     return best_set, best_value
+
+
+def coverage_gradient_reference(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of probabilistic topic coverage by a loop over the topics.
+
+    Topic ``j`` adds ``P[j] * prod(row) / row`` for ``row = 1 - P[j] * x``;
+    a row with one vanishing factor adds only the partial in that factor's
+    coordinate, and a row with two or more adds nothing.
+    """
+    P = np.asarray(P, dtype=float)
+    x = np.asarray(x, dtype=float)
+    k, d = P.shape
+    factors = 1.0 - P * x
+    grad = np.zeros(d)
+    for j in range(k):
+        row = factors[j]
+        zeros = np.flatnonzero(np.abs(row) < 1e-300)
+        if zeros.size == 0:
+            full = np.prod(row)
+            grad += P[j] * (full / row)
+        elif zeros.size == 1:
+            others = np.prod(np.delete(row, zeros[0]))
+            contrib = np.zeros(d)
+            contrib[zeros[0]] = P[j, zeros[0]] * others
+            grad += contrib
+    return grad / k

@@ -479,3 +479,40 @@ def test_deferred_trace_values_match_per_iteration_loop(config, algorithm, monke
     ]
     assert deferred_state == reference_state
     assert deferred.final_value == reference.final_value
+
+
+@pytest.mark.parametrize("algorithm", ["ga", "zga"])
+def test_discrete_ascent_traces_peek_all_rows_at_once(algorithm, tmp_path, monkeypatch):
+    """ga and zga on a set function compute their trace values in one
+    ``peek_sampled_values`` call; the values and the final state of the peek
+    stream equal one peek per iterate."""
+    text = (CONFIG_DIR / "influence.ini").read_text()
+    text += "\n[ga]\nT = 12\nl = 2\n\n[zga]\nT = 12\nB = 2\nl = 2\ndelta = 0.05\n"
+    (tmp_path / "influence.ini").write_text(text)
+    cfg = load_config(tmp_path / "influence.ini")
+    batched = oracles.peek_sampled_values
+
+    def run():
+        streams = []
+
+        def recording(f, Z, samples, rng):
+            streams.append((rng, len(Z)))
+            return batched(f, Z, samples, rng)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "peek_sampled_values", recording)
+            result = run_cell(cfg, algorithm, seed=2)
+        assert result.error is None
+        assert len({id(rng) for rng, _ in streams}) == 1
+        return result, [rows for _, rows in streams], streams[-1][0].bit_generator.state
+
+    result, rows, state = run()
+    assert rows == [12]
+    monkeypatch.setattr(ValueOracle, "peek_rows",
+                        lambda self, Z: np.array([self.peek(z) for z in Z]))
+    reference, reference_rows, reference_state = run()
+    assert reference_rows == [1] * 12
+    assert np.array_equal(result.trace.values(), reference.trace.values())
+    assert np.array_equal(result.trace.queries(), reference.trace.queries())
+    assert result.final_value == reference.final_value
+    assert state == reference_state

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -308,15 +309,24 @@ class TestRunExperiment:
         assert strip_elapsed(first) == strip_elapsed(second)
 
     def test_parallel_jobs_agree_with_serial(self, tmp_path):
-        p = write_config(tmp_path, TINY_CONFIG.format(out=tmp_path / "out"))
-        cfg = load_config(p)
-        serial, _ = run_experiment(cfg, out_dir=tmp_path / "s")
-        parallel, _ = run_experiment(cfg, jobs=2, out_dir=tmp_path / "p")
+        """``jobs=2`` writes the same trace and summary CSVs as ``jobs=1``,
+        apart from the wall-clock columns, for a continuous and a discrete config."""
+        influence = re.sub(r"(?m)^T\s*=\s*\d+", "T = 12",
+                           (CONFIG_DIR / "influence.ini").read_text())
+        for name, text in (("tiny", TINY_CONFIG.format(out=tmp_path / "out")),
+                           ("influence", influence)):
+            cfg = load_config(write_config(tmp_path, text))
+            serial = run_experiment(cfg, out_dir=tmp_path / name / "s")
+            parallel = run_experiment(cfg, jobs=2, out_dir=tmp_path / name / "p")
 
-        def strip_elapsed(path):
-            return [row[:4] + row[5:] for row in read_csv(path)]
+            def strip_wall_clock(path):
+                # column 4 is elapsed_ms in the trace, relative_runtime in the summary
+                return [row[:4] + row[5:] for row in read_csv(path)]
 
-        assert strip_elapsed(serial) == strip_elapsed(parallel)
+            for s_path, p_path in zip(serial, parallel):
+                assert read_csv(s_path)[0][4] in ("elapsed_ms", "relative_runtime")
+                assert strip_wall_clock(s_path) == strip_wall_clock(p_path)
+                assert len(read_csv(s_path)) > 1
 
     def test_discrete_experiment_runs(self, tmp_path):
         p = write_config(tmp_path, """

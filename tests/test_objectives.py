@@ -12,6 +12,7 @@ from zogreedy import (
     coverage_eval,
     coverage_gradient,
     coverage_set_oracle,
+    coverage_value_oracle,
     influence_eval,
     influence_set_oracle,
     logdet_eval,
@@ -28,6 +29,7 @@ from zogreedy.bench import karate_club_graph, synthetic_data_matrix, synthetic_t
 from zogreedy.oracles import peek_sampled_values
 
 from support import (
+    coverage_gradient_reference,
     gradient_bruteforce,
     influence_reference,
     logdet_reference,
@@ -137,6 +139,108 @@ class TestCoverage:
             e[i] = h
             fd = (coverage_eval(P, x + e) - coverage_eval(P, x - e)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("P, x, message", [
+        ([[np.nan, 0.5]], [0.5, 0.5], "topic matrix"),
+        ([[0.2, 0.5]], [np.nan, 0.5], "selection"),
+        ([[2.0, 0.5]], [0.5, 0.5], "topic matrix"),
+        ([[0.2, -0.1]], [0.5, 0.5], "topic matrix"),
+        ([[0.2, 0.5]], [1.5, 0.5], "selection"),
+        ([[0.2, 0.5]], [-0.1, 0.5], "selection"),
+        ([[0.2, 0.5]], [0.5, 0.5, 0.5], "inconsistent shapes"),
+        ([0.2, 0.5], [0.5, 0.5], "topic matrix"),
+        (np.zeros((0, 2)), [0.5, 0.5], "topic matrix"),
+    ], ids=["nan-P", "nan-x", "P-above-1", "P-below-0", "x-above-1", "x-below-0",
+            "shape-mismatch", "1-D-P", "no-topics"])
+    @pytest.mark.parametrize("fn", [coverage_eval, coverage_gradient])
+    def test_bad_inputs_raise(self, fn, P, x, message):
+        with pytest.raises(ValueError, match=message):
+            fn(np.array(P, dtype=float), np.array(x, dtype=float))
+
+    @pytest.mark.parametrize("P", [[[2.0, 0.5]], [[np.nan, 0.5]], [[-0.5, 0.5]],
+                                   [0.2, 0.5], np.zeros((0, 3))],
+                             ids=["above-1", "nan", "below-0", "1-D", "no-topics"])
+    @pytest.mark.parametrize("builder", [coverage_value_oracle, coverage_set_oracle])
+    def test_builders_reject_bad_topic_matrix(self, builder, P):
+        with pytest.raises(ValueError, match="topic matrix"):
+            builder(np.array(P, dtype=float))
+
+    def test_builders_keep_their_own_topic_matrix(self):
+        P = synthetic_topics(4, 6, seed=1)
+        F, f = coverage_value_oracle(P), coverage_set_oracle(P)
+        x = np.full(6, 0.5)
+        before = (F.peek(x), f.peek({0, 2}), F.gradient(x))
+        P[:] = 0.0
+        after = (F.peek(x), f.peek({0, 2}), F.gradient(x))
+        assert before[:2] == after[:2] and np.array_equal(before[2], after[2])
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0],
+                                   [0.5, 0.5, 0.5]])
+    def test_uncounted_peek_checks_its_point(self, x):
+        F = coverage_value_oracle(synthetic_topics(3, 4, seed=1))
+        with pytest.raises(ValueError):
+            F.peek(np.array(x))
+
+    def test_oracle_values_equal_coverage_eval(self):
+        P = synthetic_topics(10, 24, seed=3)
+        F, f = coverage_value_oracle(P), coverage_set_oracle(P)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            x = rng.random(24)
+            mean = float(np.mean(1.0 - np.prod(1.0 - P * x, axis=1)))
+            assert F(x) == F.peek(x) == coverage_eval(P, x) == mean
+            assert np.array_equal(F.gradient(x), coverage_gradient(P, x))
+            S = frozenset(np.flatnonzero(rng.random(24) < 0.3).tolist())
+            indicator = np.zeros(24)
+            indicator[sorted(S)] = 1.0
+            assert f(S) == f.peek(S) == coverage_eval(P, indicator)
+
+
+def gradient_cases():
+    """Random (k, d) coverage instances, with vanishing factors planted in some rows."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for k, d in itertools.product((1, 3, 10, 17), (1, 2, 5, 24)):
+        P = rng.random((k, d))
+        cases.append((f"random-{k}x{d}", P, rng.random(d)))
+        cases.append((f"x-at-0-{k}x{d}", P, np.zeros(d)))
+        cases.append((f"x-at-1-{k}x{d}", P, np.ones(d)))
+        if d >= 2:
+            x = rng.random(d)
+            Q = P.copy()
+            Q[k // 2, 1] = x[1] = 1.0  # one vanishing factor in row k // 2
+            cases.append((f"one-zero-{k}x{d}", Q, x))
+            x = rng.random(d)
+            Q = P.copy()
+            Q[0, 0] = Q[0, 1] = x[0] = x[1] = 1.0  # two in row 0
+            Q[k - 1, 0] = 1.0  # and one more in the last row
+            cases.append((f"two-zeros-{k}x{d}", Q, x))
+    for k in (8, 9, 20, 130):  # a plain sum over the rows pairs them up from k = 8
+        P = rng.random((k, 1))
+        cases.append((f"d1-{k}", P, rng.random(1)))
+        Q = P.copy()
+        Q[3, 0] = 1.0
+        cases.append((f"d1-zero-{k}", Q, np.ones(1)))
+    # x within the tolerance above 1: column 2's factors are slightly negative,
+    # so every term of columns 0 and 1 (where P is 0) is -0.0
+    P = rng.random((5, 6))
+    P[:, :2] = 0.0
+    P[:, 2] = 1.0
+    cases.append(("x-just-above-1", P, np.full(6, 1.0 + 1e-13)))
+    return cases
+
+
+GRADIENT_CASES = gradient_cases()
+
+
+@pytest.mark.parametrize("P, x", [c[1:] for c in GRADIENT_CASES],
+                         ids=[c[0] for c in GRADIENT_CASES])
+def test_coverage_gradient_equals_topic_loop(P, x):
+    g = coverage_gradient(P, x)
+    ref = coverage_gradient_reference(P, x)
+    assert np.array_equal(g, ref)
+    assert np.array_equal(np.signbit(g), np.signbit(ref))
+    assert np.array_equal(coverage_value_oracle(P).gradient(x), ref)
 
 
 class TestLogdet:

@@ -69,6 +69,60 @@ class TestValueOracle:
             F.gradient(np.zeros(2))
 
 
+class TestPeekRows:
+    def test_default_peeks_row_by_row(self):
+        seen = []
+
+        def peek(x):
+            seen.append(x.copy())
+            return float(x @ [1.0, 10.0])
+
+        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0, peek_fn=peek)
+        Z = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        values = F.peek_rows(Z)
+        assert np.array_equal(values, [F.peek(z) for z in Z])
+        assert np.array_equal(np.array(seen[:3]), Z)
+        assert F.query_count == 0
+
+    def test_batched_rows(self):
+        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0,
+                        peek_rows_fn=lambda Z: Z.sum(axis=1))
+        assert np.array_equal(F.peek_rows(np.eye(2)), [1.0, 1.0])
+        assert F.query_count == 0
+
+    @pytest.mark.parametrize("Z", [np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))])
+    def test_rejects_wrong_shape(self, Z):
+        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0)
+        with pytest.raises(ValueError, match="shape"):
+            F.peek_rows(Z)
+
+    @pytest.mark.parametrize("rows_fn, message", [
+        (lambda Z: np.full(Z.shape[0], np.nan), "non-finite"),
+        (lambda Z: np.zeros(Z.shape[0] + 1), "shape"),
+    ])
+    def test_rejects_bad_batched_values(self, rows_fn, message):
+        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0, peek_rows_fn=rows_fn)
+        with pytest.raises(ValueError, match=message):
+            F.peek_rows(np.zeros((3, 2)))
+
+    def test_noisy_oracle_passes_through(self):
+        F = ValueOracle(lambda x: float(x.sum()), dim=2, lipschitz_G=2.0)
+        noisy = noisy_wrap(F, 10.0, seed=1)
+        Z = np.array([[0.1, 0.2], [0.3, 0.4]])
+        assert np.array_equal(noisy.peek_rows(Z), F.peek_rows(Z))
+        assert noisy.query_count == 0
+
+    def test_multilinear_rows_equal_one_peek_per_row(self):
+        f, _ = random_weighted_coverage(5, np.random.default_rng(4))
+        Z = np.random.default_rng(5).random((7, 5))
+        batched = multilinear_value_oracle(f, l=2, seed=3, peek_samples=16)
+        per_row = multilinear_value_oracle(f, l=2, seed=3, peek_samples=16)
+        assert np.array_equal(batched.peek_rows(Z), [per_row.peek(z) for z in Z])
+        # the peek streams end in the same state: the next peeks agree too
+        assert batched.peek(Z[0]) == per_row.peek(Z[0])
+        assert f.query_count == 0
+
+
 class TestNoisyOracle:
     def test_zero_sigma_is_exact(self):
         F = ValueOracle(lambda x: float(x.sum()), dim=2, lipschitz_G=2.0)
