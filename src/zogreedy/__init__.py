@@ -21,14 +21,11 @@ from .constraints import (
     transform_constraint,
 )
 from .estimators import (
-    GradientSample,
     MomentumState,
     batch_grad,
     discrete_batch_grad,
     momentum_update,
-    one_point_grad,
     rho_schedule,
-    sample_ball,
     sample_sphere,
     two_point_grad,
 )
@@ -51,13 +48,12 @@ from .oracles import (
     NoisyOracle,
     SetOracle,
     ValueOracle,
-    multilinear_exact,
     multilinear_sample,
     multilinear_value_oracle,
     noisy_wrap,
     sample_subset,
 )
-from .polytope import enumerate_vertices, lmo, project, swap_round
+from .polytope import lmo, project, swap_round
 
 __version__ = "0.1.0"
 
@@ -66,7 +62,6 @@ __all__ = [
     "BoxDomain",
     "ConstraintSpec",
     "DomainError",
-    "GradientSample",
     "Graph",
     "InfeasibleTransformError",
     "MomentumState",
@@ -85,7 +80,6 @@ __all__ = [
     "coverage_value_oracle",
     "dbg",
     "discrete_batch_grad",
-    "enumerate_vertices",
     "ga",
     "independent",
     "influence_eval",
@@ -94,18 +88,15 @@ __all__ = [
     "logdet_eval",
     "logdet_set_oracle",
     "momentum_update",
-    "multilinear_exact",
     "multilinear_sample",
     "multilinear_value_oracle",
     "noisy_wrap",
     "nqp_eval",
     "nqp_generate",
     "nqp_oracle",
-    "one_point_grad",
     "project",
     "rbf_covariance",
     "rho_schedule",
-    "sample_ball",
     "sample_sphere",
     "sample_subset",
     "scg",

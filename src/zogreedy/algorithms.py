@@ -274,7 +274,7 @@ def bcg(
     x, trace = _ascend(
         oracle,
         np.zeros(oracle.dim),
-        lambda x: batch_grad(oracle, x, params.delta, params.B, rng).estimate,
+        lambda x: batch_grad(oracle, x, params.delta, params.B, rng),
         _frank_wolfe(kprime, params.T),
         params.delta,
         oracle.peek_rows,
@@ -302,7 +302,7 @@ def dbg(
     x, trace = _ascend(
         f,
         np.zeros(f.ground_size),
-        lambda x: discrete_batch_grad(f, x, params.delta, params.B, params.l, rng).estimate,
+        lambda x: discrete_batch_grad(f, x, params.delta, params.B, params.l, rng),
         _frank_wolfe(kprime, params.T),
         params.delta,
         lambda Z: peek_sampled_values(f, Z, params.trace_value_samples, instr),
@@ -394,7 +394,7 @@ def zga(
     x, trace = _ascend(
         oracle,
         np.zeros(oracle.dim),
-        lambda x: batch_grad(oracle, x, params.delta, params.B, rng).estimate,
+        lambda x: batch_grad(oracle, x, params.delta, params.B, rng),
         _projected(kprime, params.eta0, oracle.lipschitz_G),
         params.delta,
         oracle.peek_rows,

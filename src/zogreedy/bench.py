@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass, replace
 from configparser import ConfigParser
 from importlib import resources
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -378,8 +378,8 @@ def count_feasible_sets(matroid: ConstraintSpec) -> int:
 def _feasible_choices(matroid: ConstraintSpec) -> list[list[tuple[int, ...]]]:
     """The choices of each block, then of the free coordinates, in enumeration order.
 
-    Every independent set is one choice from each list, and crossing the
-    lists with the last varying fastest gives :func:`iter_feasible_sets` order.
+    Every independent set is one choice from each list; crossing the lists
+    with the last varying fastest gives the enumeration order.
     """
     covered = set(chain.from_iterable(matroid.blocks))
     free = [i for i in range(matroid.dim) if i not in covered]
@@ -395,12 +395,6 @@ def _feasible_choices(matroid: ConstraintSpec) -> list[list[tuple[int, ...]]]:
     return choices
 
 
-def iter_feasible_sets(matroid: ConstraintSpec) -> Iterator[frozenset]:
-    """Yield every independent set of a partition matroid (free coords too)."""
-    for combo in product(*_feasible_choices(matroid)):
-        yield frozenset(chain.from_iterable(combo))
-
-
 def _choice_masks(choices: list[tuple[int, ...]], dim: int) -> np.ndarray:
     """Boolean ``(len(choices), dim)`` matrix whose rows select the choices."""
     masks = np.zeros((len(choices), dim), dtype=bool)
@@ -414,8 +408,8 @@ def brute_force_opt(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, f
 
     The feasible sets are evaluated as boolean masks through
     :meth:`SetOracle.peek_masks`, at most :data:`BRUTE_FORCE_CHUNK_BYTES` of
-    masks at a time, in :func:`iter_feasible_sets` order; the first set with
-    the largest value wins.
+    masks at a time, in :func:`_feasible_choices` enumeration order; the first
+    set with the largest value wins.
     """
     if matroid.kind != "partition_matroid":
         raise ValueError("brute force optimum needs a partition matroid")

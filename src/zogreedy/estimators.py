@@ -8,7 +8,7 @@ momentum recursion then damps their variance across iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,6 @@ class MomentumState:
         return self.g_bar.size
 
 
-@dataclass(frozen=True)
-class GradientSample:
-    """A batched gradient estimate with its oracle cost and evaluation center."""
-
-    estimate: np.ndarray
-    queries_used: int
-    center: np.ndarray
-
-
 def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform draw(s) from the unit sphere, via normalized Gaussians.
 
@@ -66,23 +57,6 @@ def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -
     return u[0] if size is None else u
 
 
-def sample_ball(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Uniform draw(s) from the unit ball: sphere direction times U^(1/dim)."""
-    n = 1 if size is None else int(size)
-    u = sample_sphere(dim, rng, size=n)
-    r = rng.random(n) ** (1.0 / dim)
-    out = u * r[:, None]
-    return out[0] if size is None else out
-
-
-def one_point_grad(oracle, x: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
-    """Single-query estimate (d/delta) * F(x + delta*u) * u."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    d = x.size
-    return (d / delta) * oracle(x + delta * u) * u
-
-
 def two_point_grad(oracle, x: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
     """Antithetic estimate (d/2delta) * (F(x + delta*u) - F(x - delta*u)) * u.
 
@@ -97,7 +71,7 @@ def two_point_grad(oracle, x: np.ndarray, delta: float, u: np.ndarray) -> np.nda
 
 def batch_grad(
     oracle, x_t: np.ndarray, delta: float, batch: int, rng: np.random.Generator
-) -> GradientSample:
+) -> np.ndarray:
     """Average of ``batch`` two-point estimates centered at x_t + delta*1.
 
     The center shift keeps both probe points inside the original box whenever
@@ -105,12 +79,11 @@ def batch_grad(
     """
     if batch < 1:
         raise ValueError("batch size must be >= 1")
-    x_t = np.asarray(x_t, dtype=float)
-    center = x_t + delta
+    center = np.asarray(x_t, dtype=float) + delta
     total = np.zeros_like(center)
     for u in sample_sphere(center.size, rng, size=batch):
         total += two_point_grad(oracle, center, delta, u)
-    return GradientSample(estimate=total / batch, queries_used=2 * batch, center=center)
+    return total / batch
 
 
 def discrete_batch_grad(
@@ -120,7 +93,7 @@ def discrete_batch_grad(
     batch: int,
     inner_samples: int,
     rng: np.random.Generator,
-) -> GradientSample:
+) -> np.ndarray:
     """Two-point estimate for a multilinear extension known only by sampling.
 
     This is :func:`batch_grad` over the ``inner_samples``-sample multilinear
@@ -140,8 +113,7 @@ def discrete_batch_grad(
             )
         return multilinear_sample(f, y, inner_samples, rng)
 
-    sample = batch_grad(probe, x_t, delta, batch, rng)
-    return replace(sample, queries_used=sample.queries_used * inner_samples)
+    return batch_grad(probe, x_t, delta, batch, rng)
 
 
 def momentum_update(state: MomentumState, g_t: np.ndarray, rho_t: float) -> MomentumState:

@@ -11,6 +11,7 @@ evaluates the sets given as rows of a boolean mask matrix in one array pass.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -18,6 +19,13 @@ import numpy as np
 
 from .constraints import BoxDomain
 from .oracles import SetOracle, ValueOracle
+
+# Set values memoized per built-in logdet and coverage set oracle.  Counted
+# queries repeat sets often (each pair f(S + i) - f(S - i) of scg asks for the
+# sampled S itself), and a hit skips only the Cholesky or coverage arithmetic:
+# SetOracle still counts and checks every query.  The values are deterministic,
+# so a hit returns the same float.
+SET_VALUE_CACHE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +190,13 @@ def coverage_batch(P: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def coverage_set_oracle(P: np.ndarray) -> SetOracle:
     """Coverage as a set function; its multilinear extension is coverage_eval.
 
-    ``P`` is checked and copied once, here.
+    ``P`` is checked and copied once, here.  Set values are memoized
+    (:data:`SET_VALUE_CACHE`).
     """
     P = _topic_matrix(P)
     d = P.shape[1]
 
+    @functools.lru_cache(maxsize=SET_VALUE_CACHE)
     def fn(S: frozenset) -> float:
         x = np.zeros(d)
         if S:
@@ -270,12 +280,18 @@ def logdet_batch(sigma: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def logdet_set_oracle(sigma: np.ndarray) -> SetOracle:
-    """Active-set selection objective f(S) = log det(I + Sigma[S, S])."""
-    sigma = np.asarray(sigma, dtype=float)
+    """Active-set selection objective f(S) = log det(I + Sigma[S, S]).
+
+    ``Sigma`` is copied once, here, so the memoized set values
+    (:data:`SET_VALUE_CACHE`) cannot go stale; a ``LinAlgError`` is not memoized.
+    """
+    sigma = np.array(sigma, dtype=float)
+    sigma.setflags(write=False)
     d = sigma.shape[0]
     bound = max(logdet_eval(sigma, range(d)), 1e-12)
+    fn = functools.lru_cache(maxsize=SET_VALUE_CACHE)(lambda S: logdet_eval(sigma, S))
     return SetOracle(
-        lambda S: logdet_eval(sigma, S), ground_size=d, bound_M=bound, name="logdet",
+        fn, ground_size=d, bound_M=bound, name="logdet",
         batch_fn=lambda masks: logdet_batch(sigma, masks),
     )
 

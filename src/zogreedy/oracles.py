@@ -20,8 +20,6 @@ import numpy as np
 
 from .constraints import BoxDomain, DomainError
 
-MAX_EXACT_EXTENSION_DIM = 25
-
 
 class ValueOracle:
     """Deterministic real-valued objective with known Lipschitz bound.
@@ -273,42 +271,6 @@ class SetOracle:
     @property
     def query_count(self) -> int:
         return self._queries
-
-
-def _mask_to_set(mask: int, dim: int) -> frozenset:
-    return frozenset(i for i in range(dim) if mask >> i & 1)
-
-
-def _membership_weights(x: np.ndarray) -> np.ndarray:
-    """Probability of each of the 2^d subsets under independent inclusion x."""
-    w = np.ones(1)
-    for xi in x:
-        w = np.concatenate([w * (1.0 - xi), w * xi])
-    return w
-
-
-def multilinear_exact(f: SetOracle, x: np.ndarray) -> float:
-    """Exact multilinear extension E_{S~x}[f(S)] by full subset enumeration.
-
-    Queries ``f`` once per subset with non-zero probability under ``x``;
-    guarded to ``ground_size <= 25``.
-    """
-    d = f.ground_size
-    if d > MAX_EXACT_EXTENSION_DIM:
-        raise ValueError(
-            f"exact extension enumerates 2^{d} subsets; refusing beyond "
-            f"d={MAX_EXACT_EXTENSION_DIM}"
-        )
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"point has shape {x.shape}, expected ({d},)")
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise ValueError("inclusion probabilities must lie in [0, 1]")
-    weights = _membership_weights(np.clip(x, 0.0, 1.0))
-    total = 0.0
-    for mask in np.flatnonzero(weights > 0.0):
-        total += weights[mask] * f(_mask_to_set(int(mask), d))
-    return float(total)
 
 
 def sample_subset(x: np.ndarray, rng: np.random.Generator) -> frozenset:

@@ -10,8 +10,6 @@ per-block water-filling solves the projection.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .constraints import PARTITION_MATROID, ConstraintSpec, contains
@@ -131,59 +129,3 @@ def swap_round(
         if i not in covered and _INTEGRALITY_EPS < x[i] < 1.0 - _INTEGRALITY_EPS:
             _round_leftover(x, i, rng)
     return frozenset(int(i) for i in np.flatnonzero(x > 0.5))
-
-
-def enumerate_vertices(constraint, max_dim: int = 10) -> list[np.ndarray]:
-    """All vertices of a small constraint polytope (plus boundary candidates).
-
-    Intended as a brute-force optimum oracle for :func:`lmo`: the returned
-    list is a feasibility-filtered superset of the vertex set, built from all
-    per-block assignments that saturate caps and budgets.
-    """
-    upper, blocks, budgets = constraint.upper, constraint.blocks, constraint.budgets
-    d = upper.size
-    if d > max_dim:
-        raise ValueError(f"vertex enumeration limited to dim <= {max_dim}")
-
-    covered = sorted(set(itertools.chain.from_iterable(blocks)))
-    free = [i for i in range(d) if i not in covered]
-
-    block_choices: list[list[dict[int, float]]] = []
-    for block, budget in zip(blocks, budgets):
-        choices: list[dict[int, float]] = []
-        members = list(block)
-        for r in range(len(members) + 1):
-            for subset in itertools.combinations(members, r):
-                cap_sum = float(np.sum(upper[list(subset)])) if subset else 0.0
-                if cap_sum <= budget + 1e-12:
-                    choices.append({i: float(upper[i]) for i in subset})
-                    residual = budget - cap_sum
-                    for j in members:
-                        if j in subset:
-                            continue
-                        if 1e-12 < residual < upper[j] - 1e-12:
-                            partial = {i: float(upper[i]) for i in subset}
-                            partial[j] = residual
-                            choices.append(partial)
-        block_choices.append(choices)
-
-    free_choices = [[(i, 0.0), (i, float(upper[i]))] for i in free]
-
-    points: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    for combo in itertools.product(*block_choices) if block_choices else [()]:
-        base = np.zeros(d)
-        for assignment in combo:
-            for i, val in assignment.items():
-                base[i] = val
-        for free_combo in itertools.product(*free_choices) if free_choices else [()]:
-            v = base.copy()
-            for i, val in free_combo:
-                v[i] = val
-            if not contains(constraint, v, tol=1e-9):
-                continue
-            key = np.round(v, 12).tobytes()
-            if key not in seen:
-                seen.add(key)
-                points.append(v)
-    return points

@@ -8,9 +8,11 @@ ground truth for the package's closed-form and sampled implementations.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from zogreedy import ConstraintSpec, SetOracle
+from zogreedy import ConstraintSpec, SetOracle, contains, sample_sphere
 
 
 def random_weighted_coverage(
@@ -138,8 +140,6 @@ def random_matroid(rng: np.random.Generator, d: int) -> ConstraintSpec:
 
 def random_point_in(constraint, rng: np.random.Generator) -> np.ndarray:
     """Uniform-ish feasible point: scale a random box point into every budget."""
-    from zogreedy import contains
-
     x = rng.uniform(0.0, 1.0, size=constraint.dim) * np.asarray(constraint.upper)
     for block, budget in zip(constraint.blocks, constraint.budgets):
         idx = list(block)
@@ -265,8 +265,6 @@ def batch_grad_reference(oracle, x_t: np.ndarray, delta: float, batch: int,
 
 def brute_force_reference(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, float]:
     """First maximum over ``iter_feasible_sets`` with one ``peek`` per set (the original loop)."""
-    from zogreedy.bench import iter_feasible_sets
-
     best_set, best_value = frozenset(), -np.inf
     for candidate in iter_feasible_sets(matroid):
         value = f.peek(candidate)
@@ -299,3 +297,128 @@ def coverage_gradient_reference(P: np.ndarray, x: np.ndarray) -> np.ndarray:
             contrib[zeros[0]] = P[j, zeros[0]] * others
             grad += contrib
     return grad / k
+
+
+# ---------------------------------------------------------------------------
+# Reference-only helpers: brute-force oracles and estimators the package's own
+# code paths never use, kept here as ground truth for the tests.
+# ---------------------------------------------------------------------------
+
+MAX_EXACT_EXTENSION_DIM = 25
+
+
+def _mask_to_set(mask: int, dim: int) -> frozenset:
+    return frozenset(i for i in range(dim) if mask >> i & 1)
+
+
+def _membership_weights(x: np.ndarray) -> np.ndarray:
+    """Probability of each of the 2^d subsets under independent inclusion x."""
+    w = np.ones(1)
+    for xi in x:
+        w = np.concatenate([w * (1.0 - xi), w * xi])
+    return w
+
+
+def multilinear_exact(f: SetOracle, x: np.ndarray) -> float:
+    """Exact multilinear extension E_{S~x}[f(S)] by full subset enumeration.
+
+    Queries ``f`` once per subset with non-zero probability under ``x``;
+    guarded to ``ground_size <= 25``.
+    """
+    d = f.ground_size
+    if d > MAX_EXACT_EXTENSION_DIM:
+        raise ValueError(
+            f"exact extension enumerates 2^{d} subsets; refusing beyond "
+            f"d={MAX_EXACT_EXTENSION_DIM}"
+        )
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"point has shape {x.shape}, expected ({d},)")
+    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+        raise ValueError("inclusion probabilities must lie in [0, 1]")
+    weights = _membership_weights(np.clip(x, 0.0, 1.0))
+    total = 0.0
+    for mask in np.flatnonzero(weights > 0.0):
+        total += weights[mask] * f(_mask_to_set(int(mask), d))
+    return float(total)
+
+
+def sample_ball(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Uniform draw(s) from the unit ball: sphere direction times U^(1/dim)."""
+    n = 1 if size is None else int(size)
+    u = sample_sphere(dim, rng, size=n)
+    r = rng.random(n) ** (1.0 / dim)
+    out = u * r[:, None]
+    return out[0] if size is None else out
+
+
+def one_point_grad(oracle, x: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
+    """Single-query estimate (d/delta) * F(x + delta*u) * u."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    d = x.size
+    return (d / delta) * oracle(x + delta * u) * u
+
+
+def iter_feasible_sets(matroid: ConstraintSpec):
+    """Yield every independent set of a partition matroid (free coords too)."""
+    from zogreedy.bench import _feasible_choices
+
+    for combo in itertools.product(*_feasible_choices(matroid)):
+        yield frozenset(itertools.chain.from_iterable(combo))
+
+
+def enumerate_vertices(constraint, max_dim: int = 10) -> list[np.ndarray]:
+    """All vertices of a small constraint polytope (plus boundary candidates).
+
+    Intended as a brute-force optimum oracle for :func:`lmo`: the returned
+    list is a feasibility-filtered superset of the vertex set, built from all
+    per-block assignments that saturate caps and budgets.
+    """
+    upper, blocks, budgets = constraint.upper, constraint.blocks, constraint.budgets
+    d = upper.size
+    if d > max_dim:
+        raise ValueError(f"vertex enumeration limited to dim <= {max_dim}")
+
+    covered = sorted(set(itertools.chain.from_iterable(blocks)))
+    free = [i for i in range(d) if i not in covered]
+
+    block_choices: list[list[dict[int, float]]] = []
+    for block, budget in zip(blocks, budgets):
+        choices: list[dict[int, float]] = []
+        members = list(block)
+        for r in range(len(members) + 1):
+            for subset in itertools.combinations(members, r):
+                cap_sum = float(np.sum(upper[list(subset)])) if subset else 0.0
+                if cap_sum <= budget + 1e-12:
+                    choices.append({i: float(upper[i]) for i in subset})
+                    residual = budget - cap_sum
+                    for j in members:
+                        if j in subset:
+                            continue
+                        if 1e-12 < residual < upper[j] - 1e-12:
+                            partial = {i: float(upper[i]) for i in subset}
+                            partial[j] = residual
+                            choices.append(partial)
+        block_choices.append(choices)
+
+    free_choices = [[(i, 0.0), (i, float(upper[i]))] for i in free]
+
+    points: list[np.ndarray] = []
+    seen: set[bytes] = set()
+    for combo in itertools.product(*block_choices) if block_choices else [()]:
+        base = np.zeros(d)
+        for assignment in combo:
+            for i, val in assignment.items():
+                base[i] = val
+        for free_combo in itertools.product(*free_choices) if free_choices else [()]:
+            v = base.copy()
+            for i, val in free_combo:
+                v[i] = val
+            if not contains(constraint, v, tol=1e-9):
+                continue
+            key = np.round(v, 12).tobytes()
+            if key not in seen:
+                seen.add(key)
+                points.append(v)
+    return points

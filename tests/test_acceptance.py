@@ -7,28 +7,27 @@ its margin stated inline.
 """
 
 import numpy as np
+import pytest
 
 from zogreedy import (
     AlgoParams,
     BoxDomain,
     ConstraintSpec,
     MomentumState,
+    NoisyOracle,
     batch_grad,
     bcg,
     contains,
     dbg,
-    enumerate_vertices,
     ga,
     independent,
     lmo,
     momentum_update,
-    multilinear_exact,
     nqp_eval,
     nqp_generate,
     nqp_oracle,
     project,
     rho_schedule,
-    sample_ball,
     sample_sphere,
     scg,
     swap_round,
@@ -40,14 +39,17 @@ from zogreedy.bench import brute_force_opt
 from zogreedy.objectives import coverage_set_oracle
 
 from support import (
+    enumerate_vertices,
     gradient_bruteforce,
     mixed_second_bruteforce,
     multilinear_bruteforce,
+    multilinear_exact,
     partial_bruteforce,
     random_matroid,
     random_point_in,
     random_small_constraint,
     random_weighted_coverage,
+    sample_ball,
 )
 
 
@@ -143,9 +145,9 @@ def test_criterion_04_estimator_unbiased_and_variance_scaling():
     mse1 = np.empty(reps)
     mse16 = np.empty(reps)
     for k in range(reps):
-        mse1[k] = np.sum((batch_grad(F, x_t, delta, 1, rng).estimate - exact) ** 2)
+        mse1[k] = np.sum((batch_grad(F, x_t, delta, 1, rng) - exact) ** 2)
     for k in range(reps):
-        mse16[k] = np.sum((batch_grad(F, x_t, delta, 16, rng).estimate - exact) ** 2)
+        mse16[k] = np.sum((batch_grad(F, x_t, delta, 16, rng) - exact) ** 2)
     ratio = float(mse1.mean() / mse16.mean())
     scaling = 10.7 <= ratio <= 24.0
     _report(4, "two-point unbiasedness and 1/B variance", unbiased and scaling,
@@ -165,8 +167,8 @@ def test_criterion_05_momentum_error_decay():
         state = MomentumState.initial(5)
         for t in range(1, T + 1):
             g = batch_grad(F, x, delta, 1, rng)
-            state = momentum_update(state, g.estimate, rho_schedule(t))
-            errors[s, t - 1] = float(np.sum((state.g_bar - (H @ g.center + b)) ** 2))
+            state = momentum_update(state, g, rho_schedule(t))
+            errors[s, t - 1] = float(np.sum((state.g_bar - (H @ (x + delta) + b)) ** 2))
             x = x + lmo(kprime, state.g_bar) / T
     mse = errors.mean(axis=0)
     ts = np.arange(1, T + 1)
@@ -240,7 +242,8 @@ def test_criterion_08_discrete_ratio_vs_bruteforce():
             f"mean {mean:.4f} vs needed {need:.4f} (opt {opt:.4f})")
 
 
-def test_criterion_09_continuous_ratio_vs_ascent_target():
+def _ascent_target_instance():
+    """A d=5 quadratic under one budget of 2, with the best of 20 ``ga`` restarts."""
     H, b = nqp_generate(5, seed=77)
     K = ConstraintSpec.block_budget(5, [(0, 1, 2, 3, 4)], [2.0])
     D = BoxDomain.unit_cube(5)
@@ -251,6 +254,11 @@ def test_criterion_09_continuous_ratio_vs_ascent_target():
         x0 = project(K, rng.uniform(0, 1, size=5))
         x, _ = ga(F, K, AlgoParams(T=300, seed=r), x0=x0)
         target = max(target, F.peek(x))
+    return H, b, K, D, target
+
+
+def test_criterion_09_continuous_ratio_vs_ascent_target():
+    H, b, K, D, target = _ascent_target_instance()
     finals = []
     for seed in range(10):
         F = nqp_oracle(H, b)
@@ -357,3 +365,58 @@ def test_criterion_12_query_accounting():
         ga(F, K, params)
         ok &= F.query_count == 0
     _report(12, "exact query accounting", ok)
+
+
+@pytest.fixture(scope="module")
+def noisy_bcg_runs():
+    """bcg on noisy values, each run with a noiseless twin: the setting of criterion 13.
+
+    Instance, T and delta as criterion 9; zero-mean Gaussian noise at
+    sigma0 = 0.01 and 0.05; B = 1 and 16; seeds 0-9.  The noise has its own
+    stream, so a noisy run and its twin share their sphere directions.  Maps
+    ``(sigma0, B)`` to the final values of the exact and the noisy runs.
+    """
+    H, b, K, D, target = _ascent_target_instance()
+    runs = {}
+    for sigma0 in (0.01, 0.05):
+        for B in (1, 16):
+            exact, noisy = [], []
+            for seed in range(10):
+                params = AlgoParams(T=500, delta=0.02, B=B, seed=seed)
+                F = nqp_oracle(H, b)
+                exact.append(F.peek(bcg(F, D, K, params)[0]))
+                F = nqp_oracle(H, b)
+                out, _ = bcg(NoisyOracle(F, sigma0, seed=1000 + seed), D, K, params)
+                noisy.append(F.peek(out))
+                assert F.query_count == 2 * B * 500
+            runs[sigma0, B] = (np.array(exact), np.array(noisy))
+    return target, runs
+
+
+def test_criterion_13_noisy_ratio_vs_ascent_target(noisy_bcg_runs):
+    """Every mean noisy final value >= (1 - 1/e) target - 0.05 target."""
+    target, runs = noisy_bcg_runs
+    need = (1.0 - 1.0 / np.e) * target - 0.05 * target
+    means = {key: float(noisy.mean()) for key, (_, noisy) in runs.items()}
+    _report(13, "noisy zeroth-order ratio vs ascent target",
+            min(means.values()) >= need,
+            f"needed {need:.4f}; " + "; ".join(
+                f"sigma0 {s} B {B}: {m:.4f}" for (s, B), m in means.items()))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "on this instance the paired noise gap does not shrink from B = 1 to 16; "
+    "see the FOUND line on criterion 13 in CHANGES.md"))
+def test_criterion_13_noise_gap_shrinks_with_batch(noisy_bcg_runs):
+    """The gap the noise alone causes, paired |F(x_noisy) - F(x_exact)|, shrinks with B.
+
+    Noise adds d^2 sigma0^2 / (2 delta^2 B) to the estimator's variance, so the
+    error bound on the final value scales as 1/sqrt(B): a quarter from B = 1
+    to 16.  Required at each sigma0: a non-zero gap at B = 1, and at most half
+    of it at B = 16.
+    """
+    _, runs = noisy_bcg_runs
+    gaps = {key: float(np.abs(noisy - exact).mean()) for key, (exact, noisy) in runs.items()}
+    ok = all(0.0 < gaps[s, 1] and gaps[s, 16] <= 0.5 * gaps[s, 1] for s in (0.01, 0.05))
+    _report(13, "noise gap shrinks as 1/sqrt(B)", ok,
+            "; ".join(f"sigma0 {s} B {B}: {g:.2e}" for (s, B), g in gaps.items()))

@@ -16,7 +16,6 @@ from zogreedy import (
     bcg,
     contains,
     dbg,
-    enumerate_vertices,
     ga,
     independent,
     lmo,
@@ -31,6 +30,7 @@ from zogreedy.bench import build_objective, load_config, run_cell
 
 from support import (
     ascend_reference,
+    enumerate_vertices,
     random_matroid,
     random_weighted_coverage,
     sampled_peeks_reference,

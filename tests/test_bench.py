@@ -13,7 +13,6 @@ from zogreedy.bench import (
     brute_force_opt,
     build_objective,
     count_feasible_sets,
-    iter_feasible_sets,
     karate_club_graph,
     load_config,
     load_edge_list,
@@ -24,7 +23,7 @@ from zogreedy.bench import (
     write_svg,
 )
 
-from support import brute_force_reference
+from support import brute_force_reference, iter_feasible_sets
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 

@@ -7,21 +7,24 @@ import pytest
 import zogreedy.objectives as objectives
 import zogreedy.oracles as oracles
 from zogreedy import (
+    AlgoParams,
+    ConstraintSpec,
     Graph,
     SetOracle,
     coverage_eval,
     coverage_gradient,
     coverage_set_oracle,
     coverage_value_oracle,
+    dbg,
     influence_eval,
     influence_set_oracle,
     logdet_eval,
     logdet_set_oracle,
-    multilinear_exact,
     nqp_eval,
     nqp_generate,
     nqp_oracle,
     rbf_covariance,
+    scg,
 )
 
 from zogreedy.bench import karate_club_graph, synthetic_data_matrix, synthetic_topics
@@ -34,6 +37,7 @@ from support import (
     influence_reference,
     logdet_reference,
     mixed_second_bruteforce,
+    multilinear_exact,
     partial_bruteforce,
     random_weighted_coverage,
     sampled_peeks_reference,
@@ -423,6 +427,119 @@ class TestOracleBuilders:
         sigma = rbf_covariance(rng.standard_normal((4, 5)), 0.75)
         f = logdet_set_oracle(sigma)
         assert f.bound_M == pytest.approx(logdet_eval(sigma, range(5)))
+
+
+def active_set_instance():
+    """The logdet oracle's ``Sigma`` and the matroid of ``configs/active_set.ini``."""
+    sigma = rbf_covariance(synthetic_data_matrix(60, 22, seed=5), 0.75)
+    blocks = [range(0, 4), range(4, 8), range(8, 12), range(12, 17), range(17, 22)]
+    return sigma, ConstraintSpec.partition_matroid(22, blocks, [1] * 5)
+
+
+def topics_instance():
+    P = synthetic_topics(10, 24, seed=3)
+    blocks = [range(0, 8), range(8, 16), range(16, 24)]
+    return P, ConstraintSpec.partition_matroid(24, blocks, [2, 2, 2])
+
+
+def uncached_value(build: str, data: np.ndarray, S) -> float:
+    """The set value straight from the public kernel, with no oracle in between."""
+    if build == "logdet":
+        return logdet_eval(data, S)
+    x = np.zeros(data.shape[1])
+    x[sorted(S)] = 1.0
+    return coverage_eval(data, x)
+
+
+def built_oracle(build: str, data: np.ndarray) -> SetOracle:
+    return logdet_set_oracle(data) if build == "logdet" else coverage_set_oracle(data)
+
+
+class TestSetValueMemo:
+    """The memoized logdet and coverage set oracles against their uncached kernels."""
+
+    @pytest.mark.parametrize("build", ["logdet", "coverage"])
+    @pytest.mark.parametrize("algorithm", ["scg", "dbg"])
+    def test_run_values_equal_uncached(self, build, algorithm, monkeypatch):
+        data, matroid = active_set_instance() if build == "logdet" else topics_instance()
+        f = built_oracle(build, data)
+        counted = []
+        call = SetOracle.__call__
+
+        def recording(self, subset):
+            value = call(self, subset)
+            counted.append((frozenset(subset), value))
+            return value
+
+        monkeypatch.setattr(SetOracle, "__call__", recording)
+        params = AlgoParams(T=30, delta=0.05, B=2, l=2, seed=4, trace_value_samples=4)
+        (scg if algorithm == "scg" else dbg)(f, matroid, params)
+        monkeypatch.undo()
+        assert len(counted) == f.query_count > 0
+        distinct = {S for S, _ in counted}
+        assert len(distinct) < len(counted)  # repeats happened, so hits were served
+        assert f._fn.cache_info().hits > 0
+        for S, value in counted:
+            assert value == uncached_value(build, data, S)
+        for S in distinct:
+            assert f.peek(S) == uncached_value(build, data, S)
+
+    @pytest.mark.parametrize("build", ["logdet", "coverage"])
+    def test_repeated_set_counts_every_call(self, build):
+        data = active_set_instance()[0] if build == "logdet" else topics_instance()[0]
+        f = built_oracle(build, data)
+        values = [f({1, 5, 9}) for _ in range(5)]
+        assert f.query_count == 5
+        assert values == [uncached_value(build, data, {1, 5, 9})] * 5
+        assert f._fn.cache_info().misses == 1
+
+    @pytest.mark.parametrize("build", ["logdet", "coverage"])
+    def test_bound_checked_on_cached_value(self, build):
+        data = active_set_instance()[0] if build == "logdet" else topics_instance()[0]
+        f = built_oracle(build, data)
+        value = f({0, 9, 20})
+        f.bound_M = value / 2
+        with pytest.raises(ValueError, match="exceeds declared bound"):
+            f({0, 9, 20})
+        assert f.query_count == 2
+        assert f._fn.cache_info().hits == 1
+
+    def test_linalg_error_is_not_cached(self, monkeypatch):
+        f = logdet_set_oracle(active_set_instance()[0])
+        bad = np.array([[1.0, 3.0], [3.0, 1.0]])  # eigenvalues 4, -2
+        calls = []
+
+        def failing(sigma, S):
+            calls.append(S)
+            return logdet_eval(bad, S)
+
+        monkeypatch.setattr(objectives, "logdet_eval", failing)
+        for _ in range(3):
+            with pytest.raises(np.linalg.LinAlgError):
+                f({0, 1})
+        assert len(calls) == 3
+        assert f.query_count == 3
+        assert f._fn.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("build", ["logdet", "coverage"])
+    def test_cache_is_bounded(self, build):
+        data = active_set_instance()[0] if build == "logdet" else topics_instance()[0]
+        f = built_oracle(build, data)
+        sets = [[i for i in range(11) if mask >> i & 1] for mask in range(2**11)]
+        assert len(sets) > objectives.SET_VALUE_CACHE
+        for S in sets:
+            f(S)
+        info = f._fn.cache_info()
+        assert info.maxsize == objectives.SET_VALUE_CACHE
+        assert info.currsize <= objectives.SET_VALUE_CACHE
+        assert f.query_count == len(sets)
+
+    def test_sigma_copied_at_build(self):
+        sigma = active_set_instance()[0]
+        f = logdet_set_oracle(sigma)
+        before = f({2, 3})
+        sigma[2, 3] = sigma[3, 2] = 0.0
+        assert f({2, 3}) == f.peek_masks(np.isin(np.arange(22), [2, 3])[None])[0] == before
 
 
 def random_masks(rng, n: int, d: int) -> np.ndarray:

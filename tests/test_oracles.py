@@ -6,7 +6,6 @@ from zogreedy import (
     DomainError,
     SetOracle,
     ValueOracle,
-    multilinear_exact,
     multilinear_sample,
     multilinear_value_oracle,
     noisy_wrap,
@@ -14,7 +13,7 @@ from zogreedy import (
 
 from zogreedy.oracles import sample_subset, sampled_value
 
-from support import multilinear_bruteforce, random_weighted_coverage
+from support import multilinear_bruteforce, multilinear_exact, random_weighted_coverage
 
 
 def or_oracle():
@@ -243,6 +242,25 @@ class TestSetOracle:
     def test_peek_masks_rejects_bad_masks(self, masks):
         with pytest.raises(ValueError, match="bool array of shape"):
             or_oracle().peek_masks(masks)
+
+    def test_user_fn_called_once_per_query(self):
+        calls = []
+
+        def fn(S):
+            calls.append(S)
+            return float(len(S))
+
+        f = SetOracle(fn, ground_size=3, bound_M=3.0)
+        for _ in range(3):
+            assert f({0, 2}) == 2.0
+        assert f.peek({0, 2}) == 2.0
+        assert calls == [frozenset({0, 2})] * 4
+        assert f.query_count == 3
+
+    def test_stochastic_user_fn_stays_stochastic(self):
+        rng = np.random.default_rng(0)
+        f = SetOracle(lambda S: float(rng.random()), ground_size=2, bound_M=1.0)
+        assert len({f({1}) for _ in range(20)}) == 20
 
     def test_peek_masks_rejects_misshapen_batch_values(self):
         f = SetOracle(lambda S: 0.0, ground_size=2, bound_M=1.0,

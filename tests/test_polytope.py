@@ -6,7 +6,6 @@ from zogreedy import (
     ConstraintSpec,
     TransformedConstraint,
     contains,
-    enumerate_vertices,
     independent,
     lmo,
     project,
@@ -15,6 +14,7 @@ from zogreedy import (
 )
 
 from support import (
+    enumerate_vertices,
     lmo_reference,
     multilinear_bruteforce,
     project_reference,
