@@ -408,8 +408,10 @@ def brute_force_opt(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, f
 
     The feasible sets are evaluated as boolean masks through
     :meth:`SetOracle.peek_masks`, at most :data:`BRUTE_FORCE_CHUNK_BYTES` of
-    masks at a time, in :func:`_feasible_choices` enumeration order; the first
-    set with the largest value wins.
+    masks at a time.  The scan takes one choice per block in block order, then
+    one subset of the free coordinates, the last varying fastest; each block's
+    choices run by size, then lexicographically.  The first set with the
+    largest value wins.
     """
     if matroid.kind != "partition_matroid":
         raise ValueError("brute force optimum needs a partition matroid")

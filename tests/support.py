@@ -361,10 +361,24 @@ def one_point_grad(oracle, x: np.ndarray, delta: float, u: np.ndarray) -> np.nda
 
 
 def iter_feasible_sets(matroid: ConstraintSpec):
-    """Yield every independent set of a partition matroid (free coords too)."""
-    from zogreedy.bench import _feasible_choices
+    """Yield every independent set of a partition matroid (free coords too).
 
-    for combo in itertools.product(*_feasible_choices(matroid)):
+    The order is the one :func:`zogreedy.bench.brute_force_opt` scans: one
+    choice per block in block order, then one subset of the free coordinates,
+    the last varying fastest; each list of choices runs by size, then
+    lexicographically.
+    """
+    covered = set(itertools.chain.from_iterable(matroid.blocks))
+    free = [i for i in range(matroid.dim) if i not in covered]
+    groups = [(list(block), int(round(limit)))
+              for block, limit in zip(matroid.blocks, matroid.budgets)]
+    groups.append((free, len(free)))
+    choices = [
+        [subset for r in range(min(k, len(members)) + 1)
+         for subset in itertools.combinations(members, r)]
+        for members, k in groups
+    ]
+    for combo in itertools.product(*choices):
         yield frozenset(itertools.chain.from_iterable(combo))
 
 

@@ -404,6 +404,19 @@ def test_criterion_13_noisy_ratio_vs_ascent_target(noisy_bcg_runs):
                 f"sigma0 {s} B {B}: {m:.4f}" for (s, B), m in means.items()))
 
 
+def test_criterion_13_noise_reaches_bcg(noisy_bcg_runs):
+    """At each sigma0 and B, some seed's noisy final value differs from its twin's.
+
+    The ratio bound above holds for noiseless runs too, so without this check
+    a wrapper that added no noise would pass criterion 13.
+    """
+    _, runs = noisy_bcg_runs
+    moved = {key: int(np.count_nonzero(noisy != exact)) for key, (exact, noisy) in runs.items()}
+    _report(13, "noise reaches bcg's final value", all(n > 0 for n in moved.values()),
+            "; ".join(f"sigma0 {s} B {B}: {n} of 10 seeds differ"
+                      for (s, B), n in moved.items()))
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "on this instance the paired noise gap does not shrink from B = 1 to 16; "
     "see the FOUND line on criterion 13 in CHANGES.md"))
