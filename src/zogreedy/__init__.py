@@ -14,14 +14,12 @@ from .constraints import (
     ConstraintSpec,
     DomainError,
     InfeasibleTransformError,
-    TransformedConstraint,
     contains,
     independent,
     shrink_domain,
     transform_constraint,
 )
 from .estimators import (
-    MomentumState,
     batch_grad,
     discrete_batch_grad,
     momentum_update,
@@ -64,12 +62,10 @@ __all__ = [
     "DomainError",
     "Graph",
     "InfeasibleTransformError",
-    "MomentumState",
     "NoisyOracle",
     "RunTrace",
     "SetOracle",
     "TraceRecord",
-    "TransformedConstraint",
     "ValueOracle",
     "batch_grad",
     "bcg",

@@ -44,7 +44,6 @@ from .constraints import (
     transform_constraint,
 )
 from .estimators import (
-    MomentumState,
     batch_grad,
     discrete_batch_grad,
     momentum_update,
@@ -147,22 +146,22 @@ def _query_progress(oracle, q0: int, gq0: int) -> int:
 Step = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, float]]
 
 
-def _frank_wolfe(region, T: int) -> Step:
+def _frank_wolfe(region: ConstraintSpec, T: int) -> Step:
     """Momentum-averaged linear maximization over ``region``, step ``1/T``.
 
     Reports the norm of the averaged gradient.
     """
-    state = MomentumState.initial(region.dim)
+    g_bar = np.zeros(region.dim)
 
     def step(x, g, t):
-        nonlocal state
-        state = momentum_update(state, g, rho_schedule(t))
-        return x + lmo(region, state.g_bar) / T, float(np.linalg.norm(state.g_bar))
+        nonlocal g_bar
+        g_bar = momentum_update(g_bar, g, rho_schedule(t))
+        return x + lmo(region, g_bar) / T, float(np.linalg.norm(g_bar))
 
     return step
 
 
-def _projected(region, eta0: Optional[float], lipschitz_G: float) -> Step:
+def _projected(region: ConstraintSpec, eta0: Optional[float], lipschitz_G: float) -> Step:
     """Projected ascent onto ``region`` with step ``eta0/sqrt(t)``.
 
     Reports the norm of the raw gradient.  ``eta0`` defaults to a crude
@@ -295,8 +294,6 @@ def dbg(
     exactly ``2*B*l*T`` set evaluations.
     """
     _check_matroid(f, matroid, "dbg")
-    if params.delta >= 0.5:
-        raise ValueError("delta must be < 1/2 on the unit cube")
     kprime = transform_constraint(BoxDomain.unit_cube(f.ground_size), matroid, params.delta)
     rng, instr = _rng_pair(params.seed)
     x, trace = _ascend(

@@ -122,30 +122,33 @@ class ConstraintSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        arr = _as_readonly_array(self.upper, "upper")
-        if np.any(arr <= 0):
+        self._store(self.upper, self.blocks, self.budgets)
+        if np.any(self.upper <= 0):
             raise ValueError("per-coordinate caps must be strictly positive")
-        object.__setattr__(self, "upper", arr)
-        blocks = _normalize_blocks(arr.size, self.blocks)
-        budgets = tuple(float(b) for b in self.budgets)
-        if len(blocks) != len(budgets):
+        if len(self.blocks) != len(self.budgets):
             raise ValueError("need one budget per block")
-        for block, budget in zip(blocks, budgets):
+        for idx, budget in zip(self.block_index, self.budgets):
             if budget <= 0:
                 raise ValueError("budgets must be strictly positive")
-            cap_total = float(np.sum(self.upper[list(block)]))
+            cap_total = float(np.sum(self.upper[idx]))
             if budget > cap_total + 1e-12:
                 raise ValueError(
                     f"budget {budget} exceeds block capacity {cap_total}"
                 )
-        if self.kind == BOX and blocks:
+        if self.kind == BOX and self.blocks:
             raise ValueError("box constraints carry no blocks")
         if self.kind == PARTITION_MATROID:
-            for budget in budgets:
+            for budget in self.budgets:
                 if abs(budget - round(budget)) > 1e-12:
                     raise ValueError("partition matroid limits must be integers")
+
+    def _store(self, upper, blocks, budgets) -> None:
+        """Freeze the fields: read-only caps, int blocks, float budgets."""
+        upper = _as_readonly_array(upper, "upper")
+        blocks = _normalize_blocks(upper.size, blocks)
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "budgets", budgets)
+        object.__setattr__(self, "budgets", tuple(float(b) for b in budgets))
         object.__setattr__(self, "block_index", _index_arrays(blocks))
 
     @property
@@ -174,32 +177,16 @@ class ConstraintSpec:
             budgets=tuple(float(k) for k in limits),
         )
 
-
-@dataclass(frozen=True)
-class TransformedConstraint:
-    """Shrunk and translated image of a constraint inside its box domain.
-
-    For domain ``[0, a]``, base set K, and margin ``delta`` this is
-    ``{x : 0 <= x <= min(a - 2*delta, cap - delta), block sums <= b_k - delta*|B_k|}``,
-    i.e. the intersection of the twice-shrunk box with K translated by
-    ``-delta``.  Every member x satisfies ``x + delta*1 in K``.  It exposes the
-    same ``upper``/``blocks``/``budgets`` fields as :class:`ConstraintSpec`,
-    but its caps and budgets may be zero or fractional.
-    """
-
-    upper: np.ndarray
-    blocks: tuple[tuple[int, ...], ...] = ()
-    budgets: tuple[float, ...] = ()
-    block_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arr = _as_readonly_array(self.upper, "upper")
-        object.__setattr__(self, "upper", arr)
-        object.__setattr__(self, "block_index", _index_arrays(self.blocks))
-
-    @property
-    def dim(self) -> int:
-        return self.upper.size
+    @classmethod
+    def _shrunk(cls, upper, blocks, budgets) -> "ConstraintSpec":
+        """A ``box`` (no blocks) or ``block_budget`` set, left unchecked: the
+        shrunk set of :func:`transform_constraint` may have zero or fractional
+        caps and budgets, and budgets above a block's capacity.
+        """
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "kind", BLOCK_BUDGET if blocks else BOX)
+        spec._store(upper, blocks, budgets)
+        return spec
 
 
 def shrink_domain(domain: BoxDomain, delta: float) -> BoxDomain:
@@ -221,8 +208,15 @@ def shrink_domain(domain: BoxDomain, delta: float) -> BoxDomain:
 
 def transform_constraint(
     domain: BoxDomain, constraint: ConstraintSpec, delta: float
-) -> TransformedConstraint:
-    """Intersect the shrunk domain with the constraint translated by ``-delta``.
+) -> ConstraintSpec:
+    """Shrunk and translated image K' of a constraint inside its box domain.
+
+    For domain ``[0, a]``, base set K, and margin ``delta`` this is
+    ``{x : 0 <= x <= min(a - 2*delta, cap - delta), block sums <= b_k - delta*|B_k|}``,
+    i.e. the intersection of the twice-shrunk box with K translated by
+    ``-delta``.  Every member x satisfies ``x + delta*1 in K``.  The result is
+    a ``box`` when K has no blocks and a ``block_budget`` set otherwise; its
+    caps and budgets may be zero or fractional.
 
     Raises :class:`InfeasibleTransformError` when some block budget drops
     below zero (the transformed set would not contain the origin).
@@ -245,12 +239,12 @@ def transform_constraint(
                 f"budget {budget} < delta*|block| = {delta * len(block)}"
             )
         budgets.append(max(adjusted, 0.0))
-    return TransformedConstraint(
-        upper=upper, blocks=constraint.blocks, budgets=tuple(budgets)
-    )
+    return ConstraintSpec._shrunk(upper, constraint.blocks, budgets)
 
 
-def contains(constraint, x: np.ndarray, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
+def contains(
+    constraint: ConstraintSpec, x: np.ndarray, tol: float = DEFAULT_FEASIBILITY_TOL
+) -> bool:
     """True iff every box and budget inequality holds within additive ``tol``."""
     upper = constraint.upper
     x = np.asarray(x, dtype=float)

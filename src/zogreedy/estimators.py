@@ -8,35 +8,10 @@ momentum recursion then damps their variance across iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constraints import DomainError
 from .oracles import SetOracle, multilinear_sample
-
-
-@dataclass(frozen=True)
-class MomentumState:
-    """Running weighted average of gradient estimates with its step index."""
-
-    g_bar: np.ndarray
-    t: int = 0
-
-    def __post_init__(self):
-        arr = np.array(self.g_bar, dtype=float, copy=True).reshape(-1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "g_bar", arr)
-        if self.t < 0:
-            raise ValueError("step index must be non-negative")
-
-    @classmethod
-    def initial(cls, dim: int) -> "MomentumState":
-        return cls(g_bar=np.zeros(int(dim)), t=0)
-
-    @property
-    def dim(self) -> int:
-        return self.g_bar.size
 
 
 def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -116,14 +91,14 @@ def discrete_batch_grad(
     return batch_grad(probe, x_t, delta, batch, rng)
 
 
-def momentum_update(state: MomentumState, g_t: np.ndarray, rho_t: float) -> MomentumState:
+def momentum_update(g_bar: np.ndarray, g_t: np.ndarray, rho_t: float) -> np.ndarray:
     """One step of the averaging recursion g_bar <- (1-rho) g_bar + rho g_t."""
     g_t = np.asarray(g_t, dtype=float)
-    if g_t.shape != state.g_bar.shape:
-        raise ValueError(f"gradient has shape {g_t.shape}, expected {state.g_bar.shape}")
+    if g_t.shape != g_bar.shape:
+        raise ValueError(f"gradient has shape {g_t.shape}, expected {g_bar.shape}")
     if not 0.0 < rho_t <= 1.0:
         raise ValueError("momentum weight must lie in (0, 1]")
-    return MomentumState(g_bar=(1.0 - rho_t) * state.g_bar + rho_t * g_t, t=state.t + 1)
+    return (1.0 - rho_t) * g_bar + rho_t * g_t
 
 
 def rho_schedule(t: int) -> float:

@@ -287,30 +287,15 @@ def sample_masks(x: np.ndarray, samples: int, rng: np.random.Generator) -> np.nd
     return rng.random(x.shape[:-1] + (samples, x.shape[-1])) < x[..., None, :]
 
 
-def sampled_value(
-    evaluate: Callable[[frozenset], float],
-    x: np.ndarray,
-    samples: int,
-    rng: np.random.Generator,
-) -> float:
-    """Mean of ``evaluate(S)`` over ``samples`` sets S ~ x drawn from ``rng``.
-
-    One call of ``evaluate`` per set, so a :class:`SetOracle` passed here
-    counts every evaluation.
-    """
-    masks = sample_masks(x, samples, rng)
-    return float(np.mean([evaluate(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
-
-
 SAMPLE_CHUNK_BYTES = 2**16
 
 
 def peek_sampled_values(
     f: SetOracle, Z: np.ndarray, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uncounted :func:`sampled_value` of ``f`` at each row of ``Z``, in row order.
+    """Uncounted :func:`multilinear_sample` of ``f`` at each row of ``Z``, in row order.
 
-    Draws the same sets from ``rng`` as one :func:`sampled_value` per row, with
+    Draws the same sets from ``rng`` as one :func:`multilinear_sample` per row, with
     one ``peek_masks`` call per chunk of rows whose uniform draws take at most
     :data:`SAMPLE_CHUNK_BYTES`, so its memory is bounded whatever the input size.
     """
@@ -340,13 +325,18 @@ def coordinate_gradient(
 def multilinear_sample(
     f: SetOracle, x: np.ndarray, l: int, rng: np.random.Generator
 ) -> float:
-    """Unbiased l-sample Monte Carlo estimate of the multilinear extension."""
+    """Unbiased l-sample Monte Carlo estimate of the multilinear extension.
+
+    The mean of ``f(S)`` over ``l`` sets S ~ x drawn at once from ``rng``; one
+    counted call of ``f`` per set.
+    """
     if l < 1:
         raise ValueError("sample count l must be >= 1")
     x = np.asarray(x, dtype=float)
     if x.shape != (f.ground_size,):
         raise ValueError(f"point has shape {x.shape}, expected ({f.ground_size},)")
-    return sampled_value(f, x, l, rng)
+    masks = sample_masks(x, l, rng)
+    return float(np.mean([f(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
 
 
 class _SetBackedValueOracle(ValueOracle):

@@ -10,6 +10,8 @@ per-block water-filling solves the projection.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .constraints import PARTITION_MATROID, ConstraintSpec, contains
@@ -17,7 +19,7 @@ from .constraints import PARTITION_MATROID, ConstraintSpec, contains
 _INTEGRALITY_EPS = 1e-12
 
 
-def lmo(constraint, g: np.ndarray) -> np.ndarray:
+def lmo(constraint: ConstraintSpec, g: np.ndarray) -> np.ndarray:
     """argmax over the constraint set of <v, g>, solved in closed form.
 
     Coordinates with non-positive weight receive 0 (the sets are down-closed,
@@ -40,7 +42,7 @@ def lmo(constraint, g: np.ndarray) -> np.ndarray:
     return v
 
 
-def project(constraint, y: np.ndarray) -> np.ndarray:
+def project(constraint: ConstraintSpec, y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto a box or block-budget set.
 
     Per block the KKT conditions give ``x_i = clip(y_i - lam, 0, cap_i)`` with
@@ -73,6 +75,10 @@ def project(constraint, y: np.ndarray) -> np.ndarray:
     return x
 
 
+def _fractional(v: float) -> bool:
+    return _INTEGRALITY_EPS < v < 1.0 - _INTEGRALITY_EPS
+
+
 def _round_leftover(x: np.ndarray, i: int, rng: np.random.Generator) -> None:
     x[i] = 1.0 if rng.random() < x[i] else 0.0
 
@@ -103,9 +109,10 @@ def swap_round(
 ) -> frozenset:
     """Round a fractional matroid-polytope point to an independent set.
 
-    Repeatedly merges two fractional coordinates of the same block until each
-    block holds at most one fractional entry, then resolves leftovers by a
-    Bernoulli draw.  Every step preserves per-coordinate marginals, so
+    Walks each block once, merging every fractional coordinate into the one
+    fractional coordinate the block carries so far, then resolves what is
+    left by a Bernoulli draw; coordinates outside every block come last, each
+    as a block of its own.  Every step preserves per-coordinate marginals, so
     ``P[i in S] = x_i``, and for submodular objectives the expected set value
     never drops below the multilinear extension at ``x``.
     """
@@ -115,17 +122,18 @@ def swap_round(
     if not contains(matroid, x, tol=1e-9):
         raise ValueError("point lies outside the matroid polytope")
     x = np.clip(x, 0.0, 1.0).copy()
-    covered = set()
-    for block in matroid.blocks:
-        covered.update(block)
-        frac = [i for i in block if _INTEGRALITY_EPS < x[i] < 1.0 - _INTEGRALITY_EPS]
-        while len(frac) >= 2:
-            i, j = frac[0], frac[1]
-            _merge_pair(x, i, j, rng)
-            frac = [k for k in frac if _INTEGRALITY_EPS < x[k] < 1.0 - _INTEGRALITY_EPS]
-        if frac:
-            _round_leftover(x, frac[0], rng)
-    for i in range(matroid.dim):
-        if i not in covered and _INTEGRALITY_EPS < x[i] < 1.0 - _INTEGRALITY_EPS:
-            _round_leftover(x, i, rng)
+    covered = set(chain.from_iterable(matroid.blocks))
+    singletons = [(i,) for i in range(matroid.dim) if i not in covered]
+    for block in (*matroid.blocks, *singletons):
+        carry = None
+        for k in block:
+            if not _fractional(x[k]):
+                continue
+            if carry is not None:
+                _merge_pair(x, carry, k, rng)
+                carry = next((i for i in (carry, k) if _fractional(x[i])), None)
+            else:
+                carry = k
+        if carry is not None:
+            _round_leftover(x, carry, rng)
     return frozenset(int(i) for i in np.flatnonzero(x > 0.5))

@@ -37,13 +37,22 @@ class TestTransformConstraint:
     def test_single_budget(self):
         K = ConstraintSpec.block_budget(2, [(0, 1)], [1.0])
         Kp = transform_constraint(BoxDomain.unit_cube(2), K, 0.1)
+        assert isinstance(Kp, ConstraintSpec) and Kp.kind == "block_budget"
         np.testing.assert_allclose(Kp.upper, [0.8, 0.8])
         assert Kp.budgets == pytest.approx((0.8,))
 
     def test_box_kind(self):
         K = ConstraintSpec.box(np.ones(3))
         Kp = transform_constraint(BoxDomain.unit_cube(3), K, 0.2)
+        assert Kp.kind == "box" and Kp.blocks == ()
         np.testing.assert_allclose(Kp.upper, [0.6, 0.6, 0.6])
+
+    def test_matroid_shrinks_to_fractional_block_budget(self):
+        K = ConstraintSpec.partition_matroid(3, [(0, 1, 2)], [1])
+        Kp = transform_constraint(BoxDomain.unit_cube(3), K, 0.25)
+        assert Kp.kind == "block_budget"
+        np.testing.assert_allclose(Kp.upper, [0.5, 0.5, 0.5])
+        assert Kp.budgets == pytest.approx((0.25,))
 
     def test_budget_below_margin_rejected(self):
         K = ConstraintSpec.block_budget(2, [(0, 1)], [0.1])

@@ -4,7 +4,6 @@ import pytest
 from zogreedy import (
     BoxDomain,
     DomainError,
-    MomentumState,
     SetOracle,
     ValueOracle,
     batch_grad,
@@ -209,37 +208,27 @@ class TestDiscreteBatchGrad:
 
 class TestMomentum:
     def test_full_weight_replaces(self):
-        state = MomentumState.initial(2)
-        out = momentum_update(state, np.array([3.0, -1.0]), 1.0)
-        np.testing.assert_allclose(out.g_bar, [3.0, -1.0])
-        assert out.t == 1
+        out = momentum_update(np.zeros(2), np.array([3.0, -1.0]), 1.0)
+        np.testing.assert_allclose(out, [3.0, -1.0])
 
     def test_half_weight_averages(self):
-        state = MomentumState(g_bar=np.array([2.0, 0.0]), t=3)
-        out = momentum_update(state, np.array([0.0, 2.0]), 0.5)
-        np.testing.assert_allclose(out.g_bar, [1.0, 1.0])
-        assert out.t == 4
+        out = momentum_update(np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5)
+        np.testing.assert_allclose(out, [1.0, 1.0])
 
     def test_first_step_with_schedule_weight(self):
-        state = MomentumState.initial(2)
         rho1 = rho_schedule(1)
-        out = momentum_update(state, np.array([1.0, -1.0]), rho1)
+        out = momentum_update(np.zeros(2), np.array([1.0, -1.0]), rho1)
         expected = 2.0 / 4.0 ** (2.0 / 3.0)
-        np.testing.assert_allclose(out.g_bar, [expected, -expected])
+        np.testing.assert_allclose(out, [expected, -expected])
         assert expected == pytest.approx(0.7937005259840998)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
-            momentum_update(MomentumState.initial(1), np.zeros(1), 0.0)
+            momentum_update(np.zeros(1), np.zeros(1), 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            momentum_update(MomentumState.initial(2), np.zeros(3), 0.5)
-
-    def test_initial_state_is_zero(self):
-        state = MomentumState.initial(4)
-        np.testing.assert_array_equal(state.g_bar, np.zeros(4))
-        assert state.t == 0
+            momentum_update(np.zeros(2), np.zeros(3), 0.5)
 
 
 class TestRhoSchedule:

@@ -11,7 +11,7 @@ from zogreedy import (
     noisy_wrap,
 )
 
-from zogreedy.oracles import sample_subset, sampled_value
+from zogreedy.oracles import sample_subset
 
 from support import multilinear_bruteforce, multilinear_exact, random_weighted_coverage
 
@@ -336,8 +336,9 @@ class TestMultilinearSample:
     def test_one_draw_matches_per_sample_draws(self):
         x = np.array([0.3, -0.2, 1.4, 0.5, 0.0, 1.0, 0.9])
         seen = []
+        f = SetOracle(lambda S: seen.append(S) or len(S), ground_size=x.size, bound_M=x.size)
         rng = np.random.default_rng(17)
-        value = sampled_value(lambda S: seen.append(S) or len(S), x, 11, rng)
+        value = multilinear_sample(f, x, 11, rng)
         ref_rng = np.random.default_rng(17)
         ref = [sample_subset(x, ref_rng) for _ in range(11)]
         assert seen == ref

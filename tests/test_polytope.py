@@ -4,7 +4,6 @@ import pytest
 from zogreedy import (
     BoxDomain,
     ConstraintSpec,
-    TransformedConstraint,
     contains,
     independent,
     lmo,
@@ -39,7 +38,7 @@ def random_geometry(rng, d):
     if r < 0.5:
         upper = np.where(rng.random(d) < 0.3, 0.0, rng.uniform(0.0, 1.0, d))
         budgets = [float(rng.choice([0.0, rng.uniform(0.0, 1.5)])) for _ in C.blocks]
-        return TransformedConstraint(upper=upper, blocks=C.blocks, budgets=tuple(budgets))
+        return ConstraintSpec._shrunk(upper, C.blocks, budgets)
     return C
 
 
