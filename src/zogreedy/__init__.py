@@ -21,7 +21,6 @@ from .constraints import (
 )
 from .estimators import (
     batch_grad,
-    discrete_batch_grad,
     momentum_update,
     rho_schedule,
     sample_sphere,
@@ -43,11 +42,11 @@ from .objectives import (
     rbf_covariance,
 )
 from .oracles import (
+    MultilinearOracle,
     NoisyOracle,
     SetOracle,
     ValueOracle,
     multilinear_sample,
-    multilinear_value_oracle,
     noisy_wrap,
     sample_subset,
 )
@@ -62,6 +61,7 @@ __all__ = [
     "DomainError",
     "Graph",
     "InfeasibleTransformError",
+    "MultilinearOracle",
     "NoisyOracle",
     "RunTrace",
     "SetOracle",
@@ -75,7 +75,6 @@ __all__ = [
     "coverage_set_oracle",
     "coverage_value_oracle",
     "dbg",
-    "discrete_batch_grad",
     "ga",
     "independent",
     "influence_eval",
@@ -85,7 +84,6 @@ __all__ = [
     "logdet_set_oracle",
     "momentum_update",
     "multilinear_sample",
-    "multilinear_value_oracle",
     "noisy_wrap",
     "nqp_eval",
     "nqp_generate",

@@ -3,27 +3,30 @@
 All five optimizers run one ascent loop, :func:`_ascend`, and differ only in
 the parts they hand it:
 
-* a gradient source: the batched two-point sphere estimate on a value oracle
-  (:func:`bcg`, :func:`zga`) or on the ``l``-sample multilinear extension of
-  a set function (:func:`dbg`), or a first-order gradient (:func:`scg`,
-  :func:`ga`), for set functions the estimate ``f(S + i) - f(S - i)``;
+* a gradient source: the batched two-point sphere estimate (:func:`bcg`,
+  :func:`dbg`, :func:`zga`) or a first-order gradient (:func:`scg`,
+  :func:`ga`);
 * a step rule: Frank-Wolfe (momentum, linear maximization, step ``1/T``) for
   bcg, dbg and scg, or projected ascent (step ``eta0/sqrt(t)``) for ga and zga;
 * a lift: the zeroth-order methods iterate on the feasible set shrunk by
   ``delta`` and translated to the origin, so their probes, trace points and
-  outputs sit at ``x + delta``; the first-order ones lift by ``0``;
-* trace values: uncounted peeks, or means of uncounted set values over
-  sampled masks, computed for all iterates in one pass after the loop.
+  outputs sit at ``x + delta``; the first-order ones lift by ``0``.
 
-One of two finishers checks the output: continuous runs return the lifted
-iterate after a ``contains`` check; set-function runs repair the lifted point
-onto the matroid polytope, swap-round it, and check independence.
+A set function enters through one step: all five see it as its
+:class:`~zogreedy.oracles.MultilinearOracle`, whose value is an ``l``-sample
+estimate of the multilinear extension, whose gradient is the estimate
+``f(S + i) - f(S - i)`` and whose uncounted trace values are means of set
+values over sampled masks.  Trace values are computed for all iterates in one
+pass after the loop.  One of two finishers checks the output: continuous runs
+return the lifted iterate after a ``contains`` check; set-function runs
+repair the lifted point onto the matroid polytope, swap-round it, and check
+independence.
 
 All runs are sequential in the iteration counter, deterministic given
-(parameters, seed), and do exact query accounting: bcg and zga spend `2*B*T`
-evaluations, dbg spends ``2*B*l*T`` set evaluations, and discrete scg spends
-``2*d*T`` set evaluations.  Trace instrumentation uses uncounted peeks and a
-separate random stream.
+(parameters, seed), and do exact query accounting: bcg and zga spend
+``2*B*T`` evaluations, or ``2*B*l*T`` set evaluations on a set function as
+dbg does, and scg and ga spend ``2*d*T`` set evaluations on a set function.
+Trace instrumentation uses uncounted peeks and a separate random stream.
 """
 
 from __future__ import annotations
@@ -43,19 +46,8 @@ from .constraints import (
     independent,
     transform_constraint,
 )
-from .estimators import (
-    batch_grad,
-    discrete_batch_grad,
-    momentum_update,
-    rho_schedule,
-)
-from .oracles import (
-    NoisyOracle,
-    SetOracle,
-    ValueOracle,
-    coordinate_gradient,
-    peek_sampled_values,
-)
+from .estimators import batch_grad, momentum_update, rho_schedule
+from .oracles import MultilinearOracle, NoisyOracle, SetOracle, ValueOracle
 from .polytope import lmo, project, swap_round
 
 ContinuousOracle = Union[ValueOracle, NoisyOracle]
@@ -130,11 +122,6 @@ class RunTrace:
         return self.records[-1]
 
 
-def _rng_pair(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    main_seq, instr_seq = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(main_seq), np.random.default_rng(instr_seq)
-
-
 def _query_progress(oracle, q0: int, gq0: int) -> int:
     """Oracle accesses spent so far, on the algorithm's dominant channel."""
     dq = oracle.query_count - q0
@@ -179,15 +166,16 @@ def _projected(region: ConstraintSpec, eta0: Optional[float], lipschitz_G: float
 
 def _ascend(
     oracle, x: np.ndarray, grad: Callable[[np.ndarray], np.ndarray], step: Step,
-    lift: float, values: Callable[[np.ndarray], np.ndarray], T: int,
+    lift: float, T: int,
 ) -> tuple[np.ndarray, RunTrace]:
     """The one ascent loop: ``T`` times ``x <- step(x, grad(x), t)``.
 
     Records the lifted iterate ``x + lift``, the queries spent on ``oracle`` so
     far, the elapsed time and the gradient norm the step reports.  The lifted
     iterates are the rows of one ``(T, d)`` buffer, which one uncounted
-    ``values`` pass turns into the trace values after the loop, so the times
-    are algorithm time only.  Returns the last unlifted iterate and the trace.
+    ``oracle.peek_rows`` pass turns into the trace values after the loop, so
+    the times are algorithm time only.  Returns the last unlifted iterate and
+    the trace.
     """
     q0, gq0 = oracle.query_count, getattr(oracle, "gradient_query_count", 0)
     start = time.perf_counter()
@@ -200,7 +188,8 @@ def _ascend(
         progress.append((t, queries, time.perf_counter() - start, grad_norm))
     return x, RunTrace([
         TraceRecord(t, queries, elapsed, z, float(value), grad_norm)
-        for (t, queries, elapsed, grad_norm), z, value in zip(progress, zs, values(zs))
+        for (t, queries, elapsed, grad_norm), z, value
+        in zip(progress, zs, oracle.peek_rows(zs))
     ])
 
 
@@ -212,16 +201,20 @@ def _lifted(x: np.ndarray, lift: float, constraint: ConstraintSpec) -> np.ndarra
     return out
 
 
-def _repair_matroid_point(
-    z: np.ndarray, matroid: ConstraintSpec
-) -> tuple[float, np.ndarray]:
-    """Clamp tolerance-level rounding-input violations; report their size.
+def _rounded(
+    x: np.ndarray, lift: float, matroid: ConstraintSpec, rng: np.random.Generator,
+    trace: RunTrace,
+) -> frozenset:
+    """Finisher for set functions: repair the lifted point, swap-round, check.
 
-    The lifted final iterate satisfies the matroid polytope up to floating
-    point; anything beyond 1e-6 signals a real bug and raises.
+    The lifted point satisfies the matroid polytope up to floating point; the
+    repair clamps tolerance-level violations and records their size as the
+    trace's rounding overshoot, and anything beyond 1e-6 signals a real bug
+    and raises.
     """
+    z = x + lift
     overshoot = max(0.0, float(np.max(z - 1.0)), float(np.max(-z)))
-    z = np.clip(z, 0.0, 1.0).copy()
+    z = np.clip(z, 0.0, 1.0)
     for idx, limit in zip(matroid.block_index, matroid.budgets):
         s = float(np.sum(z[idx]))
         if s > limit:
@@ -231,26 +224,55 @@ def _repair_matroid_point(
         raise RuntimeError(
             f"rounding input violates the matroid polytope by {overshoot}"
         )
-    return overshoot, z
-
-
-def _rounded(
-    x: np.ndarray, lift: float, matroid: ConstraintSpec, rng: np.random.Generator,
-    trace: RunTrace,
-) -> frozenset:
-    """Finisher for set functions: repair the lifted point, swap-round, check."""
-    trace.rounding_overshoot, z = _repair_matroid_point(x + lift, matroid)
+    trace.rounding_overshoot = overshoot
     chosen = swap_round(z, matroid, rng)
     if not independent(matroid, chosen):
         raise RuntimeError("rounded set violates the matroid; internal error")
     return chosen
 
 
-def _check_matroid(f: SetOracle, matroid: ConstraintSpec, name: str) -> None:
-    if matroid.kind != PARTITION_MATROID:
-        raise ValueError(f"{name} expects a partition-matroid constraint")
-    if matroid.dim != f.ground_size:
-        raise ValueError("oracle and matroid dimensions differ")
+def _optimize(
+    oracle, constraint: ConstraintSpec, params: AlgoParams, projected: bool,
+    domain: Optional[BoxDomain] = None, x0: Optional[np.ndarray] = None,
+):
+    """The body of all five optimizers: entry step, ascent loop, finisher.
+
+    The entry step draws the run's two streams.  A :class:`SetOracle` needs a
+    partition-matroid constraint and is seen through its
+    :class:`MultilinearOracle` on them: main for counted sets, instr for trace
+    sets.  With a ``domain`` the run is zeroth order: it iterates on the
+    shrunk set K', estimates gradients with :func:`batch_grad` and lifts by
+    ``delta``.  Without one it is first order on the constraint itself.  The
+    step is projected ascent from ``x0`` (projected, default 0) or Frank-Wolfe
+    from 0.  A set function's output is swap-rounded, any other is lifted.
+    """
+    rng, instr = map(np.random.default_rng, np.random.SeedSequence(params.seed).spawn(2))
+    if isinstance(oracle, SetOracle):
+        if constraint.kind != PARTITION_MATROID:
+            raise ValueError("set functions need a partition-matroid constraint")
+        oracle = MultilinearOracle(oracle, params.l, rng, instr, params.trace_value_samples)
+    if oracle.dim != constraint.dim:
+        raise ValueError("oracle and constraint dimensions differ")
+    if domain is None:
+        if not getattr(oracle, "has_gradient", False):
+            raise ValueError("first-order methods need a gradient-bearing oracle")
+        region, lift, grad = constraint, 0.0, oracle.gradient
+    else:
+        region = transform_constraint(domain, constraint, params.delta)
+        lift = params.delta
+
+        def grad(x):
+            return batch_grad(oracle, x, params.delta, params.B, rng)
+
+    x = np.zeros(oracle.dim) if x0 is None else project(region, np.asarray(x0, float))
+    if projected:
+        step = _projected(region, params.eta0, oracle.lipschitz_G)
+    else:
+        step = _frank_wolfe(region, params.T)
+    x, trace = _ascend(oracle, x, grad, step, lift, params.T)
+    if isinstance(oracle, MultilinearOracle):
+        return _rounded(x, lift, constraint, rng, trace), trace
+    return _lifted(x, lift, constraint), trace
 
 
 def bcg(
@@ -266,20 +288,7 @@ def bcg(
     ``x_t + delta*1``, then returns ``x_{T+1} + delta*1``, which is feasible
     in the original constraint.  Spends exactly ``2*B*T`` oracle evaluations.
     """
-    if oracle.dim != domain.dim or oracle.dim != constraint.dim:
-        raise ValueError("oracle, domain, and constraint dimensions differ")
-    kprime = transform_constraint(domain, constraint, params.delta)
-    rng, _ = _rng_pair(params.seed)
-    x, trace = _ascend(
-        oracle,
-        np.zeros(oracle.dim),
-        lambda x: batch_grad(oracle, x, params.delta, params.B, rng),
-        _frank_wolfe(kprime, params.T),
-        params.delta,
-        oracle.peek_rows,
-        params.T,
-    )
-    return _lifted(x, params.delta, constraint), trace
+    return _optimize(oracle, constraint, params, projected=False, domain=domain)
 
 
 def dbg(
@@ -288,24 +297,13 @@ def dbg(
     """Derivative-free maximization of a monotone submodular set function.
 
     :func:`bcg` on the unit cube with the multilinear extension as oracle:
-    :func:`discrete_batch_grad` takes each probe value as an ``l``-sample
-    estimate drawn from the run's main stream.  The final fractional point is
-    lifted by ``delta`` and swap-rounded to an independent set.  Spends
-    exactly ``2*B*l*T`` set evaluations.
+    each probe value is an ``l``-sample estimate drawn from the run's main
+    stream.  The final fractional point is lifted by ``delta`` and
+    swap-rounded to an independent set.  Spends exactly ``2*B*l*T`` set
+    evaluations.
     """
-    _check_matroid(f, matroid, "dbg")
-    kprime = transform_constraint(BoxDomain.unit_cube(f.ground_size), matroid, params.delta)
-    rng, instr = _rng_pair(params.seed)
-    x, trace = _ascend(
-        f,
-        np.zeros(f.ground_size),
-        lambda x: discrete_batch_grad(f, x, params.delta, params.B, params.l, rng),
-        _frank_wolfe(kprime, params.T),
-        params.delta,
-        lambda Z: peek_sampled_values(f, Z, params.trace_value_samples, instr),
-        params.T,
-    )
-    return _rounded(x, params.delta, matroid, rng, trace), trace
+    domain = BoxDomain.unit_cube(matroid.dim)
+    return _optimize(f, matroid, params, projected=False, domain=domain)
 
 
 def scg(
@@ -319,82 +317,36 @@ def scg(
     per-coordinate stochastic estimate ``f(S + i) - f(S - i)`` from a single
     sampled set per iteration (``2*d`` set queries) and a swap-rounded output.
     """
-    if isinstance(oracle, SetOracle):
-        _check_matroid(oracle, constraint, "discrete scg")
-        rng, instr = _rng_pair(params.seed)
-        x, trace = _ascend(
-            oracle,
-            np.zeros(oracle.ground_size),
-            lambda x: coordinate_gradient(oracle, x, rng),
-            _frank_wolfe(constraint, params.T),
-            0.0,
-            lambda Z: peek_sampled_values(oracle, Z, params.trace_value_samples, instr),
-            params.T,
-        )
-        return _rounded(x, 0.0, constraint, rng, trace), trace
-    if oracle.dim != constraint.dim:
-        raise ValueError("oracle and constraint dimensions differ")
-    if not getattr(oracle, "has_gradient", False):
-        raise ValueError("continuous scg needs a gradient-bearing oracle")
-    x, trace = _ascend(
-        oracle,
-        np.zeros(oracle.dim),
-        oracle.gradient,
-        _frank_wolfe(constraint, params.T),
-        0.0,
-        oracle.peek_rows,
-        params.T,
-    )
-    return _lifted(x, 0.0, constraint), trace
+    return _optimize(oracle, constraint, params, projected=False)
 
 
 def ga(
-    oracle: ValueOracle,
+    oracle: Union[ValueOracle, SetOracle],
     constraint: ConstraintSpec,
     params: AlgoParams,
     x0: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, RunTrace]:
+) -> tuple[Union[np.ndarray, frozenset], RunTrace]:
     """Projected gradient ascent with step size eta0 / sqrt(t).
 
     Requires an oracle exposing a gradient (exact or stochastic).  Spends no
-    function-value queries; the trace column counts gradient accesses instead
-    (or the set evaluations behind stochastic gradients).
+    function-value queries; the trace column counts gradient accesses instead,
+    or, on a set function, the ``2*d`` set evaluations behind each stochastic
+    gradient.  On a set function the output is swap-rounded to a set.
     """
-    if oracle.dim != constraint.dim:
-        raise ValueError("oracle and constraint dimensions differ")
-    if not oracle.has_gradient:
-        raise ValueError("ga needs a gradient-bearing oracle")
-    step = _projected(constraint, params.eta0, oracle.lipschitz_G)
-    x = project(constraint, np.zeros(oracle.dim) if x0 is None else np.asarray(x0, float))
-    x, trace = _ascend(
-        oracle, x, oracle.gradient, step, 0.0, oracle.peek_rows, params.T
-    )
-    return _lifted(x, 0.0, constraint), trace
+    return _optimize(oracle, constraint, params, projected=True, x0=x0)
 
 
 def zga(
-    oracle: ContinuousOracle,
+    oracle: Union[ContinuousOracle, SetOracle],
     domain: BoxDomain,
     constraint: ConstraintSpec,
     params: AlgoParams,
-) -> tuple[np.ndarray, RunTrace]:
+) -> tuple[Union[np.ndarray, frozenset], RunTrace]:
     """Projected ascent driven by the same two-point estimator as :func:`bcg`.
 
     Iterates live on the shrunk/translated feasible set so every probe stays
-    inside the domain; the returned point is lifted by ``delta``.  Spends
-    exactly ``2*B*T`` oracle evaluations.
+    inside the domain; the returned point is lifted by ``delta``, and
+    swap-rounded on a set function.  Spends exactly ``2*B*T`` oracle
+    evaluations, ``2*B*l*T`` set evaluations on a set function.
     """
-    if oracle.dim != domain.dim or oracle.dim != constraint.dim:
-        raise ValueError("oracle, domain, and constraint dimensions differ")
-    kprime = transform_constraint(domain, constraint, params.delta)
-    rng, _ = _rng_pair(params.seed)
-    x, trace = _ascend(
-        oracle,
-        np.zeros(oracle.dim),
-        lambda x: batch_grad(oracle, x, params.delta, params.B, rng),
-        _projected(kprime, params.eta0, oracle.lipschitz_G),
-        params.delta,
-        oracle.peek_rows,
-        params.T,
-    )
-    return _lifted(x, params.delta, constraint), trace
+    return _optimize(oracle, constraint, params, projected=True, domain=domain)

@@ -44,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algorithms import AlgoParams, RunTrace, bcg, dbg, ga, scg, zga
-from .constraints import BoxDomain, ConstraintSpec, contains, independent
+from .constraints import BoxDomain, ConstraintSpec
 from .objectives import (
     Graph,
     coverage_set_oracle,
@@ -55,8 +55,7 @@ from .objectives import (
     nqp_oracle,
     rbf_covariance,
 )
-from .oracles import SetOracle, ValueOracle, multilinear_value_oracle, noisy_wrap
-from .polytope import project, swap_round
+from .oracles import SetOracle, ValueOracle, noisy_wrap
 
 MAX_BRUTE_FORCE_SETS = 10**6
 # Bytes of feasible-set masks brute_force_opt holds at once.  The influence
@@ -347,6 +346,8 @@ def load_config(path) -> ExperimentConfig:
     noise = spec.get("noise", 0.0)
     if not 0 <= noise < math.inf:
         raise ConfigError("objective.noise must be finite and non-negative")
+    if discrete and "noise" in spec:
+        raise ConfigError("objective.noise applies to continuous objectives only")
 
     return ExperimentConfig(
         name=run.get("name", path.stem),
@@ -461,19 +462,12 @@ def run_cell(cfg: ExperimentConfig, algorithm: str, seed: int) -> CellResult:
     params = replace(cfg.algorithms[algorithm], seed=_cell_seed(seed, algorithm))
     try:
         oracle = build_objective(cfg)
-        if cfg.discrete:
-            output, trace = _run_discrete(oracle, cfg, algorithm, params)
-            final_value = oracle.peek(output)
-        else:
-            output, trace = _run_continuous(oracle, cfg, algorithm, params)
-            final_value = oracle.peek(output)
-            if not contains(cfg.constraint, output, tol=1e-9):
-                raise RuntimeError("output violates the constraint")
+        output, trace = _run_algorithm(oracle, cfg, algorithm, params)
         return CellResult(
             algorithm=algorithm,
             seed=seed,
             trace=trace,
-            final_value=final_value,
+            final_value=oracle.peek(output),
             total_queries=int(trace.final.queries),
             wall_s=float(trace.final.elapsed_s),
         )
@@ -489,41 +483,22 @@ def run_cell(cfg: ExperimentConfig, algorithm: str, seed: int) -> CellResult:
         )
 
 
-def _run_continuous(oracle: ValueOracle, cfg, algorithm, params):
-    domain = oracle.domain if oracle.domain is not None else BoxDomain.unit_cube(cfg.dim)
-    if algorithm == "bcg":
-        target = noisy_wrap(oracle, cfg.noise, seed=params.seed + 1) if cfg.noise else oracle
-        return bcg(target, domain, cfg.constraint, params)
-    if algorithm == "zga":
-        target = noisy_wrap(oracle, cfg.noise, seed=params.seed + 1) if cfg.noise else oracle
-        return zga(target, domain, cfg.constraint, params)
-    if algorithm == "scg":
-        return scg(oracle, cfg.constraint, params)
-    if algorithm == "ga":
-        return ga(oracle, cfg.constraint, params)
-    raise ConfigError(f"unknown continuous algorithm {algorithm!r}")
+def _run_algorithm(oracle, cfg: ExperimentConfig, algorithm: str, params: AlgoParams):
+    """Run one of the five optimizers; each checks its own output.
 
-
-def _run_discrete(f: SetOracle, cfg, algorithm, params):
+    The zeroth-order ones see the oracle through the config's noise, and bcg
+    and zga search the oracle's box domain, the unit cube when it has none.
+    """
+    if algorithm in ("scg", "ga"):
+        return (scg if algorithm == "scg" else ga)(oracle, cfg.constraint, params)
+    domain = getattr(oracle, "domain", None) or BoxDomain.unit_cube(cfg.dim)
+    if cfg.noise:
+        oracle = noisy_wrap(oracle, cfg.noise, seed=params.seed + 1)
     if algorithm == "dbg":
-        subset, trace = dbg(f, cfg.constraint, params)
-    elif algorithm == "scg":
-        subset, trace = scg(f, cfg.constraint, params)
-    elif algorithm in ("ga", "zga"):
-        wrapper = multilinear_value_oracle(
-            f, l=params.l, seed=params.seed + 7, peek_samples=params.trace_value_samples
-        )
-        if algorithm == "ga":
-            x, trace = ga(wrapper, cfg.constraint, params)
-        else:
-            x, trace = zga(wrapper, BoxDomain.unit_cube(f.ground_size), cfg.constraint, params)
-        rng = np.random.default_rng(params.seed + 13)
-        subset = swap_round(project(cfg.constraint, x), cfg.constraint, rng)
-    else:
-        raise ConfigError(f"unknown discrete algorithm {algorithm!r}")
-    if not independent(cfg.constraint, subset):
-        raise RuntimeError("output set violates the matroid")
-    return subset, trace
+        return dbg(oracle, cfg.constraint, params)
+    if algorithm in ("bcg", "zga"):
+        return (bcg if algorithm == "bcg" else zga)(oracle, domain, cfg.constraint, params)
+    raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
 def _cell_worker(args) -> CellResult:

@@ -45,7 +45,10 @@ def _as_readonly_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Axis-aligned box ``prod_i [0, upper_i]`` with strictly positive sides."""
+    """Axis-aligned box ``prod_i [0, upper_i]`` with strictly positive sides.
+
+    Two boxes are equal, and hash alike, when the bytes of ``upper`` agree.
+    """
 
     upper: np.ndarray
 
@@ -54,6 +57,14 @@ class BoxDomain:
         if np.any(arr <= 0):
             raise ValueError("box upper bounds must be strictly positive")
         object.__setattr__(self, "upper", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, BoxDomain):
+            return NotImplemented
+        return self.upper.tobytes() == other.upper.tobytes()
+
+    def __hash__(self):
+        return hash(self.upper.tobytes())
 
     @property
     def dim(self) -> int:
@@ -111,6 +122,8 @@ class ConstraintSpec:
     ``upper`` stores the per-coordinate cap for all three kinds so membership,
     linear maximization, and projection can treat them uniformly;
     ``block_index`` holds each block as an index array for the same code.
+    Two specs are equal, and hash alike, when their kind, the bytes of
+    ``upper``, their blocks and their budgets agree.
     """
 
     kind: str
@@ -150,6 +163,17 @@ class ConstraintSpec:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "budgets", tuple(float(b) for b in budgets))
         object.__setattr__(self, "block_index", _index_arrays(blocks))
+
+    def _key(self) -> tuple:
+        return (self.kind, self.upper.tobytes(), self.blocks, self.budgets)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConstraintSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def dim(self) -> int:

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import DomainError
-from .oracles import SetOracle, multilinear_sample
-
 
 def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform draw(s) from the unit sphere, via normalized Gaussians.
@@ -59,36 +56,6 @@ def batch_grad(
     for u in sample_sphere(center.size, rng, size=batch):
         total += two_point_grad(oracle, center, delta, u)
     return total / batch
-
-
-def discrete_batch_grad(
-    f: SetOracle,
-    x_t: np.ndarray,
-    delta: float,
-    batch: int,
-    inner_samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Two-point estimate for a multilinear extension known only by sampling.
-
-    This is :func:`batch_grad` over the ``inner_samples``-sample multilinear
-    extension: each probe value is the average of ``inner_samples``
-    evaluations f(S), with S drawn from the probe point's product
-    distribution on the same ``rng``.  Spends exactly
-    ``2 * batch * inner_samples`` set evaluations.
-    """
-    if batch < 1 or inner_samples < 1:
-        raise ValueError("batch and inner sample sizes must be >= 1")
-
-    def probe(y: np.ndarray) -> float:
-        if np.any(y < -1e-9) or np.any(y > 1.0 + 1e-9):
-            raise DomainError(
-                "probe point leaves the unit cube; keep x_t + delta in "
-                "[delta, 1 - delta] per coordinate"
-            )
-        return multilinear_sample(f, y, inner_samples, rng)
-
-    return batch_grad(probe, x_t, delta, batch, rng)
 
 
 def momentum_update(g_bar: np.ndarray, g_t: np.ndarray, rho_t: float) -> np.ndarray:

@@ -6,7 +6,8 @@ Counted calls go through ``__call__``; ``peek`` evaluates without counting and
 is reserved for instrumentation (trace columns, final reporting), as is
 ``peek_rows``, which evaluates every row of a matrix of points.  Set oracles
 also evaluate whole batches of sets, given as rows of a boolean mask matrix,
-without counting (:meth:`SetOracle.peek_masks`).
+without counting (:meth:`SetOracle.peek_masks`).  The optimizers see a set
+function through :class:`MultilinearOracle`, its multilinear extension.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ class ValueOracle:
     grad : optional gradient callable; required by the first-order baselines.
     domain : optional box; when given, counted evaluations outside it raise
         :class:`DomainError`.
-    peek_fn : optional uncounted evaluation for :meth:`peek`; defaults to ``fn``.
-    peek_rows_fn : optional uncounted evaluation of every row of a
-        ``(n, dim)`` matrix at once, for :meth:`peek_rows`; defaults to
-        :meth:`peek` row by row.
 
     The evaluation counter is lock-protected so concurrent workers never lose
     increments.
@@ -48,15 +45,11 @@ class ValueOracle:
         lipschitz_G: float,
         grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         domain: Optional[BoxDomain] = None,
-        peek_fn: Optional[Callable[[np.ndarray], float]] = None,
         name: str = "",
-        peek_rows_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         if lipschitz_G <= 0:
             raise ValueError("lipschitz_G must be strictly positive")
         self._fn = fn
-        self._peek_fn = peek_fn if peek_fn is not None else fn
-        self._peek_rows_fn = peek_rows_fn
         self.dim = int(dim)
         self.lipschitz_G = float(lipschitz_G)
         self._grad = grad
@@ -85,7 +78,7 @@ class ValueOracle:
 
     def peek(self, x: np.ndarray) -> float:
         """Evaluate without touching the query counter (instrumentation only)."""
-        value = float(self._peek_fn(np.asarray(x, dtype=float)))
+        value = float(self._fn(np.asarray(x, dtype=float)))
         if not math.isfinite(value):
             raise ValueError(f"oracle {self.name!r} peeked non-finite value {value}")
         return value
@@ -95,14 +88,7 @@ class ValueOracle:
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.dim:
             raise ValueError(f"points have shape {Z.shape}, expected (n, {self.dim})")
-        if self._peek_rows_fn is None:
-            return np.array([self.peek(z) for z in Z])
-        values = np.asarray(self._peek_rows_fn(Z), dtype=float)
-        if values.shape != (Z.shape[0],):
-            raise ValueError(f"{Z.shape[0]} points gave values of shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"oracle {self.name!r} peeked a non-finite value")
-        return values
+        return np.array([self.peek(z) for z in Z])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         if self._grad is None:
@@ -339,51 +325,61 @@ def multilinear_sample(
     return float(np.mean([f(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
 
 
-class _SetBackedValueOracle(ValueOracle):
-    """Value oracle whose query counter reports the underlying set evaluations."""
+class MultilinearOracle:
+    """The multilinear extension of a set function, seen as a value oracle.
 
-    def __init__(self, cost_source: SetOracle, **kwargs):
-        super().__init__(**kwargs)
-        self._cost_source = cost_source
+    This is how every optimizer sees a :class:`SetOracle`.  A counted call at a
+    point of the unit cube is the ``l``-sample estimate :func:`multilinear_sample`
+    (``l`` set queries); :meth:`gradient` is the per-coordinate estimate
+    :func:`coordinate_gradient` (``2*ground_size`` set queries).  Both draw
+    their sets from ``rng`` and raise :class:`DomainError` outside the cube.
+    ``peek`` and ``peek_rows`` are uncounted :func:`peek_sampled_values` means
+    of ``peek_samples`` sets drawn from ``peek_rng``, so instrumentation never
+    disturbs the counted sampling sequence; ``peek_rows`` draws the same sets
+    as one ``peek`` per row.  ``query_count`` is the set oracle's counter, and
+    the Lipschitz bound ``2*M*sqrt(d)`` of any bounded multilinear extension
+    is used as G.
+
+    Deliberately not a :class:`ValueOracle`: each query it spends is one
+    counted ``SetOracle`` call and is counted nowhere else.
+    """
+
+    has_gradient = True
+
+    def __init__(
+        self, f: SetOracle, l: int, rng: np.random.Generator,
+        peek_rng: np.random.Generator, peek_samples: int,
+    ):
+        if peek_samples < 1:
+            raise ValueError("peek sample count must be >= 1")
+        self.f = f
+        self.l = l
+        self.dim = f.ground_size
+        self.lipschitz_G = 2.0 * f.bound_M * np.sqrt(self.dim)
+        self.domain = BoxDomain.unit_cube(self.dim)
+        self._rng = rng
+        self._peek_rng = peek_rng
+        self._peek_samples = peek_samples
+
+    def _check(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if not self.domain.contains(x):
+            raise DomainError(f"point {x} leaves the unit cube")
+        return x
+
+    def __call__(self, x: np.ndarray) -> float:
+        return multilinear_sample(self.f, self._check(x), self.l, self._rng)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return coordinate_gradient(self.f, self._check(x), self._rng)
+
+    def peek(self, x: np.ndarray) -> float:
+        Z = np.asarray(x, dtype=float)[None]
+        return float(peek_sampled_values(self.f, Z, self._peek_samples, self._peek_rng)[0])
+
+    def peek_rows(self, Z: np.ndarray) -> np.ndarray:
+        return peek_sampled_values(self.f, Z, self._peek_samples, self._peek_rng)
 
     @property
     def query_count(self) -> int:
-        return self._cost_source.query_count
-
-
-def multilinear_value_oracle(
-    f: SetOracle, l: int, seed: int = 0, peek_samples: int = 64
-) -> ValueOracle:
-    """Continuous view of a set function for the projected-ascent baselines.
-
-    Counted evaluations return an ``l``-sample estimate of the multilinear
-    extension (spending ``l`` set queries each); the gradient callable returns
-    the per-coordinate stochastic estimate built from one sampled set S ~ x
-    and the pairs ``f(S + i) - f(S - i)``, spending ``2*ground_size`` set
-    queries.  ``peek`` and ``peek_rows`` use uncounted set evaluations and a
-    separate stream so instrumentation never disturbs the counted sampling
-    sequence; ``peek_rows`` draws the same sets as one ``peek`` per row.  The
-    Lipschitz bound ``2*M*sqrt(d)`` of any bounded multilinear extension is
-    used as G.
-    """
-    if peek_samples < 1:
-        raise ValueError("peek sample count must be >= 1")
-    d = f.ground_size
-    main_seq, peek_seq = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(main_seq)
-    peek_rng = np.random.default_rng(peek_seq)
-
-    def peek_rows(Z: np.ndarray) -> np.ndarray:
-        return peek_sampled_values(f, Z, peek_samples, peek_rng)
-
-    return _SetBackedValueOracle(
-        cost_source=f,
-        fn=lambda x: multilinear_sample(f, x, l, rng),
-        dim=d,
-        lipschitz_G=2.0 * f.bound_M * np.sqrt(d),
-        grad=lambda x: coordinate_gradient(f, x, rng),
-        domain=BoxDomain.unit_cube(d),
-        peek_fn=lambda x: peek_rows(x[None])[0],
-        name=f"multilinear[{f.name}]" if f.name else "multilinear",
-        peek_rows_fn=peek_rows,
-    )
+        return self.f.query_count

@@ -205,11 +205,11 @@ def sampled_peeks_reference(f: SetOracle, Z: np.ndarray, samples: int,
     return np.array(values)
 
 
-def ascend_reference(oracle, x, grad, step, lift, values, T):
+def ascend_reference(oracle, x, grad, step, lift, T):
     """The ascent loop with each trace value computed inside it, one iterate at a time.
 
     The loop before trace values were deferred to one pass after it: it calls
-    ``values`` on a one-row matrix at every iteration.
+    ``oracle.peek_rows`` on a one-row matrix at every iteration.
     """
     from zogreedy.algorithms import RunTrace, TraceRecord, _query_progress
 
@@ -220,7 +220,7 @@ def ascend_reference(oracle, x, grad, step, lift, values, T):
         z = x + lift
         trace.records.append(TraceRecord(
             t=t, queries=_query_progress(oracle, q0, gq0), elapsed_s=0.0, z=z,
-            value=float(next(iter(values(z[None])))), grad_norm=grad_norm,
+            value=float(next(iter(oracle.peek_rows(z[None])))), grad_norm=grad_norm,
         ))
     return x, trace
 

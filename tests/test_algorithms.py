@@ -144,11 +144,18 @@ class TestBcg:
             bcg(F, BoxDomain.unit_cube(2), K, AlgoParams(T=5, delta=0.1))
 
     def test_nan_peek_raises(self):
-        F = ValueOracle(lambda x: float(x.sum()), dim=2, lipschitz_G=2.0,
-                        domain=BoxDomain.unit_cube(2), peek_fn=lambda x: float("nan"))
+        # finite for the 2BT = 10 counted calls, NaN for the trace peeks after them
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return float(x.sum()) if len(calls) <= 10 else float("nan")
+
+        F = ValueOracle(fn, dim=2, lipschitz_G=2.0, domain=BoxDomain.unit_cube(2))
         K = ConstraintSpec.box(np.ones(2))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="peeked non-finite"):
             bcg(F, BoxDomain.unit_cube(2), K, AlgoParams(T=5, delta=0.1))
+        assert F.query_count == 10
 
     def test_nan_noise_raises(self):
         H, b = nqp_generate(3, seed=6)
@@ -363,15 +370,23 @@ DISCRETE_RUNS = [
     ("influence", "scg", AlgoParams(T=15, seed=3)),
     ("active_set", "dbg", AlgoParams(T=25, delta=0.05, B=1, l=3, seed=4)),
     ("active_set", "scg", AlgoParams(T=15, seed=4)),
+    ("influence", "ga", AlgoParams(T=12, l=2, seed=3)),
+    ("influence", "zga", AlgoParams(T=12, delta=0.05, B=2, l=2, seed=3)),
+    ("active_set", "ga", AlgoParams(T=8, seed=4)),
+    ("active_set", "zga", AlgoParams(T=8, delta=0.05, B=1, l=3, seed=4)),
 ]
-RUN_IDS = ["karate-dbg", "karate-scg", "active_set-dbg", "active_set-scg"]
+RUN_IDS = ["karate-dbg", "karate-scg", "active_set-dbg", "active_set-scg",
+           "karate-ga", "karate-zga", "active_set-ga", "active_set-zga"]
 
 
 def run_discrete(config, algorithm, params):
-    """Run a discrete optimizer on a fresh oracle of a shipped config."""
+    """Run an optimizer on a fresh set oracle of a shipped config."""
     cfg = load_config(CONFIG_DIR / f"{config}.ini")
     f = build_objective(cfg)
-    S, trace = (dbg if algorithm == "dbg" else scg)(f, cfg.constraint, params)
+    if algorithm == "zga":
+        S, trace = zga(f, BoxDomain.unit_cube(cfg.dim), cfg.constraint, params)
+    else:
+        S, trace = {"dbg": dbg, "scg": scg, "ga": ga}[algorithm](f, cfg.constraint, params)
     return f, S, trace
 
 
@@ -381,7 +396,7 @@ class TestDiscreteTraceValue:
     @pytest.mark.parametrize("config, algorithm, params", DISCRETE_RUNS, ids=RUN_IDS)
     def test_matches_per_set_reference(self, config, algorithm, params, monkeypatch):
         f, S, trace = run_discrete(config, algorithm, params)
-        monkeypatch.setattr(algorithms, "peek_sampled_values", sampled_peeks_reference)
+        monkeypatch.setattr(oracles, "peek_sampled_values", sampled_peeks_reference)
         f_ref, S_ref, ref = run_discrete(config, algorithm, params)
         assert S == S_ref
         assert f.query_count == f_ref.query_count
@@ -392,25 +407,31 @@ class TestDiscreteTraceValue:
     def test_one_counted_call_per_query_and_no_per_set_peeks(
         self, config, algorithm, params, monkeypatch
     ):
-        calls = {"__call__": 0, "peek": 0}
+        """Each query is one counted ``SetOracle`` call and nothing else: no
+        ``ValueOracle`` call or gradient (perfbench adds those to the set
+        calls, so a value-oracle view would count each query twice) and no
+        per-set peek."""
+        calls = {(SetOracle, "__call__"): 0, (SetOracle, "peek"): 0,
+                 (ValueOracle, "__call__"): 0, (ValueOracle, "gradient"): 0}
 
-        def counting(name):
-            original = getattr(SetOracle, name)
+        def counting(cls, name):
+            original = getattr(cls, name)
 
             def wrapper(self, *args):
-                calls[name] += 1
+                calls[cls, name] += 1
                 return original(self, *args)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(SetOracle, name, counting(name))
+        for cls, name in calls:
+            monkeypatch.setattr(cls, name, counting(cls, name))
         f, _, _ = run_discrete(config, algorithm, params)
-        if algorithm == "dbg":
+        if algorithm in ("dbg", "zga"):
             expected = 2 * params.B * params.l * params.T
         else:
             expected = 2 * f.ground_size * params.T
-        assert calls == {"__call__": expected, "peek": 0}
+        assert calls == {(SetOracle, "__call__"): expected, (SetOracle, "peek"): 0,
+                         (ValueOracle, "__call__"): 0, (ValueOracle, "gradient"): 0}
         assert f.query_count == expected
 
 
@@ -461,7 +482,6 @@ def test_deferred_trace_values_match_per_iteration_loop(config, algorithm, monke
             return batched(f, Z, samples, rng)
 
         with monkeypatch.context() as m:
-            m.setattr(algorithms, "peek_sampled_values", recording)
             m.setattr(oracles, "peek_sampled_values", recording)
             result = run_cell(cfg, algorithm, seed=5)
         assert result.error is None
@@ -508,7 +528,7 @@ def test_discrete_ascent_traces_peek_all_rows_at_once(algorithm, tmp_path, monke
 
     result, rows, state = run()
     assert rows == [12]
-    monkeypatch.setattr(ValueOracle, "peek_rows",
+    monkeypatch.setattr(oracles.MultilinearOracle, "peek_rows",
                         lambda self, Z: np.array([self.peek(z) for z in Z]))
     reference, reference_rows, reference_state = run()
     assert reference_rows == [1] * 12

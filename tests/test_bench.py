@@ -258,6 +258,11 @@ T = 10
         assert set(cfg.algorithms) == {"bcg", "scg"}
         assert cfg.seeds == (1, 2, 3)
 
+    @pytest.mark.parametrize("config", ["nqp_small", "topics", "active_set", "influence"])
+    def test_equal_loads_compare_equal(self, config):
+        path = Path(__file__).parent.parent / "configs" / f"{config}.ini"
+        assert load_config(path) == load_config(path)
+
     def test_objective_builder_is_fresh_each_call(self, tmp_path):
         p = write_config(tmp_path, TINY_CONFIG.format(out=tmp_path / "out"))
         cfg = load_config(p)

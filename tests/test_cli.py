@@ -147,13 +147,16 @@ class TestRunCommand:
         (LOGDET, "seed = 1", "seed = -1"),
         (CONTINUOUS, "kind = nqp", "kind = nqp\nnoise = abc"),
         (CONTINUOUS, "kind = nqp", "kind = nqp\nnoise = nan"),
+        (DISCRETE, "seed = 2", "seed = 2\nnoise = 5.0"),
+        (LOGDET, "seed = 1", "seed = 1\nnoise = 0.0"),
         (DISCRETE, "topics = 4", "topics = four"),
         (DISCRETE, "articles = 6", "articles = 6.5"),
         (LOGDET, "rows = 8", "rows = many"),
         (LOGDET, "attributes = 4", "attributes = x"),
         (LOGDET, "bandwidth = 0.75", "bandwidth = wide"),
     ], ids=["T", "delta", "delta_nan", "B", "seed", "seed_negative", "seed_negative_logdet", "noise",
-            "noise_nan", "topics", "articles", "rows", "attributes", "bandwidth"])
+            "noise_nan", "noise_discrete", "noise_logdet", "topics", "articles", "rows",
+            "attributes", "bandwidth"])
     def test_malformed_key_is_config_error(self, template, line, bad, tmp_path, capsys):
         assert template.count(line) == 1
         p = tmp_path / "bad.ini"

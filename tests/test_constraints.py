@@ -184,6 +184,51 @@ class TestSpecValidation:
             K.upper[0] = 2.0
 
 
+class TestEquality:
+    def test_equal_specs(self):
+        a = ConstraintSpec.block_budget(4, [(0, 1), (2, 3)], [1.0, 1.5])
+        b = ConstraintSpec.block_budget(4, [[0, 1], [2, 3]], [1, 1.5])
+        assert a == b and hash(a) == hash(b)
+        assert ConstraintSpec.box(np.ones(3)) == ConstraintSpec.box(np.ones(3))
+        assert BoxDomain.unit_cube(3) == BoxDomain(np.ones(3))
+        assert hash(BoxDomain.unit_cube(3)) == hash(BoxDomain(np.ones(3)))
+
+    @pytest.mark.parametrize("other", [
+        ConstraintSpec.box(np.ones(4)),
+        ConstraintSpec.partition_matroid(4, [(0, 1), (2, 3)], [1, 1]),
+        ConstraintSpec.block_budget(4, [(0, 1), (2, 3)], [1.0, 1.0], cap=0.8),
+        ConstraintSpec.block_budget(4, [(0, 2), (1, 3)], [1.0, 1.0]),
+        ConstraintSpec.block_budget(4, [(0, 1), (2, 3)], [1.0, 1.5]),
+        ConstraintSpec.block_budget(4, [(0, 1)], [1.0]),
+        ConstraintSpec.block_budget(5, [(0, 1), (2, 3)], [1.0, 1.0]),
+    ], ids=["kind_box", "kind_matroid", "upper", "blocks", "budgets", "block_count", "dim"])
+    def test_unequal_specs(self, other):
+        base = ConstraintSpec.block_budget(4, [(0, 1), (2, 3)], [1.0, 1.0])
+        assert base != other and other != base
+        assert base != BoxDomain(np.ones(4))
+
+    def test_unequal_boxes(self):
+        assert BoxDomain.unit_cube(3) != BoxDomain(np.array([1.0, 1.0, 2.0]))
+        assert BoxDomain.unit_cube(3) != BoxDomain.unit_cube(4)
+        assert BoxDomain.unit_cube(3) != ConstraintSpec.box(np.ones(3))
+
+    def test_dict_key(self):
+        table = {
+            ConstraintSpec.box(np.ones(2)): "box",
+            ConstraintSpec.partition_matroid(2, [(0, 1)], [1]): "matroid",
+            BoxDomain.unit_cube(2): "domain",
+        }
+        assert table[ConstraintSpec.box(np.array([1.0, 1.0]))] == "box"
+        assert table[ConstraintSpec.partition_matroid(2, [[0, 1]], [1.0])] == "matroid"
+        assert table[BoxDomain(np.ones(2))] == "domain"
+        assert len(table) == 3
+
+    def test_shrunk_set_equals_its_public_twin(self):
+        K = ConstraintSpec.block_budget(2, [(0, 1)], [1.0])
+        kprime = transform_constraint(BoxDomain.unit_cube(2), K, 0.25)
+        assert kprime == ConstraintSpec.block_budget(2, [(0, 1)], [0.5], cap=0.5)
+
+
 class TestIndependence:
     def test_block_limits(self):
         M = ConstraintSpec.partition_matroid(4, [(0, 1), (2, 3)], [1, 2])

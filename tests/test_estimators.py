@@ -4,10 +4,10 @@ import pytest
 from zogreedy import (
     BoxDomain,
     DomainError,
+    MultilinearOracle,
     SetOracle,
     ValueOracle,
     batch_grad,
-    discrete_batch_grad,
     momentum_update,
     rho_schedule,
     sample_sphere,
@@ -168,10 +168,17 @@ class TestBatchGrad:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def multilinear_batch_grad(f, x_t, delta, batch, inner_samples, rng):
+    """``batch_grad`` over the ``inner_samples``-sample multilinear extension of
+    ``f``, drawing directions and sets from the one stream ``rng``."""
+    F = MultilinearOracle(f, inner_samples, rng, np.random.default_rng(0), 1)
+    return batch_grad(F, x_t, delta, batch, rng)
+
+
 class TestDiscreteBatchGrad:
     def test_query_accounting(self):
         f = SetOracle(lambda S: float(len(S)), ground_size=3, bound_M=3.0)
-        discrete_batch_grad(f, np.full(3, 0.4), 0.1, 3, 5, np.random.default_rng(0))
+        multilinear_batch_grad(f, np.full(3, 0.4), 0.1, 3, 5, np.random.default_rng(0))
         assert f.query_count == 30
 
     def test_unbiased_for_modular(self):
@@ -182,7 +189,7 @@ class TestDiscreteBatchGrad:
         reps = 3000
         means = np.empty((reps, 2))
         for k in range(reps):
-            means[k] = discrete_batch_grad(f, np.full(2, 0.4), 0.1, 1, 8, rng)
+            means[k] = multilinear_batch_grad(f, np.full(2, 0.4), 0.1, 1, 8, rng)
         stderr = means.std(axis=0) / np.sqrt(reps)
         assert np.all(np.abs(means.mean(axis=0) - w) < 3 * stderr)
 
@@ -196,14 +203,14 @@ class TestDiscreteBatchGrad:
         reps, B = 200, 50
         means = np.empty((reps, 2))
         for k in range(reps):
-            means[k] = discrete_batch_grad(f, x_t, 0.1, B, 4, rng)
+            means[k] = multilinear_batch_grad(f, x_t, 0.1, B, 4, rng)
         stderr = means.std(axis=0) / np.sqrt(reps)
         assert np.all(np.abs(means.mean(axis=0) - exact) < 3 * stderr)
 
     def test_probe_outside_cube_raises(self):
         f = SetOracle(lambda S: 0.0, ground_size=2, bound_M=1.0)
         with pytest.raises(DomainError):
-            discrete_batch_grad(f, np.full(2, 0.95), 0.1, 1, 1, np.random.default_rng(0))
+            multilinear_batch_grad(f, np.full(2, 0.95), 0.1, 1, 1, np.random.default_rng(0))
 
 
 class TestMomentum:

@@ -4,16 +4,22 @@ import pytest
 from zogreedy import (
     BoxDomain,
     DomainError,
+    MultilinearOracle,
     SetOracle,
     ValueOracle,
     multilinear_sample,
-    multilinear_value_oracle,
     noisy_wrap,
 )
 
 from zogreedy.oracles import sample_subset
 
 from support import multilinear_bruteforce, multilinear_exact, random_weighted_coverage
+
+
+def multilinear_oracle(f, l, seed, peek_samples=64):
+    """The multilinear view of ``f`` on two streams spawned from ``seed``."""
+    main, peek = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    return MultilinearOracle(f, l, main, peek, peek_samples)
 
 
 def or_oracle():
@@ -54,9 +60,10 @@ class TestValueOracle:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_peek_raises(self, bad):
-        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0, peek_fn=lambda x: bad)
+        F = ValueOracle(lambda x: bad, dim=2, lipschitz_G=1.0)
         with pytest.raises(ValueError, match="non-finite"):
             F.peek(np.zeros(2))
+        assert F.query_count == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_and_gradient_raise(self, bad):
@@ -76,17 +83,11 @@ class TestPeekRows:
             seen.append(x.copy())
             return float(x @ [1.0, 10.0])
 
-        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0, peek_fn=peek)
+        F = ValueOracle(peek, dim=2, lipschitz_G=1.0)
         Z = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         values = F.peek_rows(Z)
         assert np.array_equal(values, [F.peek(z) for z in Z])
         assert np.array_equal(np.array(seen[:3]), Z)
-        assert F.query_count == 0
-
-    def test_batched_rows(self):
-        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0,
-                        peek_rows_fn=lambda Z: Z.sum(axis=1))
-        assert np.array_equal(F.peek_rows(np.eye(2)), [1.0, 1.0])
         assert F.query_count == 0
 
     @pytest.mark.parametrize("Z", [np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))])
@@ -95,13 +96,9 @@ class TestPeekRows:
         with pytest.raises(ValueError, match="shape"):
             F.peek_rows(Z)
 
-    @pytest.mark.parametrize("rows_fn, message", [
-        (lambda Z: np.full(Z.shape[0], np.nan), "non-finite"),
-        (lambda Z: np.zeros(Z.shape[0] + 1), "shape"),
-    ])
-    def test_rejects_bad_batched_values(self, rows_fn, message):
-        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0, peek_rows_fn=rows_fn)
-        with pytest.raises(ValueError, match=message):
+    def test_rejects_non_finite_rows(self):
+        F = ValueOracle(lambda x: np.nan, dim=2, lipschitz_G=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
             F.peek_rows(np.zeros((3, 2)))
 
     def test_noisy_oracle_passes_through(self):
@@ -114,8 +111,8 @@ class TestPeekRows:
     def test_multilinear_rows_equal_one_peek_per_row(self):
         f, _ = random_weighted_coverage(5, np.random.default_rng(4))
         Z = np.random.default_rng(5).random((7, 5))
-        batched = multilinear_value_oracle(f, l=2, seed=3, peek_samples=16)
-        per_row = multilinear_value_oracle(f, l=2, seed=3, peek_samples=16)
+        batched = multilinear_oracle(f, l=2, seed=3, peek_samples=16)
+        per_row = multilinear_oracle(f, l=2, seed=3, peek_samples=16)
         assert np.array_equal(batched.peek_rows(Z), [per_row.peek(z) for z in Z])
         # the peek streams end in the same state: the next peeks agree too
         assert batched.peek(Z[0]) == per_row.peek(Z[0])
@@ -350,7 +347,7 @@ class TestMultilinearValueOracle:
     def test_query_cost_forwarded_to_set_oracle(self):
         rng = np.random.default_rng(3)
         f, _ = random_weighted_coverage(3, rng)
-        F = multilinear_value_oracle(f, l=4, seed=0)
+        F = multilinear_oracle(f, l=4, seed=0)
         F(np.full(3, 0.5))
         assert f.query_count == 4
         F.gradient(np.full(3, 0.5))
@@ -360,12 +357,12 @@ class TestMultilinearValueOracle:
     def test_rejects_empty_peek_sample(self, peek_samples):
         f, _ = random_weighted_coverage(3, np.random.default_rng(3))
         with pytest.raises(ValueError, match="peek sample count"):
-            multilinear_value_oracle(f, l=4, seed=0, peek_samples=peek_samples)
+            multilinear_oracle(f, l=4, seed=0, peek_samples=peek_samples)
 
     def test_peek_spends_nothing(self):
         rng = np.random.default_rng(3)
         f, _ = random_weighted_coverage(3, rng)
-        F = multilinear_value_oracle(f, l=4, seed=0)
+        F = multilinear_oracle(f, l=4, seed=0)
         F.peek(np.full(3, 0.5))
         assert f.query_count == 0
 
@@ -373,6 +370,16 @@ class TestMultilinearValueOracle:
         w = np.array([0.2, 0.9, 0.4])
         f = SetOracle(lambda S: float(sum(w[i] for i in S)), ground_size=3,
                       bound_M=float(w.sum()))
-        F = multilinear_value_oracle(f, l=1, seed=1)
+        F = multilinear_oracle(f, l=1, seed=1)
         # modular marginals are state-independent, so one draw is exact
         np.testing.assert_allclose(F.gradient(np.full(3, 0.5)), w)
+
+    @pytest.mark.parametrize("x", [[0.5, 1.2, 0.5], [-0.1, 0.5, 0.5], [0.5, np.nan, 0.5]])
+    def test_counted_calls_stay_in_the_unit_cube(self, x):
+        f, _ = random_weighted_coverage(3, np.random.default_rng(3))
+        F = multilinear_oracle(f, l=4, seed=0)
+        with pytest.raises(DomainError):
+            F(np.array(x))
+        with pytest.raises(DomainError):
+            F.gradient(np.array(x))
+        assert f.query_count == 0
