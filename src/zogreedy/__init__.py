@@ -24,7 +24,6 @@ from .estimators import (
     momentum_update,
     rho_schedule,
     sample_sphere,
-    two_point_grad,
 )
 from .objectives import (
     Graph,
@@ -47,8 +46,6 @@ from .oracles import (
     SetOracle,
     ValueOracle,
     multilinear_sample,
-    noisy_wrap,
-    sample_subset,
 )
 from .polytope import lmo, project, swap_round
 
@@ -84,7 +81,6 @@ __all__ = [
     "logdet_set_oracle",
     "momentum_update",
     "multilinear_sample",
-    "noisy_wrap",
     "nqp_eval",
     "nqp_generate",
     "nqp_oracle",
@@ -92,11 +88,9 @@ __all__ = [
     "rbf_covariance",
     "rho_schedule",
     "sample_sphere",
-    "sample_subset",
     "scg",
     "shrink_domain",
     "swap_round",
     "transform_constraint",
-    "two_point_grad",
     "zga",
 ]

@@ -105,9 +105,6 @@ class RunTrace:
     records: list[TraceRecord] = field(default_factory=list)
     rounding_overshoot: Optional[float] = None
 
-    def iterations(self) -> np.ndarray:
-        return np.array([r.t for r in self.records], dtype=int)
-
     def queries(self) -> np.ndarray:
         return np.array([r.queries for r in self.records], dtype=int)
 
@@ -120,14 +117,6 @@ class RunTrace:
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
-
-
-def _query_progress(oracle, q0: int, gq0: int) -> int:
-    """Oracle accesses spent so far, on the algorithm's dominant channel."""
-    dq = oracle.query_count - q0
-    if dq > 0:
-        return dq
-    return getattr(oracle, "gradient_query_count", 0) - gq0
 
 
 Step = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, float]]
@@ -170,21 +159,24 @@ def _ascend(
 ) -> tuple[np.ndarray, RunTrace]:
     """The one ascent loop: ``T`` times ``x <- step(x, grad(x), t)``.
 
-    Records the lifted iterate ``x + lift``, the queries spent on ``oracle`` so
-    far, the elapsed time and the gradient norm the step reports.  The lifted
-    iterates are the rows of one ``(T, d)`` buffer, which one uncounted
+    Records the lifted iterate ``x + lift``, the value plus gradient queries
+    spent on ``oracle`` so far, the elapsed time and the gradient norm.  The
+    lifted iterates are the rows of one ``(T, d)`` buffer, which one uncounted
     ``oracle.peek_rows`` pass turns into the trace values after the loop, so
     the times are algorithm time only.  Returns the last unlifted iterate and
     the trace.
     """
-    q0, gq0 = oracle.query_count, getattr(oracle, "gradient_query_count", 0)
+    def accesses():
+        return oracle.query_count + getattr(oracle, "gradient_query_count", 0)
+
+    q0 = accesses()
     start = time.perf_counter()
     zs = np.empty((T, x.size))
     progress = []
     for t in range(1, T + 1):
         x, grad_norm = step(x, grad(x), t)
         np.add(x, lift, out=zs[t - 1])
-        queries = _query_progress(oracle, q0, gq0)
+        queries = accesses() - q0
         progress.append((t, queries, time.perf_counter() - start, grad_norm))
     return x, RunTrace([
         TraceRecord(t, queries, elapsed, z, float(value), grad_norm)

@@ -55,7 +55,7 @@ from .objectives import (
     nqp_oracle,
     rbf_covariance,
 )
-from .oracles import SetOracle, ValueOracle, noisy_wrap
+from .oracles import NoisyOracle, SetOracle, ValueOracle
 
 MAX_BRUTE_FORCE_SETS = 10**6
 # Bytes of feasible-set masks brute_force_opt holds at once.  The influence
@@ -310,6 +310,8 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"{path}: objective.{key}: {exc}") from exc
     if spec.get("seed", 0) < 0:
         raise ConfigError(f"{path}: objective.seed must be non-negative")
+    if not spec.get("bandwidth", 1.0) > 0:
+        raise ConfigError(f"{path}: objective.bandwidth must be positive")
     try:
         dim = _objective_dim(spec)
     except (ValueError, KeyError) as exc:
@@ -493,17 +495,12 @@ def _run_algorithm(oracle, cfg: ExperimentConfig, algorithm: str, params: AlgoPa
         return (scg if algorithm == "scg" else ga)(oracle, cfg.constraint, params)
     domain = getattr(oracle, "domain", None) or BoxDomain.unit_cube(cfg.dim)
     if cfg.noise:
-        oracle = noisy_wrap(oracle, cfg.noise, seed=params.seed + 1)
+        oracle = NoisyOracle(oracle, cfg.noise, seed=params.seed + 1)
     if algorithm == "dbg":
         return dbg(oracle, cfg.constraint, params)
     if algorithm in ("bcg", "zga"):
         return (bcg if algorithm == "bcg" else zga)(oracle, domain, cfg.constraint, params)
     raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
-def _cell_worker(args) -> CellResult:
-    cfg, algorithm, seed = args
-    return run_cell(cfg, algorithm, seed)
 
 
 def run_experiment(
@@ -520,9 +517,9 @@ def run_experiment(
     cells = [(cfg, algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, cells))
+            results = list(pool.map(run_cell, *zip(*cells)))
     else:
-        results = [_cell_worker(c) for c in cells]
+        results = [run_cell(*c) for c in cells]
 
     by_algo: dict[str, list[CellResult]] = {a: [] for a in cfg.algorithms}
     for res in results:

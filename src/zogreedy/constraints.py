@@ -141,7 +141,7 @@ class ConstraintSpec:
         if len(self.blocks) != len(self.budgets):
             raise ValueError("need one budget per block")
         for idx, budget in zip(self.block_index, self.budgets):
-            if budget <= 0:
+            if not budget > 0:  # NaN fails too
                 raise ValueError("budgets must be strictly positive")
             cap_total = float(np.sum(self.upper[idx]))
             if budget > cap_total + 1e-12:

@@ -29,32 +29,24 @@ def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -
     return u[0] if size is None else u
 
 
-def two_point_grad(oracle, x: np.ndarray, delta: float, u: np.ndarray) -> np.ndarray:
-    """Antithetic estimate (d/2delta) * (F(x + delta*u) - F(x - delta*u)) * u.
-
-    Unbiased for the gradient of the delta-ball average of F; two queries.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    d = x.size
-    diff = oracle(x + delta * u) - oracle(x - delta * u)
-    return (d / (2.0 * delta)) * diff * u
-
-
 def batch_grad(
     oracle, x_t: np.ndarray, delta: float, batch: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Average of ``batch`` two-point estimates centered at x_t + delta*1.
+    """Average of ``batch`` two-point estimates centered at c = x_t + delta*1.
 
-    The center shift keeps both probe points inside the original box whenever
-    x_t lies in the twice-shrunk domain.  Spends exactly ``2 * batch`` queries.
+    A direction u gives ``(d/2delta) * (F(c + delta*u) - F(c - delta*u)) * u``,
+    unbiased for the gradient of the delta-ball average of F.  The center
+    shift keeps both probe points inside the original box whenever x_t lies
+    in the twice-shrunk domain.  Spends exactly ``2 * batch`` queries.
     """
     if batch < 1:
         raise ValueError("batch size must be >= 1")
     center = np.asarray(x_t, dtype=float) + delta
+    d = center.size
     total = np.zeros_like(center)
-    for u in sample_sphere(center.size, rng, size=batch):
-        total += two_point_grad(oracle, center, delta, u)
+    for u in sample_sphere(d, rng, size=batch):
+        diff = oracle(center + delta * u) - oracle(center - delta * u)
+        total += (d / (2.0 * delta)) * diff * u
     return total / batch
 
 

@@ -219,7 +219,7 @@ def rbf_covariance(X: np.ndarray, h: float) -> np.ndarray:
     ``Sigma[i, j] = exp(-||X[:, i] - X[:, j]||^2 / h^2)``; symmetric with unit
     diagonal.
     """
-    if h <= 0:
+    if not h > 0:  # NaN fails too
         raise ValueError("bandwidth h must be strictly positive")
     X = np.asarray(X, dtype=float)
     sq = np.sum(X * X, axis=0)

@@ -47,8 +47,8 @@ class ValueOracle:
         domain: Optional[BoxDomain] = None,
         name: str = "",
     ):
-        if lipschitz_G <= 0:
-            raise ValueError("lipschitz_G must be strictly positive")
+        if not 0 < lipschitz_G < math.inf:  # NaN fails too
+            raise ValueError("lipschitz_G must be finite and strictly positive")
         self._fn = fn
         self.dim = int(dim)
         self.lipschitz_G = float(lipschitz_G)
@@ -167,11 +167,6 @@ class NoisyOracle:
         return self.inner.query_count
 
 
-def noisy_wrap(oracle: ValueOracle, sigma0: float, seed: int = 0) -> NoisyOracle:
-    """Wrap an exact oracle so each counted call returns F(x) + N(0, sigma0^2)."""
-    return NoisyOracle(oracle, sigma0, seed=seed)
-
-
 class SetOracle:
     """Set function on ground set ``{0, .., ground_size-1}`` with |f| <= bound_M.
 
@@ -188,8 +183,8 @@ class SetOracle:
         name: str = "",
         batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
-        if bound_M <= 0:
-            raise ValueError("bound_M must be strictly positive")
+        if not 0 < bound_M < math.inf:  # NaN fails too
+            raise ValueError("bound_M must be finite and strictly positive")
         self._fn = fn
         self._batch_fn = batch_fn
         self.ground_size = int(ground_size)
@@ -259,11 +254,6 @@ class SetOracle:
         return self._queries
 
 
-def sample_subset(x: np.ndarray, rng: np.random.Generator) -> frozenset:
-    """Draw one set S ~ x: the single row of :func:`sample_masks`, as a frozenset."""
-    return frozenset(np.flatnonzero(sample_masks(x, 1, rng)[0]).tolist())
-
-
 def sample_masks(x: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Rows are ``samples`` sets S ~ x as boolean masks, drawn at once from ``rng``.
 
@@ -294,20 +284,6 @@ def peek_sampled_values(
     return out
 
 
-def coordinate_gradient(
-    f: SetOracle, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-coordinate estimate ``f(S + i) - f(S - i)`` of the multilinear gradient.
-
-    Draws one set S ~ x and spends ``2*ground_size`` counted set queries.
-    """
-    base = sample_subset(x, rng)
-    g = np.empty(f.ground_size)
-    for i in range(f.ground_size):
-        g[i] = f(base | {i}) - f(base - {i})
-    return g
-
-
 def multilinear_sample(
     f: SetOracle, x: np.ndarray, l: int, rng: np.random.Generator
 ) -> float:
@@ -330,9 +306,9 @@ class MultilinearOracle:
 
     This is how every optimizer sees a :class:`SetOracle`.  A counted call at a
     point of the unit cube is the ``l``-sample estimate :func:`multilinear_sample`
-    (``l`` set queries); :meth:`gradient` is the per-coordinate estimate
-    :func:`coordinate_gradient` (``2*ground_size`` set queries).  Both draw
-    their sets from ``rng`` and raise :class:`DomainError` outside the cube.
+    (``l`` set queries); :meth:`gradient` is ``f(S + i) - f(S - i)`` at one
+    set S ~ x (``2*ground_size`` set queries).  Both draw their sets from
+    ``rng`` and raise :class:`DomainError` outside the cube.
     ``peek`` and ``peek_rows`` are uncounted :func:`peek_sampled_values` means
     of ``peek_samples`` sets drawn from ``peek_rng``, so instrumentation never
     disturbs the counted sampling sequence; ``peek_rows`` draws the same sets
@@ -371,7 +347,12 @@ class MultilinearOracle:
         return multilinear_sample(self.f, self._check(x), self.l, self._rng)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return coordinate_gradient(self.f, self._check(x), self._rng)
+        mask = sample_masks(self._check(x), 1, self._rng)[0]
+        base = frozenset(np.flatnonzero(mask).tolist())
+        g = np.empty(self.dim)
+        for i in range(self.dim):
+            g[i] = self.f(base | {i}) - self.f(base - {i})
+        return g
 
     def peek(self, x: np.ndarray) -> float:
         Z = np.asarray(x, dtype=float)[None]

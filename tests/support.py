@@ -211,15 +211,18 @@ def ascend_reference(oracle, x, grad, step, lift, T):
     The loop before trace values were deferred to one pass after it: it calls
     ``oracle.peek_rows`` on a one-row matrix at every iteration.
     """
-    from zogreedy.algorithms import RunTrace, TraceRecord, _query_progress
+    from zogreedy.algorithms import RunTrace, TraceRecord
 
-    q0, gq0 = oracle.query_count, getattr(oracle, "gradient_query_count", 0)
+    def accesses():
+        return oracle.query_count + getattr(oracle, "gradient_query_count", 0)
+
+    q0 = accesses()
     trace = RunTrace()
     for t in range(1, T + 1):
         x, grad_norm = step(x, grad(x), t)
         z = x + lift
         trace.records.append(TraceRecord(
-            t=t, queries=_query_progress(oracle, q0, gq0), elapsed_s=0.0, z=z,
+            t=t, queries=accesses() - q0, elapsed_s=0.0, z=z,
             value=float(next(iter(oracle.peek_rows(z[None])))), grad_norm=grad_norm,
         ))
     return x, trace
@@ -253,13 +256,15 @@ def box_contains_reference(upper: np.ndarray, x: np.ndarray, tol: float) -> bool
 def batch_grad_reference(oracle, x_t: np.ndarray, delta: float, batch: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Two-point batch estimate with one ``sample_sphere`` draw per direction."""
-    from zogreedy import sample_sphere, two_point_grad
+    from zogreedy import sample_sphere
 
     center = np.asarray(x_t, dtype=float) + delta
+    d = center.size
     total = np.zeros_like(center)
     for _ in range(batch):
-        u = sample_sphere(center.size, rng)
-        total += two_point_grad(oracle, center, delta, u)
+        u = sample_sphere(d, rng)
+        diff = oracle(center + delta * u) - oracle(center - delta * u)
+        total += (d / (2.0 * delta)) * diff * u
     return total / batch
 
 

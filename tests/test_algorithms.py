@@ -21,7 +21,6 @@ from zogreedy import (
     lmo,
     nqp_generate,
     nqp_oracle,
-    noisy_wrap,
     scg,
     zga,
 )
@@ -126,7 +125,7 @@ class TestBcg:
     def test_noisy_oracle_variant(self):
         H, b = nqp_generate(3, seed=6)
         K = ConstraintSpec.box(np.ones(3))
-        noisy = noisy_wrap(nqp_oracle(H, b), sigma0=0.05, seed=2)
+        noisy = NoisyOracle(nqp_oracle(H, b), sigma0=0.05, seed=2)
         out, trace = bcg(noisy, BoxDomain.unit_cube(3), K,
                          AlgoParams(T=10, delta=0.05, B=2, seed=0))
         assert contains(K, out, 1e-9)

@@ -154,9 +154,12 @@ class TestRunCommand:
         (LOGDET, "rows = 8", "rows = many"),
         (LOGDET, "attributes = 4", "attributes = x"),
         (LOGDET, "bandwidth = 0.75", "bandwidth = wide"),
+        (LOGDET, "bandwidth = 0.75", "bandwidth = nan"),
+        (LOGDET, "bandwidth = 0.75", "bandwidth = -1"),
+        (CONTINUOUS, "budgets = 1 1", "budgets = nan 1"),
     ], ids=["T", "delta", "delta_nan", "B", "seed", "seed_negative", "seed_negative_logdet", "noise",
             "noise_nan", "noise_discrete", "noise_logdet", "topics", "articles", "rows",
-            "attributes", "bandwidth"])
+            "attributes", "bandwidth", "bandwidth_nan", "bandwidth_negative", "budgets_nan"])
     def test_malformed_key_is_config_error(self, template, line, bad, tmp_path, capsys):
         assert template.count(line) == 1
         p = tmp_path / "bad.ini"

@@ -170,6 +170,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ConstraintSpec.block_budget(2, [(0, 1)], [0.0])
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="budgets must be strictly positive"):
+            ConstraintSpec.block_budget(3, [(0, 1, 2)], [np.nan])
+
     def test_fractional_matroid_limit_rejected(self):
         with pytest.raises(ValueError):
             ConstraintSpec.partition_matroid(2, [(0, 1)], [1.5])

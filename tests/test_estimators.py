@@ -11,7 +11,6 @@ from zogreedy import (
     momentum_update,
     rho_schedule,
     sample_sphere,
-    two_point_grad,
 )
 
 from support import batch_grad_reference, one_point_grad, sample_ball
@@ -88,26 +87,34 @@ class TestOnePointGrad:
 
 
 class TestTwoPointGrad:
+    """The two-point estimate of ``batch_grad`` with one direction.
+
+    ``batch_grad(F, z - delta, delta, 1, rng)`` estimates at ``z``; its direction
+    ``u`` is read from an identically seeded :func:`sample_sphere`.
+    """
+
     def test_linear_aligned_direction(self):
-        F = linear_oracle([1.0, 0.0])
-        g = two_point_grad(F, np.zeros(2), 0.1, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(g, [2.0, 0.0])
+        u = sample_sphere(2, np.random.default_rng(1))
+        F = linear_oracle(u)
+        g = batch_grad(F, np.zeros(2) - 0.1, 0.1, 1, np.random.default_rng(1))
+        np.testing.assert_allclose(g, 2.0 * u)  # d * (c . u) * u with c = u
 
     def test_linear_orthogonal_direction(self):
-        F = linear_oracle([1.0, 0.0])
-        g = two_point_grad(F, np.zeros(2), 0.1, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(g, [0.0, 0.0])
+        u = sample_sphere(2, np.random.default_rng(2))
+        F = linear_oracle([-u[1], u[0]])
+        g = batch_grad(F, np.zeros(2) - 0.1, 0.1, 1, np.random.default_rng(2))
+        np.testing.assert_allclose(g, [0.0, 0.0], atol=1e-12)
 
     def test_constant_function_zero(self):
         F = ValueOracle(lambda x: 42.0, dim=3, lipschitz_G=1.0)
         rng = np.random.default_rng(6)
         for _ in range(10):
-            g = two_point_grad(F, np.zeros(3), 0.2, sample_sphere(3, rng))
+            g = batch_grad(F, np.zeros(3) - 0.2, 0.2, 1, rng)
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_two_queries_each(self):
         F = linear_oracle([1.0, 1.0])
-        two_point_grad(F, np.zeros(2), 0.1, np.array([1.0, 0.0]))
+        batch_grad(F, np.zeros(2) - 0.1, 0.1, 1, np.random.default_rng(0))
         assert F.query_count == 2
 
 
@@ -127,7 +134,7 @@ class TestBatchGrad:
         u = sample_sphere(2, np.random.default_rng(7))
         np.testing.assert_allclose(probes, [x + delta + delta * u, x + delta - delta * u])
         np.testing.assert_allclose(0.5 * (probes[0] + probes[1]), x + delta)
-        expected = two_point_grad(F, x + delta, delta, u)
+        expected = 2 * (np.array([0.4, 1.2]) @ u) * u  # d * (c . u) * u for linear F
         np.testing.assert_allclose(estimate, expected)
 
     def test_unbiased_for_linear(self):

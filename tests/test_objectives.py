@@ -308,6 +308,10 @@ class TestRbfCovariance:
         with pytest.raises(ValueError):
             rbf_covariance(np.ones((2, 2)), 0.0)
 
+    def test_nan_bandwidth(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            rbf_covariance(np.ones((2, 2)), float("nan"))
+
 
 class TestInfluence:
     def path3(self):

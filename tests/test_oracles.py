@@ -5,13 +5,13 @@ from zogreedy import (
     BoxDomain,
     DomainError,
     MultilinearOracle,
+    NoisyOracle,
     SetOracle,
     ValueOracle,
     multilinear_sample,
-    noisy_wrap,
 )
 
-from zogreedy.oracles import sample_subset
+from zogreedy.oracles import sample_masks
 
 from support import multilinear_bruteforce, multilinear_exact, random_weighted_coverage
 
@@ -58,6 +58,11 @@ class TestValueOracle:
         with pytest.raises(ValueError):
             F.gradient(np.zeros(2))
 
+    @pytest.mark.parametrize("G", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_lipschitz(self, G):
+        with pytest.raises(ValueError, match="lipschitz_G must be finite and strictly positive"):
+            ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=G)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_peek_raises(self, bad):
         F = ValueOracle(lambda x: bad, dim=2, lipschitz_G=1.0)
@@ -103,7 +108,7 @@ class TestPeekRows:
 
     def test_noisy_oracle_passes_through(self):
         F = ValueOracle(lambda x: float(x.sum()), dim=2, lipschitz_G=2.0)
-        noisy = noisy_wrap(F, 10.0, seed=1)
+        noisy = NoisyOracle(F, 10.0, seed=1)
         Z = np.array([[0.1, 0.2], [0.3, 0.4]])
         assert np.array_equal(noisy.peek_rows(Z), F.peek_rows(Z))
         assert noisy.query_count == 0
@@ -122,25 +127,25 @@ class TestPeekRows:
 class TestNoisyOracle:
     def test_zero_sigma_is_exact(self):
         F = ValueOracle(lambda x: float(x.sum()), dim=2, lipschitz_G=2.0)
-        noisy = noisy_wrap(F, 0.0, seed=1)
+        noisy = NoisyOracle(F, 0.0, seed=1)
         x = np.array([0.25, 0.5])
         assert noisy(x) == F.peek(x)
 
     def test_counts_once_per_eval(self):
         F = ValueOracle(lambda x: 1.0, dim=1, lipschitz_G=1.0)
-        noisy = noisy_wrap(F, 0.5, seed=1)
+        noisy = NoisyOracle(F, 0.5, seed=1)
         for _ in range(5):
             noisy(np.zeros(1))
         assert noisy.query_count == 5
 
     def test_peek_passes_through_exactly(self):
         F = ValueOracle(lambda x: 3.0, dim=1, lipschitz_G=1.0)
-        noisy = noisy_wrap(F, 10.0, seed=1)
+        noisy = NoisyOracle(F, 10.0, seed=1)
         assert noisy.peek(np.zeros(1)) == 3.0
 
     def test_noise_statistics(self):
         F = ValueOracle(lambda x: 2.0, dim=1, lipschitz_G=1.0)
-        noisy = noisy_wrap(F, 1.0, seed=42)
+        noisy = NoisyOracle(F, 1.0, seed=42)
         n = 10**5
         draws = np.array([noisy(np.zeros(1)) for _ in range(n)])
         assert abs(draws.mean() - 2.0) < 3.0 / np.sqrt(n)
@@ -180,6 +185,11 @@ class TestSetOracle:
         f = or_oracle()
         with pytest.raises(ValueError):
             f({3})
+
+    @pytest.mark.parametrize("M", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_bound(self, M):
+        with pytest.raises(ValueError, match="bound_M must be finite and strictly positive"):
+            SetOracle(lambda S: 1e9 * len(S), ground_size=2, bound_M=M)
 
     @pytest.mark.parametrize("subset", [
         [0.5], [1.7], [1.0], [np.float64(0.0)], [0, "1"],
@@ -337,7 +347,8 @@ class TestMultilinearSample:
         rng = np.random.default_rng(17)
         value = multilinear_sample(f, x, 11, rng)
         ref_rng = np.random.default_rng(17)
-        ref = [sample_subset(x, ref_rng) for _ in range(11)]
+        ref = [frozenset(np.flatnonzero(sample_masks(x, 1, ref_rng)[0]).tolist())
+               for _ in range(11)]
         assert seen == ref
         assert value == float(np.mean([len(S) for S in ref]))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -365,6 +376,20 @@ class TestMultilinearValueOracle:
         F = multilinear_oracle(f, l=4, seed=0)
         F.peek(np.full(3, 0.5))
         assert f.query_count == 0
+
+    def test_gradient_is_one_sampled_set_difference(self):
+        """``f(S | {i}) - f(S - {i})`` at one set S ~ x, from the counted stream."""
+        f, _ = random_weighted_coverage(6, np.random.default_rng(8))
+        x = np.random.default_rng(9).random(6)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        F = MultilinearOracle(f, 1, rng, np.random.default_rng(0), 1)
+        g = F.gradient(x)
+        S = frozenset(np.flatnonzero(ref_rng.random((1, 6)) < x).tolist())
+        expected = [f.peek(S | {i}) - f.peek(S - {i}) for i in range(6)]
+        assert np.array_equal(g, expected)
+        # the marginals depend on S, so a wrong base set would show
+        assert not np.array_equal(g, [f.peek({i}) - f.peek(set()) for i in range(6)])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_gradient_unbiased_for_modular(self):
         w = np.array([0.2, 0.9, 0.4])
