@@ -31,6 +31,7 @@ Trace instrumentation uses uncounted peeks and a separate random stream.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -76,13 +77,13 @@ class AlgoParams:
     def __post_init__(self):
         if not isinstance(self.T, numbers.Integral) or self.T < 4:
             raise ValueError("iteration count T must be an integer >= 4")
-        # "not > 0" so that NaN fails too
-        if not self.delta > 0:
-            raise ValueError("smoothing radius delta must be positive")
+        # "not 0 < v < inf" so that NaN fails too
+        if not 0 < self.delta < math.inf:
+            raise ValueError("smoothing radius delta must be finite and positive")
         if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.B, self.l)):
             raise ValueError("batch sizes B and l must be integers >= 1")
-        if self.eta0 is not None and not self.eta0 > 0:
-            raise ValueError("eta0 must be positive when given")
+        if self.eta0 is not None and not 0 < self.eta0 < math.inf:
+            raise ValueError("eta0 must be finite and positive when given")
         samples = self.trace_value_samples
         if not isinstance(samples, numbers.Integral) or samples < 1:
             raise ValueError("trace_value_samples must be an integer >= 1")

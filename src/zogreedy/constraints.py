@@ -12,6 +12,7 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,7 +287,10 @@ def independent(matroid: ConstraintSpec, subset) -> bool:
     """True iff ``subset`` respects every block limit of a partition matroid."""
     if matroid.kind != PARTITION_MATROID:
         raise ValueError("independence is defined for partition matroids only")
-    members = set(int(i) for i in subset)
+    try:
+        members = set(map(operator.index, subset))
+    except TypeError as exc:
+        raise ValueError(f"set elements must be integers: {exc}") from None
     for i in members:
         if not 0 <= i < matroid.dim:
             raise ValueError(f"element {i} outside the ground set")

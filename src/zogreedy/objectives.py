@@ -103,6 +103,11 @@ def _selection(P: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (P.shape[1],):
         raise ValueError(f"inconsistent shapes P{P.shape}, x{x.shape}")
+    return _unit_range(x)
+
+
+def _unit_range(x: np.ndarray) -> np.ndarray:
+    """``x``, after checking that its entries lie in [0, 1] up to 1e-12 (NaN fails)."""
     if not (x.min() >= -1e-12 and x.max() <= 1 + 1e-12):
         raise ValueError("selection entries must lie in [0, 1]")
     return x
@@ -178,11 +183,16 @@ def coverage_value_oracle(P: np.ndarray) -> ValueOracle:
         grad=lambda x: _coverage_gradient(P, x),
         domain=BoxDomain.unit_cube(d),
         name="coverage",
+        batch_fn=lambda Z: coverage_batch(P, _unit_range(Z)),
     )
 
 
 def coverage_batch(P: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """:func:`coverage_eval` at each row of a boolean ``(n, articles)`` mask matrix."""
+    """:func:`coverage_eval` at each row of an ``(n, articles)`` mask or selection matrix.
+
+    The same products and row sums as :func:`_coverage`, so the values are
+    bitwise equal to it.
+    """
     factors = 1.0 - P[None, :, :] * masks[:, None, :]
     return np.mean(1.0 - np.prod(factors, axis=2), axis=1)
 
@@ -341,10 +351,18 @@ def influence_eval(graph: Graph, S) -> float:
     """Nodes reached from the integer seed set through one hop, seeds included."""
     reach = graph.reach
     n = len(reach)
-    reached = 0
+    seeds = []
     for u in map(operator.index, S):
         if not 0 <= u < n:
             raise ValueError(f"node {u} outside the graph")
+        seeds.append(u)
+    return _influence(reach, seeds)
+
+
+def _influence(reach: tuple[int, ...], S) -> float:
+    """:func:`influence_eval` for seeds already checked to be nodes of the graph."""
+    reached = 0
+    for u in S:
         reached |= reach[u]
     return float(reached.bit_count())
 
@@ -359,12 +377,19 @@ def influence_batch(reach: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def influence_set_oracle(graph: Graph) -> SetOracle:
+    """One-hop influence of a seed set as a set function on the graph's nodes.
+
+    Counted queries run the bitmask kernel of :func:`influence_eval` on the
+    members ``SetOracle`` has already checked; uncounted batches of masks run
+    :func:`influence_batch` on a dense ``A + I`` built once, here.  Unlike the
+    logdet and coverage oracles, it does not memoize values.
+    """
     n = graph.num_nodes
     reach = np.eye(n, dtype=np.float32)
     for u, nbrs in enumerate(graph.neighbors):
         reach[u, list(nbrs)] = 1.0
     return SetOracle(
-        lambda S: influence_eval(graph, S),
+        functools.partial(_influence, graph.reach),
         ground_size=n,
         bound_M=float(n),
         name="influence",

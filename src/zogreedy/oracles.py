@@ -21,6 +21,11 @@ import numpy as np
 
 from .constraints import BoxDomain, DomainError
 
+# Bytes of one chunk of an uncounted trace pass: the uniform draws of
+# peek_sampled_values, or the rows ValueOracle.peek_rows hands its batch_fn.
+# Bounds the pass's working memory whatever its length.
+SAMPLE_CHUNK_BYTES = 2**17
+
 
 class ValueOracle:
     """Deterministic real-valued objective with known Lipschitz bound.
@@ -33,6 +38,9 @@ class ValueOracle:
     grad : optional gradient callable; required by the first-order baselines.
     domain : optional box; when given, counted evaluations outside it raise
         :class:`DomainError`.
+    batch_fn : optional callable mapping a ``(n, dim)`` matrix to the ``n``
+        values of ``fn`` at its rows; it must agree with ``fn`` bitwise and
+        serves only the uncounted :meth:`peek_rows`.
 
     The evaluation counter is lock-protected so concurrent workers never lose
     increments.
@@ -46,10 +54,12 @@ class ValueOracle:
         grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         domain: Optional[BoxDomain] = None,
         name: str = "",
+        batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         if not 0 < lipschitz_G < math.inf:  # NaN fails too
             raise ValueError("lipschitz_G must be finite and strictly positive")
         self._fn = fn
+        self._batch_fn = batch_fn
         self.dim = int(dim)
         self.lipschitz_G = float(lipschitz_G)
         self._grad = grad
@@ -84,11 +94,29 @@ class ValueOracle:
         return value
 
     def peek_rows(self, Z: np.ndarray) -> np.ndarray:
-        """Uncounted values at the rows of a ``(n, dim)`` matrix, in row order."""
+        """Uncounted values at the rows of a ``(n, dim)`` matrix, in row order.
+
+        Uses ``batch_fn`` on chunks of rows of at most :data:`SAMPLE_CHUNK_BYTES`
+        when the oracle has one, and :meth:`peek` row by row otherwise.
+        """
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.dim:
             raise ValueError(f"points have shape {Z.shape}, expected (n, {self.dim})")
-        return np.array([self.peek(z) for z in Z])
+        if self._batch_fn is None:
+            return np.array([self.peek(z) for z in Z])
+        rows = max(1, SAMPLE_CHUNK_BYTES // (8 * self.dim))
+        out = np.empty(len(Z))
+        for lo in range(0, len(Z), rows):
+            chunk = Z[lo:lo + rows]
+            values = np.asarray(self._batch_fn(chunk), dtype=float)
+            if values.shape != (len(chunk),):
+                raise ValueError(
+                    f"batch of {len(chunk)} points gave values of shape {values.shape}"
+                )
+            out[lo:lo + rows] = values
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"oracle {self.name!r} peeked a non-finite value")
+        return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         if self._grad is None:
@@ -131,8 +159,8 @@ class NoisyOracle:
         seed: int = 0,
         noise: Optional[Callable[[np.random.Generator], float]] = None,
     ):
-        if sigma0 < 0:
-            raise ValueError("sigma0 must be non-negative")
+        if not 0 <= sigma0 < math.inf:  # NaN fails too
+            raise ValueError("sigma0 must be finite and non-negative")
         self.inner = inner
         self.sigma0 = float(sigma0)
         self._noise = noise
@@ -170,9 +198,11 @@ class NoisyOracle:
 class SetOracle:
     """Set function on ground set ``{0, .., ground_size-1}`` with |f| <= bound_M.
 
-    ``batch_fn``, when given, maps a boolean ``(n, ground_size)`` mask matrix
-    to the ``n`` values of the sets its rows select; it must agree with ``fn``
-    and serves only the uncounted :meth:`peek_masks`.
+    ``fn`` receives each query as a frozenset of Python ints already checked
+    against the ground set.  ``batch_fn``, when given, maps a boolean
+    ``(n, ground_size)`` mask matrix to the ``n`` values of the sets its rows
+    select; it must agree with ``fn`` and serves only the uncounted
+    :meth:`peek_masks`.
     """
 
     def __init__(
@@ -188,6 +218,7 @@ class SetOracle:
         self._fn = fn
         self._batch_fn = batch_fn
         self.ground_size = int(ground_size)
+        self._ground = frozenset(range(self.ground_size))
         self.bound_M = float(bound_M)
         self.name = name
         self._lock = threading.Lock()
@@ -198,9 +229,8 @@ class SetOracle:
             members = frozenset(map(operator.index, subset))
         except TypeError as exc:
             raise ValueError(f"set elements must be integers: {exc}") from None
-        n = self.ground_size
-        if members and (min(members) < 0 or max(members) >= n):
-            i = next(i for i in members if not 0 <= i < n)
+        if not members <= self._ground:
+            i = next(i for i in members if i not in self._ground)
             raise ValueError(f"element {i} outside the ground set")
         return members
 
@@ -209,9 +239,9 @@ class SetOracle:
         with self._lock:
             self._queries += 1
         value = float(self._fn(members))
-        if not math.isfinite(value):
-            raise ValueError(f"set function returned non-finite value {value}")
-        if abs(value) > self.bound_M + 1e-9:
+        if not abs(value) <= self.bound_M + 1e-9:  # NaN fails too
+            if not math.isfinite(value):
+                raise ValueError(f"set function returned non-finite value {value}")
             raise ValueError(
                 f"set function value {value} exceeds declared bound {self.bound_M}"
             )
@@ -261,9 +291,6 @@ def sample_masks(x: np.ndarray, samples: int, rng: np.random.Generator) -> np.nd
     """
     x = np.asarray(x, dtype=float)
     return rng.random(x.shape[:-1] + (samples, x.shape[-1])) < x[..., None, :]
-
-
-SAMPLE_CHUNK_BYTES = 2**16
 
 
 def peek_sampled_values(
@@ -349,9 +376,11 @@ class MultilinearOracle:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         mask = sample_masks(self._check(x), 1, self._rng)[0]
         base = frozenset(np.flatnonzero(mask).tolist())
+        f = self.f
         g = np.empty(self.dim)
-        for i in range(self.dim):
-            g[i] = self.f(base | {i}) - self.f(base - {i})
+        # One side of each pair is S itself, so that query takes base as is.
+        for i, inside in enumerate(mask.tolist()):
+            g[i] = f(base) - f(base - {i}) if inside else f(base | {i}) - f(base)
         return g
 
     def peek(self, x: np.ndarray) -> float:

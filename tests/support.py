@@ -205,6 +205,14 @@ def sampled_peeks_reference(f: SetOracle, Z: np.ndarray, samples: int,
     return np.array(values)
 
 
+def set_gradient_reference(f: SetOracle, base: frozenset) -> np.ndarray:
+    """``f(S | {i}) - f(S - {i})`` at ``S = base``, a fresh set per query (the original loop).
+
+    Spends ``2 * ground_size`` counted queries of ``f``, plus side first.
+    """
+    return np.array([f(base | {i}) - f(base - {i}) for i in range(f.ground_size)])
+
+
 def ascend_reference(oracle, x, grad, step, lift, T):
     """The ascent loop with each trace value computed inside it, one iterate at a time.
 

@@ -75,6 +75,13 @@ class TestAlgoParams:
         with pytest.raises(ValueError, match="positive"):
             AlgoParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": float("inf")}, {"eta0": float("inf")}, {"eta0": -float("inf")},
+    ], ids=["delta", "eta0", "eta0_negative"])
+    def test_infinite_step_sizes_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite and positive"):
+            AlgoParams(**kwargs)
+
 
 class TestBcg:
     def test_one_dimensional_hand_trace(self):

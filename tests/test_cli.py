@@ -167,6 +167,13 @@ class TestRunCommand:
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["eta0 = inf", "delta = inf"])
+    def test_infinite_step_size_is_config_error(self, key, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text((CONTINUOUS + f"\n[ga]\nT = 8\n{key}\n").format(out=tmp_path / "out"))
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert "finite and positive" in capsys.readouterr().err
+
     def test_nan_topics_csv_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "topics.csv"
         rows = [[0.5] * 6 for _ in range(3)]

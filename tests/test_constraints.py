@@ -248,3 +248,17 @@ class TestIndependence:
         K = ConstraintSpec.box(np.ones(2))
         with pytest.raises(ValueError):
             independent(K, {0})
+
+    @pytest.mark.parametrize("subset", [[0.9, 2.5], [2.0], ["1"], [np.float64(0.0)]],
+                             ids=["fractions", "integral_float", "string", "numpy_float"])
+    def test_non_integer_members_rejected(self, subset):
+        M = ConstraintSpec.partition_matroid(4, [(0, 1), (2, 3)], [1, 2])
+        with pytest.raises(ValueError, match="set elements must be integers"):
+            independent(M, subset)
+
+    def test_integer_like_members_accepted(self):
+        M = ConstraintSpec.partition_matroid(4, [(0, 1), (2, 3)], [1, 2])
+        assert independent(M, [np.int64(0), np.int32(2), 3])
+        assert not independent(M, np.array([0, 1]))
+        assert independent(M, [True, 2])  # True is element 1
+        assert not independent(M, [False, True])

@@ -344,6 +344,20 @@ class TestInfluence:
     def test_integer_like_nodes_accepted(self, S):
         assert influence_eval(self.path3(), S) == influence_eval(self.path3(), [int(u) for u in S])
 
+    def test_oracle_kernel_matches_influence_eval(self):
+        """The unchecked kernel behind influence_set_oracle equals the public function."""
+        rng = np.random.default_rng(17)
+        graphs = [karate_club_graph()] + [
+            Graph.from_edges(n, rng.integers(0, n, size=(2 * n, 2)).tolist())
+            for n in rng.integers(1, 40, size=10).tolist()
+        ]
+        for g in graphs:
+            f = influence_set_oracle(g)
+            for p in (0.0, 0.1, 0.5, 1.0):
+                S = frozenset(np.flatnonzero(rng.random(g.num_nodes) < p).tolist())
+                assert objectives._influence(g.reach, S) == influence_eval(g, S)
+                assert f(S) == f.peek(S) == influence_eval(g, S)
+
     def test_reach_bitmasks(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
         assert g.reach == (0b0011, 0b0111, 0b0110, 0b1000)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zogreedy.oracles as oracles
 from zogreedy import (
     BoxDomain,
     DomainError,
@@ -8,12 +9,24 @@ from zogreedy import (
     NoisyOracle,
     SetOracle,
     ValueOracle,
+    coverage_set_oracle,
+    coverage_value_oracle,
+    influence_set_oracle,
+    logdet_set_oracle,
     multilinear_sample,
+    rbf_covariance,
 )
 
+from zogreedy.bench import karate_club_graph, synthetic_data_matrix, synthetic_topics
 from zogreedy.oracles import sample_masks
 
-from support import multilinear_bruteforce, multilinear_exact, random_weighted_coverage
+from support import (
+    multilinear_bruteforce,
+    multilinear_exact,
+    random_weighted_coverage,
+    set_gradient_reference,
+    table_set_oracle,
+)
 
 
 def multilinear_oracle(f, l, seed, peek_samples=64):
@@ -113,6 +126,68 @@ class TestPeekRows:
         assert np.array_equal(noisy.peek_rows(Z), F.peek_rows(Z))
         assert noisy.query_count == 0
 
+    @pytest.mark.parametrize("chunk", [None, 8], ids=["default_chunk", "one_row_chunks"])
+    def test_coverage_batch_equals_one_peek_per_row(self, chunk, monkeypatch):
+        """The batched trace pass of coverage_value_oracle is bitwise its per-row peek."""
+        if chunk is not None:
+            monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(31)
+        for k, d in [(1, 1), (3, 5), (8, 1), (10, 24), (130, 7)]:
+            P = rng.random((k, d)) * (rng.random((k, d)) < 0.7)
+            F = coverage_value_oracle(P)
+            Z = np.vstack([np.zeros(d), np.ones(d), rng.random((40, d)),
+                           rng.random((5, d)) < 0.5, np.full(d, 1 + 1e-13)])
+            values = F.peek_rows(Z)
+            per_row = np.array([F.peek(z) for z in Z])
+            assert np.array_equal(values, per_row)
+            assert np.array_equal(np.signbit(values), np.signbit(per_row))
+            assert F.query_count == 0
+            assert F.peek_rows(Z[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    def test_coverage_batch_checks_its_rows(self, bad):
+        F = coverage_value_oracle(np.full((2, 3), 0.5))
+        Z = np.full((4, 3), 0.5)
+        Z[2, 1] = bad
+        with pytest.raises(ValueError, match="selection entries"):
+            F.peek(Z[2])
+        with pytest.raises(ValueError, match="selection entries"):
+            F.peek_rows(Z)
+
+    def test_batch_fn_gets_chunks_in_row_order(self, monkeypatch):
+        monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", 8 * 2 * 3)  # three rows of two
+        chunks = []
+
+        def batch(Z):
+            chunks.append(Z.copy())
+            return Z @ [1.0, 10.0]
+
+        F = ValueOracle(lambda x: float(x @ [1.0, 10.0]), dim=2, lipschitz_G=1.0,
+                        batch_fn=batch)
+        Z = np.arange(14.0).reshape(7, 2)
+        assert np.array_equal(F.peek_rows(Z), Z @ [1.0, 10.0])
+        assert [len(c) for c in chunks] == [3, 3, 1]
+        assert np.array_equal(np.vstack(chunks), Z)
+
+    @pytest.mark.parametrize("batch, message", [
+        (lambda Z: np.zeros((len(Z), 1)), "gave values of shape"),
+        (lambda Z: np.zeros(len(Z) + 1), "gave values of shape"),
+        (lambda Z: 0.0, "gave values of shape"),
+        (lambda Z: np.where(Z[:, 0] > 0.5, np.nan, 0.0), "non-finite"),
+        (lambda Z: np.where(Z[:, 0] > 0.5, -np.inf, 0.0), "non-finite"),
+    ], ids=["column", "extra_value", "scalar", "nan", "inf"])
+    def test_rejects_bad_batch_values(self, batch, message):
+        F = ValueOracle(lambda x: 0.0, dim=2, lipschitz_G=1.0, batch_fn=batch)
+        with pytest.raises(ValueError, match=message):
+            F.peek_rows(np.array([[0.1, 0.2], [0.7, 0.4]]))
+
+    def test_noisy_oracle_passes_batches_through(self):
+        F = coverage_value_oracle(synthetic_topics(10, 24, 3))
+        noisy = NoisyOracle(F, 10.0, seed=1)
+        Z = np.random.default_rng(2).random((9, 24))
+        assert np.array_equal(noisy.peek_rows(Z), [F.peek(z) for z in Z])
+        assert noisy.query_count == 0
+
     def test_multilinear_rows_equal_one_peek_per_row(self):
         f, _ = random_weighted_coverage(5, np.random.default_rng(4))
         Z = np.random.default_rng(5).random((7, 5))
@@ -160,6 +235,12 @@ class TestNoisyOracle:
         draws = [noisy(np.zeros(1)) for _ in range(100)]
         assert all(-1 <= v <= 1 for v in draws)
 
+    @pytest.mark.parametrize("sigma0", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_sigma0(self, sigma0):
+        F = ValueOracle(lambda x: 0.0, dim=1, lipschitz_G=1.0)
+        with pytest.raises(ValueError, match="sigma0 must be finite and non-negative"):
+            NoisyOracle(F, sigma0)
+
     def test_non_finite_noise_raises(self):
         from zogreedy import NoisyOracle
 
@@ -200,6 +281,28 @@ class TestSetOracle:
             with pytest.raises(ValueError, match="integers"):
                 evaluate(subset)
         assert f.query_count == 0
+
+    @pytest.mark.parametrize("subset, message", [
+        (frozenset({3.0}), "set elements must be integers"),
+        ([0.5], "set elements must be integers"),
+        (["a"], "set elements must be integers"),
+        ({-1}, "element -1 outside the ground set"),
+        ({0, 4}, "element 4 outside the ground set"),
+    ], ids=["float_frozenset", "half", "string", "negative", "ground_size"])
+    def test_rejected_members_are_not_counted(self, subset, message):
+        calls = []
+        f = SetOracle(lambda S: calls.append(S) or 0.0, ground_size=4, bound_M=1.0)
+        for evaluate in (f, f.peek):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                evaluate(subset)
+        assert f.query_count == 0 and calls == []
+
+    def test_members_reach_fn_as_a_checked_frozenset(self):
+        seen = []
+        f = SetOracle(lambda S: seen.append(S) or 0.0, ground_size=4, bound_M=1.0)
+        f([np.int64(3), True, 3])
+        assert seen == [frozenset({1, 3})]
+        assert all(type(i) is int for i in seen[0])
 
     @pytest.mark.parametrize("subset, value", [
         ([np.int64(1)], 0.5), ([np.int32(0), 1], 1.0), (np.array([0, 1]), 1.0),
@@ -390,6 +493,40 @@ class TestMultilinearValueOracle:
         # the marginals depend on S, so a wrong base set would show
         assert not np.array_equal(g, [f.peek({i}) - f.peek(set()) for i in range(6)])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["logdet", "influence", "coverage", "table"])
+    def test_gradient_equals_fresh_set_loop(self, kind):
+        """The gradient spends 2d counted queries, in the old order, with the old values."""
+        def build():
+            if kind == "logdet":
+                return logdet_set_oracle(rbf_covariance(synthetic_data_matrix(60, 22, 5), 0.75))
+            if kind == "influence":
+                return influence_set_oracle(karate_club_graph())
+            if kind == "coverage":
+                return coverage_set_oracle(synthetic_topics(10, 24, 3))
+            rng = np.random.default_rng(6)
+            return table_set_oracle(rng.uniform(-1.0, 1.0, size=2**7), 7)
+
+        f, ref = build(), build()
+        queries = {id(f): [], id(ref): []}
+        for oracle in (f, ref):  # record each counted query's set, in order
+            fn, log = oracle._fn, queries[id(oracle)]
+            oracle._fn = lambda S, fn=fn, log=log: log.append(S) or fn(S)
+        d = f.ground_size
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        F = MultilinearOracle(f, 1, rng, np.random.default_rng(0), 1)
+        for x in (np.zeros(d), np.ones(d), np.full(d, 0.3),
+                  np.random.default_rng(13).random(d)):
+            before = f.query_count
+            g = F.gradient(x)
+            base = frozenset(np.flatnonzero(sample_masks(x, 1, ref_rng)[0]).tolist())
+            expected = set_gradient_reference(ref, base)
+            assert np.array_equal(g, expected)
+            assert np.array_equal(np.signbit(g), np.signbit(expected))
+            assert f.query_count - before == 2 * d
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert queries[id(f)] == queries[id(ref)]
+        assert f.query_count == ref.query_count
 
     def test_gradient_unbiased_for_modular(self):
         w = np.array([0.2, 0.9, 0.4])
