@@ -40,13 +40,7 @@ from .objectives import (
     nqp_oracle,
     rbf_covariance,
 )
-from .oracles import (
-    MultilinearOracle,
-    NoisyOracle,
-    SetOracle,
-    ValueOracle,
-    multilinear_sample,
-)
+from .oracles import MultilinearOracle, NoisyOracle, SetOracle, ValueOracle
 from .polytope import lmo, project, swap_round
 
 __version__ = "0.1.0"
@@ -80,7 +74,6 @@ __all__ = [
     "logdet_eval",
     "logdet_set_oracle",
     "momentum_update",
-    "multilinear_sample",
     "nqp_eval",
     "nqp_generate",
     "nqp_oracle",

@@ -34,12 +34,13 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from configparser import ConfigParser
+from functools import partial
 from importlib import resources
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -176,7 +177,42 @@ class ExperimentConfig:
     algorithms: dict
     seeds: tuple[int, ...]
     out_dir: str
+    # the objective's oracle builder, set by load_config from ``objective``
+    builder: Callable[[], Union[ValueOracle, SetOracle]] = field(compare=False, repr=False)
     noise: float = 0.0
+
+
+# The keys each section reads, with the ConfigParser getter that parses each.
+_get, _int, _float = ConfigParser.get, ConfigParser.getint, ConfigParser.getfloat
+_OBJECTIVE_KEYS = {"kind": _get, "seed": _int, "noise": _float, "dim": _int, "topics": _int,
+                   "articles": _int, "rows": _int, "attributes": _int, "bandwidth": _float,
+                   "discrete": ConfigParser.getboolean, "topics_csv": _get, "data_csv": _get,
+                   "edges": _get}
+_CONSTRAINT_KEYS = dict.fromkeys(("kind", "cap", "blocks", "budgets"), _get)
+_RUN_KEYS = dict.fromkeys(("name", "seeds", "out_dir"), _get)
+_ALGO_KEYS = {"T": _int, "B": _int, "l": _int, "trace_value_samples": _int,
+              "delta": _float, "eta0": _float}
+
+
+def _read_section(parser: ConfigParser, path: Path, name: str, getters: dict) -> dict:
+    """The keys of section ``[name]``, each parsed by its getter; ``{}`` if absent.
+
+    A key the section does not read, such as a typo, is a config error.
+    """
+    section = parser[name] if name in parser else {}
+    unknown = sorted(set(section) - {key.lower() for key in getters})
+    if unknown:
+        raise ConfigError(
+            f"{path}: [{name}]: unknown key {unknown[0]!r} (known: {', '.join(getters)})"
+        )
+    values = {}
+    for key, get in getters.items():
+        if key in section:
+            try:
+                values[key] = get(parser, name, key)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {name}.{key}: {exc}") from exc
+    return values
 
 
 def _parse_blocks(text: str) -> tuple[tuple[int, ...], ...]:
@@ -208,78 +244,46 @@ def _parse_constraint(section, dim: int) -> ConstraintSpec:
     raise ConfigError(f"constraint: unknown kind {kind!r}")
 
 
-def _parse_algo_params(section) -> AlgoParams:
-    kwargs = {}
-    try:
-        for key in ("T", "B", "l", "trace_value_samples"):
-            if key in section:
-                kwargs[key] = int(section[key])
-        for key in ("delta", "eta0"):
-            if key in section:
-                kwargs[key] = float(section[key])
-        return AlgoParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _objective_builder(spec: dict, discrete: bool) -> partial:
+    """The oracle builder of an objective spec, over its data read or made once.
 
-
-def _objective_dim(spec: dict) -> int:
-    kind = spec["kind"]
+    The one dispatch on ``kind``.  The builder is a ``partial`` of a
+    module-level oracle builder, so a config that holds it pickles for worker
+    processes, and each call returns a fresh oracle with zero counters.
+    """
+    kind, seed = spec["kind"], spec.get("seed", 0)
     if kind == "nqp":
-        return int(spec["dim"])
-    if kind == "coverage":
-        if "topics_csv" in spec:
-            return load_matrix_csv(spec["topics_csv"], unit_interval=True).shape[1]
-        return int(spec.get("articles", 24))
-    if kind == "logdet":
-        if "data_csv" in spec:
-            return load_matrix_csv(spec["data_csv"]).shape[1]
-        return int(spec.get("attributes", 22))
-    if kind == "influence":
-        return _load_graph(spec).num_nodes
-    raise ConfigError(f"objective: unknown kind {kind!r}")
-
-
-def _load_graph(spec: dict) -> Graph:
-    edges = spec.get("edges", "karate")
-    if edges == "karate":
-        return karate_club_graph()
-    return load_edge_list(edges)
-
-
-def build_objective(cfg: ExperimentConfig) -> Union[ValueOracle, SetOracle]:
-    """Construct a fresh oracle for one run cell (query counters start at 0)."""
-    spec = cfg.objective
-    kind = spec["kind"]
-    seed = int(spec.get("seed", 0))
-    if kind == "nqp":
-        H, b = nqp_generate(int(spec["dim"]), seed)
-        return nqp_oracle(H, b)
+        return partial(nqp_oracle, *nqp_generate(spec["dim"], seed))
     if kind == "coverage":
         if "topics_csv" in spec:
             P = load_matrix_csv(spec["topics_csv"], unit_interval=True)
         else:
-            P = synthetic_topics(int(spec.get("topics", 10)), int(spec.get("articles", 24)), seed)
-        if cfg.discrete:
-            return coverage_set_oracle(P)
-        return coverage_value_oracle(P)
+            P = synthetic_topics(spec.get("topics", 10), spec.get("articles", 24), seed)
+        return partial(coverage_set_oracle if discrete else coverage_value_oracle, P)
     if kind == "logdet":
         if "data_csv" in spec:
             X = load_matrix_csv(spec["data_csv"])
         else:
-            X = synthetic_data_matrix(int(spec.get("rows", 60)), int(spec.get("attributes", 22)), seed)
-        sigma = rbf_covariance(X, float(spec.get("bandwidth", 0.75)))
-        return logdet_set_oracle(sigma)
+            X = synthetic_data_matrix(spec.get("rows", 60), spec.get("attributes", 22), seed)
+        return partial(logdet_set_oracle, rbf_covariance(X, spec.get("bandwidth", 0.75)))
     if kind == "influence":
-        return influence_set_oracle(_load_graph(spec))
-    raise ConfigError(f"objective: unknown kind {kind!r}")
+        edges = spec.get("edges", "karate")
+        graph = karate_club_graph() if edges == "karate" else load_edge_list(edges)
+        return partial(influence_set_oracle, graph)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
-_NUMERIC_OBJECTIVE_KEYS = {"seed": int, "noise": float, "topics": int, "articles": int,
-                           "rows": int, "attributes": int, "bandwidth": float}
+def build_objective(cfg: ExperimentConfig) -> Union[ValueOracle, SetOracle]:
+    """Construct a fresh oracle for one run cell (query counters start at 0)."""
+    return cfg.builder()
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment INI file."""
+    """Parse and validate an experiment INI file.
+
+    The objective's data is read or generated here, once, and checked by
+    building one oracle from it.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -290,7 +294,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if "objective" not in parser:
         raise ConfigError(f"{path}: missing [objective] section")
-    spec = dict(parser["objective"])
+    spec = _read_section(parser, path, "objective", _OBJECTIVE_KEYS)
     if "kind" not in spec:
         raise ConfigError(f"{path}: objective needs a kind")
     for key in ("topics_csv", "data_csv"):
@@ -298,32 +302,31 @@ def load_config(path) -> ExperimentConfig:
             spec[key] = str((path.parent / spec[key]).resolve())
     if "edges" in spec and spec["edges"] != "karate":
         spec["edges"] = str((path.parent / spec["edges"]).resolve())
-    as_set = spec.get("discrete", "false").strip().lower() in ("1", "true", "yes")
+    as_set = spec.get("discrete", False)
     discrete = spec["kind"] in ("logdet", "influence") or as_set
     if as_set and spec["kind"] != "coverage":
         raise ConfigError("objective.discrete applies to the coverage kind only")
-    for key, parse in _NUMERIC_OBJECTIVE_KEYS.items():
-        if key in spec:
-            try:
-                spec[key] = parse(spec[key])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: objective.{key}: {exc}") from exc
     if spec.get("seed", 0) < 0:
         raise ConfigError(f"{path}: objective.seed must be non-negative")
-    if not spec.get("bandwidth", 1.0) > 0:
-        raise ConfigError(f"{path}: objective.bandwidth must be positive")
     try:
-        dim = _objective_dim(spec)
-    except (ValueError, KeyError) as exc:
+        builder = _objective_builder(spec, discrete)
+        probe = builder()
+    except KeyError as exc:
+        raise ConfigError(f"{path}: objective: missing key {exc}") from exc
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: objective: {exc}") from exc
+    dim = probe.ground_size if discrete else probe.dim
 
     if "constraint" not in parser:
         raise ConfigError(f"{path}: missing [constraint] section")
-    constraint = _parse_constraint(parser["constraint"], dim)
+    constraint = _parse_constraint(_read_section(parser, path, "constraint", _CONSTRAINT_KEYS), dim)
     if discrete and constraint.kind != "partition_matroid":
         raise ConfigError("discrete objectives need a partition_matroid constraint")
+    domain = getattr(probe, "domain", None) or BoxDomain.unit_cube(dim)  # as in _run_algorithm
+    if np.any(constraint.upper > domain.upper + 1e-12):
+        raise ConfigError(f"{path}: constraint caps must not exceed the objective's domain")
 
-    run = parser["run"] if "run" in parser else {}
+    run = _read_section(parser, path, "run", _RUN_KEYS)
     try:
         seeds = tuple(int(s) for s in run.get("seeds", "0").split())
     except ValueError as exc:
@@ -341,7 +344,11 @@ def load_config(path) -> ExperimentConfig:
                 f"{path}: algorithm {section!r} does not apply to this objective "
                 f"(allowed: {', '.join(allowed)})"
             )
-        algorithms[section] = _parse_algo_params(parser[section])
+        params = _read_section(parser, path, section, _ALGO_KEYS)
+        try:
+            algorithms[section] = AlgoParams(**params)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}]: {exc}") from exc
     if not algorithms:
         raise ConfigError(f"{path}: no algorithm sections found")
 
@@ -360,6 +367,7 @@ def load_config(path) -> ExperimentConfig:
         algorithms=algorithms,
         seeds=seeds,
         out_dir=run.get("out_dir", "out"),
+        builder=builder,
         noise=noise,
     )
 

@@ -59,7 +59,7 @@ def nqp_eval(H: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     return float(0.5 * x @ H @ x + b @ x)
 
 
-def nqp_oracle(H: np.ndarray, b: np.ndarray, domain: BoxDomain | None = None) -> ValueOracle:
+def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
     """Value oracle for a quadratic instance with exact gradient H x + b.
 
     With entrywise non-positive symmetric H and b = -H^T 1, the gradient over
@@ -69,15 +69,13 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray, domain: BoxDomain | None = None) ->
     H = np.asarray(H, dtype=float)
     b = np.asarray(b, dtype=float)
     d = b.size
-    if domain is None:
-        domain = BoxDomain.unit_cube(d)
     G = float(np.linalg.norm(b))
     return ValueOracle(
         fn=lambda x: nqp_eval(H, b, x),
         dim=d,
         lipschitz_G=max(G, 1e-12),
         grad=lambda x: H @ x + b,
-        domain=domain,
+        domain=BoxDomain.unit_cube(d),
         name="nqp",
     )
 

@@ -296,10 +296,11 @@ def sample_masks(x: np.ndarray, samples: int, rng: np.random.Generator) -> np.nd
 def peek_sampled_values(
     f: SetOracle, Z: np.ndarray, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uncounted :func:`multilinear_sample` of ``f`` at each row of ``Z``, in row order.
+    """Uncounted multilinear-extension estimates of ``f`` at each row of ``Z``.
 
-    Draws the same sets from ``rng`` as one :func:`multilinear_sample` per row, with
-    one ``peek_masks`` call per chunk of rows whose uniform draws take at most
+    Draws the same sets from ``rng``, in row order, as one counted
+    :class:`MultilinearOracle` call with ``l = samples`` per row, with one
+    ``peek_masks`` call per chunk of rows whose uniform draws take at most
     :data:`SAMPLE_CHUNK_BYTES`, so its memory is bounded whatever the input size.
     """
     n, d = np.shape(Z)
@@ -311,31 +312,15 @@ def peek_sampled_values(
     return out
 
 
-def multilinear_sample(
-    f: SetOracle, x: np.ndarray, l: int, rng: np.random.Generator
-) -> float:
-    """Unbiased l-sample Monte Carlo estimate of the multilinear extension.
-
-    The mean of ``f(S)`` over ``l`` sets S ~ x drawn at once from ``rng``; one
-    counted call of ``f`` per set.
-    """
-    if l < 1:
-        raise ValueError("sample count l must be >= 1")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.ground_size,):
-        raise ValueError(f"point has shape {x.shape}, expected ({f.ground_size},)")
-    masks = sample_masks(x, l, rng)
-    return float(np.mean([f(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
-
-
 class MultilinearOracle:
     """The multilinear extension of a set function, seen as a value oracle.
 
     This is how every optimizer sees a :class:`SetOracle`.  A counted call at a
-    point of the unit cube is the ``l``-sample estimate :func:`multilinear_sample`
-    (``l`` set queries); :meth:`gradient` is ``f(S + i) - f(S - i)`` at one
-    set S ~ x (``2*ground_size`` set queries).  Both draw their sets from
-    ``rng`` and raise :class:`DomainError` outside the cube.
+    point x of the unit cube is the unbiased Monte Carlo estimate: the mean of
+    ``f(S)`` over ``l >= 1`` sets S ~ x (``l`` set queries).  :meth:`gradient`
+    is ``f(S + i) - f(S - i)`` at one set S ~ x (``2*ground_size`` set
+    queries).  Both draw their sets from ``rng`` and raise :class:`DomainError`
+    outside the cube.
     ``peek`` and ``peek_rows`` are uncounted :func:`peek_sampled_values` means
     of ``peek_samples`` sets drawn from ``peek_rng``, so instrumentation never
     disturbs the counted sampling sequence; ``peek_rows`` draws the same sets
@@ -353,6 +338,8 @@ class MultilinearOracle:
         self, f: SetOracle, l: int, rng: np.random.Generator,
         peek_rng: np.random.Generator, peek_samples: int,
     ):
+        if l < 1:
+            raise ValueError("sample count l must be >= 1")
         if peek_samples < 1:
             raise ValueError("peek sample count must be >= 1")
         self.f = f
@@ -371,7 +358,8 @@ class MultilinearOracle:
         return x
 
     def __call__(self, x: np.ndarray) -> float:
-        return multilinear_sample(self.f, self._check(x), self.l, self._rng)
+        masks = sample_masks(self._check(x), self.l, self._rng)
+        return float(np.mean([self.f(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         mask = sample_masks(self._check(x), 1, self._rng)[0]

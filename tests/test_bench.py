@@ -22,6 +22,7 @@ from zogreedy.bench import (
     synthetic_topics,
     write_svg,
 )
+from zogreedy.cli import main
 
 from support import brute_force_reference, iter_feasible_sets
 
@@ -272,6 +273,68 @@ T = 10
         assert F2.query_count == 0
 
 
+DISCRETE_COVERAGE = """
+[objective]
+kind = coverage
+discrete = {discrete}
+topics = 4
+articles = 6
+seed = 2
+
+[constraint]
+kind = partition_matroid
+blocks = 0-2 3-5
+budgets = 1 1
+
+[dbg]
+T = 8
+"""
+
+
+class TestObjectiveLoading:
+    @pytest.mark.parametrize("discrete", ["on", "yes", "1", "True"])
+    def test_discrete_reads_configparser_booleans(self, tmp_path, discrete):
+        cfg = load_config(write_config(tmp_path, DISCRETE_COVERAGE.format(discrete=discrete)))
+        assert cfg.discrete
+        assert isinstance(build_objective(cfg), SetOracle)
+
+    @pytest.mark.parametrize("config, data, calls", [
+        ("nqp_small", None, {"nqp_generate": 1}),
+        ("topics", None, {"synthetic_topics": 1}),
+        ("active_set", None, {"rbf_covariance": 1}),
+        ("influence", None, {"karate_club_graph": 1}),
+        ("topics", "topics_csv", {"load_matrix_csv": 1}),
+        ("active_set", "data_csv", {"load_matrix_csv": 1, "rbf_covariance": 1}),
+    ], ids=["nqp", "coverage", "logdet", "influence", "topics_csv", "data_csv"])
+    def test_data_is_loaded_once_per_run(self, config, data, calls, tmp_path, monkeypatch):
+        """Each data reader or generator runs once per ``zogreedy run``, whatever
+        the number of cells, and every cell still gets a fresh oracle."""
+        text = re.sub(r"(?m)^T\s*=\s*\d+", "T = 5", (CONFIG_DIR / f"{config}.ini").read_text())
+        if data == "topics_csv":
+            matrix, sizes = synthetic_topics(10, 24, 3), "topics = 10\narticles = 24"
+        elif data == "data_csv":
+            matrix, sizes = synthetic_data_matrix(60, 22, 5), "rows = 60\nattributes = 22"
+        if data is not None:
+            np.savetxt(tmp_path / "data.csv", matrix, delimiter=",", fmt="%.17g")
+            assert text.count(sizes) == 1
+            text = text.replace(sizes, f"{data} = data.csv")
+        counts = dict.fromkeys(("nqp_generate", "synthetic_topics", "rbf_covariance",
+                                "karate_club_graph", "load_matrix_csv"), 0)
+        for name in counts:
+            def counted(*args, fn=getattr(bench, name), name=name, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(bench, name, counted)
+        built = []
+        build = bench.build_objective
+        monkeypatch.setattr(bench, "build_objective", lambda cfg: built.append(build(cfg)) or built[-1])
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == 0
+        assert not (out / f"{config}_failures.txt").exists()
+        assert {k: v for k, v in counts.items() if v} == calls
+        assert len(built) == len(set(map(id, built))) > 1
+
+
 class TestRunExperiment:
     def test_row_counts_and_summary(self, tmp_path):
         p = write_config(tmp_path, TINY_CONFIG.format(out=tmp_path / "out"))
@@ -314,11 +377,12 @@ class TestRunExperiment:
 
     def test_parallel_jobs_agree_with_serial(self, tmp_path):
         """``jobs=2`` writes the same trace and summary CSVs as ``jobs=1``,
-        apart from the wall-clock columns, for a continuous and a discrete config."""
-        influence = re.sub(r"(?m)^T\s*=\s*\d+", "T = 12",
-                           (CONFIG_DIR / "influence.ini").read_text())
-        for name, text in (("tiny", TINY_CONFIG.format(out=tmp_path / "out")),
-                           ("influence", influence)):
+        apart from the wall-clock columns, for a continuous config and two discrete
+        ones, so that the pickled influence and logdet oracle builders are covered."""
+        shipped = {name: re.sub(r"(?m)^T\s*=\s*\d+", "T = 12",
+                                (CONFIG_DIR / f"{name}.ini").read_text())
+                   for name in ("influence", "active_set")}
+        for name, text in (("tiny", TINY_CONFIG.format(out=tmp_path / "out")), *shipped.items()):
             cfg = load_config(write_config(tmp_path, text))
             serial = run_experiment(cfg, out_dir=tmp_path / name / "s")
             parallel = run_experiment(cfg, jobs=2, out_dir=tmp_path / name / "p")

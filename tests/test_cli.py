@@ -75,6 +75,28 @@ T = 8
 delta = 0.05
 """
 
+INFLUENCE = """
+[objective]
+kind = influence
+edges = karate
+
+[constraint]
+kind = partition_matroid
+blocks = 0-9 10-23 24-33
+budgets = 2 2 2
+
+[run]
+seeds = 1
+out_dir = {out}
+
+[dbg]
+T = 8
+delta = 0.05
+"""
+
+# CONTINUOUS with a continuous coverage objective in place of the quadratic one
+COVERAGE = CONTINUOUS.replace("kind = nqp\ndim = 4", "kind = coverage\ntopics = 3\narticles = 4")
+
 
 @pytest.fixture
 def continuous_config(tmp_path):
@@ -166,6 +188,44 @@ class TestRunCommand:
         p.write_text(template.replace(line, bad).format(out=tmp_path / "out"))
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template, line, bad, message", [
+        (DISCRETE, "topics = 4\narticles = 6", "topics_csv = absent.csv", "No such file"),
+        (LOGDET, "rows = 8\nattributes = 4", "data_csv = absent.csv", "No such file"),
+        (INFLUENCE, "edges = karate", "edges = absent.txt", "No such file"),
+        (DISCRETE, "topics = 4", "topics = 0", "non-empty"),
+        (DISCRETE, "topics = 4", "topics = -2", "negative dimensions"),
+        (CONTINUOUS, "dim = 4\n", "", "missing key 'dim'"),
+        (CONTINUOUS, "kind = block_budget\nblocks = 0-1 2-3\nbudgets = 1 1",
+         "kind = box\ncap = 2", "domain"),
+        (CONTINUOUS, "budgets = 1 1", "budgets = 1 1\ncap = 1.5", "domain"),
+        (CONTINUOUS, "seed = 3", "seed = 3\nbogus_key = 1", "[objective]: unknown key 'bogus_key'"),
+        (CONTINUOUS, "budgets = 1 1", "budgets = 1 1\nbudget = 2", "[constraint]: unknown key 'budget'"),
+        (CONTINUOUS, "seeds = 1 2", "seeds = 1 2\nsede = 3", "[run]: unknown key 'sede'"),
+        (CONTINUOUS, "T = 8", "T = 8\nTT = 6", "[bcg]: unknown key 'tt'"),
+        (COVERAGE, "seed = 3", "seed = 3\ndiscrete = maybe", "Not a boolean"),
+        (COVERAGE, "seed = 3", "seed = 3\ndiscrete = ture", "Not a boolean"),
+    ], ids=["topics_csv_missing", "data_csv_missing", "edges_missing", "topics_zero",
+            "topics_negative", "dim_missing", "box_cap_above_domain", "budget_cap_above_domain",
+            "objective_typo", "constraint_typo", "run_typo", "algorithm_typo",
+            "discrete_maybe", "discrete_typo"])
+    def test_bad_input_fails_at_load(self, template, line, bad, message, tmp_path, capsys):
+        """Input only the data readers or oracle builders reject, and keys nothing
+        reads, exit 2 before any cell runs."""
+        assert template.count(line) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(template.replace(line, bad).format(out=tmp_path / "out"))
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_opt_with_missing_data_file_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(DISCRETE.replace("topics = 4\narticles = 6", "topics_csv = absent.csv")
+                     .format(out=tmp_path / "out"))
+        assert main(["opt", str(p)]) == EXIT_CONFIG
+        assert "No such file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["eta0 = inf", "delta = inf"])
     def test_infinite_step_size_is_config_error(self, key, tmp_path, capsys):

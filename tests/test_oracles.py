@@ -13,7 +13,6 @@ from zogreedy import (
     coverage_value_oracle,
     influence_set_oracle,
     logdet_set_oracle,
-    multilinear_sample,
     rbf_covariance,
 )
 
@@ -417,38 +416,48 @@ class TestMultilinearExact:
             multilinear_exact(f, np.full(26, 0.5))
 
 
+def counted_sample(f, x, l, rng):
+    """One counted call of the multilinear view of ``f``, drawing its sets from ``rng``."""
+    return MultilinearOracle(f, l, rng, np.random.default_rng(0), 1)(x)
+
+
 class TestMultilinearSample:
+    @pytest.mark.parametrize("l", [0, -2])
+    def test_rejects_empty_sample(self, l):
+        with pytest.raises(ValueError, match="sample count l"):
+            counted_sample(or_oracle(), np.array([0.5, 0.5]), l, np.random.default_rng(0))
+
     def test_deterministic_at_vertices(self):
         f = or_oracle()
         rng = np.random.default_rng(0)
-        assert multilinear_sample(f, np.array([1.0, 0.0]), 7, rng) == 1.0
-        assert multilinear_sample(f, np.array([0.0, 0.0]), 7, rng) == 0.0
+        assert counted_sample(f, np.array([1.0, 0.0]), 7, rng) == 1.0
+        assert counted_sample(f, np.array([0.0, 0.0]), 7, rng) == 0.0
 
     def test_unbiased_for_or(self):
         f = or_oracle()
         rng = np.random.default_rng(123)
         n = 10**5
-        est = multilinear_sample(f, np.array([0.5, 0.5]), n, rng)
+        est = counted_sample(f, np.array([0.5, 0.5]), n, rng)
         stderr = np.sqrt(0.75 * 0.25 / n)  # Bernoulli(0.75) sample mean
         assert abs(est - 0.75) < 3 * stderr
 
     def test_reproducible_with_seed(self):
         f = or_oracle()
-        a = multilinear_sample(f, np.array([0.3, 0.6]), 50, np.random.default_rng(9))
-        b = multilinear_sample(f, np.array([0.3, 0.6]), 50, np.random.default_rng(9))
+        a = counted_sample(f, np.array([0.3, 0.6]), 50, np.random.default_rng(9))
+        b = counted_sample(f, np.array([0.3, 0.6]), 50, np.random.default_rng(9))
         assert a == b
 
     def test_query_accounting(self):
         f = or_oracle()
-        multilinear_sample(f, np.array([0.5, 0.5]), 13, np.random.default_rng(0))
+        counted_sample(f, np.array([0.5, 0.5]), 13, np.random.default_rng(0))
         assert f.query_count == 13
 
     def test_one_draw_matches_per_sample_draws(self):
-        x = np.array([0.3, -0.2, 1.4, 0.5, 0.0, 1.0, 0.9])
+        x = np.array([0.3, 0.0, 1.0, 0.5, 0.0, 1.0, 0.9])
         seen = []
         f = SetOracle(lambda S: seen.append(S) or len(S), ground_size=x.size, bound_M=x.size)
         rng = np.random.default_rng(17)
-        value = multilinear_sample(f, x, 11, rng)
+        value = counted_sample(f, x, 11, rng)
         ref_rng = np.random.default_rng(17)
         ref = [frozenset(np.flatnonzero(sample_masks(x, 1, ref_rng)[0]).tolist())
                for _ in range(11)]
