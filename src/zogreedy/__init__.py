@@ -16,7 +16,6 @@ from .constraints import (
     InfeasibleTransformError,
     contains,
     independent,
-    shrink_domain,
     transform_constraint,
 )
 from .estimators import (
@@ -82,7 +81,6 @@ __all__ = [
     "rho_schedule",
     "sample_sphere",
     "scg",
-    "shrink_domain",
     "swap_round",
     "transform_constraint",
     "zga",

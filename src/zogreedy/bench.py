@@ -45,7 +45,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .algorithms import AlgoParams, RunTrace, bcg, dbg, ga, scg, zga
-from .constraints import BoxDomain, ConstraintSpec
+from .constraints import BoxDomain, ConstraintSpec, transform_constraint
 from .objectives import (
     Graph,
     coverage_set_oracle,
@@ -182,13 +182,20 @@ class ExperimentConfig:
     noise: float = 0.0
 
 
-# The keys each section reads, with the ConfigParser getter that parses each.
+# The keys each section reads, with the ConfigParser getter that parses each;
+# [objective] and [constraint] read those of their kind.
 _get, _int, _float = ConfigParser.get, ConfigParser.getint, ConfigParser.getfloat
-_OBJECTIVE_KEYS = {"kind": _get, "seed": _int, "noise": _float, "dim": _int, "topics": _int,
-                   "articles": _int, "rows": _int, "attributes": _int, "bandwidth": _float,
-                   "discrete": ConfigParser.getboolean, "topics_csv": _get, "data_csv": _get,
-                   "edges": _get}
-_CONSTRAINT_KEYS = dict.fromkeys(("kind", "cap", "blocks", "budgets"), _get)
+_OBJECTIVE_KEYS = {
+    "nqp": {"dim": _int, "seed": _int, "noise": _float},
+    "coverage": {"topics": _int, "articles": _int, "topics_csv": _get, "seed": _int,
+                 "noise": _float, "discrete": ConfigParser.getboolean},
+    "logdet": {"rows": _int, "attributes": _int, "data_csv": _get, "seed": _int,
+               "bandwidth": _float},
+    "influence": {"edges": _get},
+}
+_CONSTRAINT_KEYS = {"box": {"cap": _float},
+                    "block_budget": {"cap": _float, "blocks": _get, "budgets": _get},
+                    "partition_matroid": {"blocks": _get, "budgets": _get}}
 _RUN_KEYS = dict.fromkeys(("name", "seeds", "out_dir"), _get)
 _ALGO_KEYS = {"T": _int, "B": _int, "l": _int, "trace_value_samples": _int,
               "delta": _float, "eta0": _float}
@@ -215,6 +222,17 @@ def _read_section(parser: ConfigParser, path: Path, name: str, getters: dict) ->
     return values
 
 
+def _read_kind_section(parser: ConfigParser, path: Path, name: str, tables: dict,
+                       default: Optional[str] = None) -> dict:
+    """Section ``[name]`` read by the key table of its ``kind``, ``default`` if unset."""
+    kind = parser.get(name, "kind", fallback=default)
+    if kind is None:
+        raise ConfigError(f"{path}: {name} needs a kind")
+    if kind not in tables:
+        raise ConfigError(f"{path}: {name}: unknown kind {kind!r}")
+    return {**_read_section(parser, path, name, {"kind": _get, **tables[kind]}), "kind": kind}
+
+
 def _parse_blocks(text: str) -> tuple[tuple[int, ...], ...]:
     blocks = []
     for token in text.split():
@@ -226,22 +244,18 @@ def _parse_blocks(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def _parse_constraint(section, dim: int) -> ConstraintSpec:
-    kind = section.get("kind", "box").strip()
+def _parse_constraint(spec: dict, dim: int) -> ConstraintSpec:
+    kind = spec["kind"]
     try:
         if kind == "box":
-            cap = float(section.get("cap", "1.0"))
-            return ConstraintSpec.box(np.full(dim, cap))
-        blocks = _parse_blocks(section.get("blocks", ""))
-        budgets = tuple(float(b) for b in section.get("budgets", "").split())
+            return ConstraintSpec.box(np.full(dim, spec.get("cap", 1.0)))
+        blocks = _parse_blocks(spec.get("blocks", ""))
+        budgets = tuple(float(b) for b in spec.get("budgets", "").split())
         if kind == "block_budget":
-            cap = float(section.get("cap", "1.0"))
-            return ConstraintSpec.block_budget(dim, blocks, budgets, cap=cap)
-        if kind == "partition_matroid":
-            return ConstraintSpec.partition_matroid(dim, blocks, budgets)
+            return ConstraintSpec.block_budget(dim, blocks, budgets, cap=spec.get("cap", 1.0))
+        return ConstraintSpec.partition_matroid(dim, blocks, budgets)
     except ValueError as exc:
         raise ConfigError(f"constraint: {exc}") from exc
-    raise ConfigError(f"constraint: unknown kind {kind!r}")
 
 
 def _objective_builder(spec: dict, discrete: bool) -> partial:
@@ -266,11 +280,9 @@ def _objective_builder(spec: dict, discrete: bool) -> partial:
         else:
             X = synthetic_data_matrix(spec.get("rows", 60), spec.get("attributes", 22), seed)
         return partial(logdet_set_oracle, rbf_covariance(X, spec.get("bandwidth", 0.75)))
-    if kind == "influence":
-        edges = spec.get("edges", "karate")
-        graph = karate_club_graph() if edges == "karate" else load_edge_list(edges)
-        return partial(influence_set_oracle, graph)
-    raise ValueError(f"unknown kind {kind!r}")
+    edges = spec.get("edges", "karate")  # influence
+    graph = karate_club_graph() if edges == "karate" else load_edge_list(edges)
+    return partial(influence_set_oracle, graph)
 
 
 def build_objective(cfg: ExperimentConfig) -> Union[ValueOracle, SetOracle]:
@@ -294,18 +306,13 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if "objective" not in parser:
         raise ConfigError(f"{path}: missing [objective] section")
-    spec = _read_section(parser, path, "objective", _OBJECTIVE_KEYS)
-    if "kind" not in spec:
-        raise ConfigError(f"{path}: objective needs a kind")
+    spec = _read_kind_section(parser, path, "objective", _OBJECTIVE_KEYS)
     for key in ("topics_csv", "data_csv"):
         if key in spec:
             spec[key] = str((path.parent / spec[key]).resolve())
     if "edges" in spec and spec["edges"] != "karate":
         spec["edges"] = str((path.parent / spec["edges"]).resolve())
-    as_set = spec.get("discrete", False)
-    discrete = spec["kind"] in ("logdet", "influence") or as_set
-    if as_set and spec["kind"] != "coverage":
-        raise ConfigError("objective.discrete applies to the coverage kind only")
+    discrete = spec["kind"] in ("logdet", "influence") or spec.get("discrete", False)
     if spec.get("seed", 0) < 0:
         raise ConfigError(f"{path}: objective.seed must be non-negative")
     try:
@@ -319,7 +326,9 @@ def load_config(path) -> ExperimentConfig:
 
     if "constraint" not in parser:
         raise ConfigError(f"{path}: missing [constraint] section")
-    constraint = _parse_constraint(_read_section(parser, path, "constraint", _CONSTRAINT_KEYS), dim)
+    constraint = _parse_constraint(
+        _read_kind_section(parser, path, "constraint", _CONSTRAINT_KEYS, default="box"), dim
+    )
     if discrete and constraint.kind != "partition_matroid":
         raise ConfigError("discrete objectives need a partition_matroid constraint")
     domain = getattr(probe, "domain", None) or BoxDomain.unit_cube(dim)  # as in _run_algorithm
@@ -347,6 +356,8 @@ def load_config(path) -> ExperimentConfig:
         params = _read_section(parser, path, section, _ALGO_KEYS)
         try:
             algorithms[section] = AlgoParams(**params)
+            if section in ("bcg", "dbg", "zga"):  # they search the shrunk set K'
+                transform_constraint(domain, constraint, algorithms[section].delta)
         except ValueError as exc:
             raise ConfigError(f"{path}: [{section}]: {exc}") from exc
     if not algorithms:

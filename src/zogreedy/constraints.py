@@ -3,9 +3,9 @@
 The optimizers in this package keep their iterates inside a feasible set that
 has been pulled away from the boundary of the objective's box domain by a
 margin ``delta``, so that every smoothing sample ``x + delta*u`` stays inside
-the domain.  This module owns that geometry: the box domain, the three
-supported constraint families, the shrink-and-translate transform, and the
-feasibility predicates everything else relies on.
+the domain.  This module owns that geometry: the three supported constraint
+families, of which the box domain is the ``box`` kind, the shrink-and-translate
+transform, and the feasibility predicates everything else relies on.
 
 All types are immutable after construction and safe to share across workers.
 """
@@ -42,45 +42,6 @@ def _as_readonly_array(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class BoxDomain:
-    """Axis-aligned box ``prod_i [0, upper_i]`` with strictly positive sides.
-
-    Two boxes are equal, and hash alike, when the bytes of ``upper`` agree.
-    """
-
-    upper: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_readonly_array(self.upper, "upper")
-        if np.any(arr <= 0):
-            raise ValueError("box upper bounds must be strictly positive")
-        object.__setattr__(self, "upper", arr)
-
-    def __eq__(self, other):
-        if not isinstance(other, BoxDomain):
-            return NotImplemented
-        return self.upper.tobytes() == other.upper.tobytes()
-
-    def __hash__(self):
-        return hash(self.upper.tobytes())
-
-    @property
-    def dim(self) -> int:
-        return self.upper.size
-
-    @classmethod
-    def unit_cube(cls, dim: int) -> "BoxDomain":
-        return cls(np.ones(int(dim)))
-
-    def contains(self, x: np.ndarray, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        # min() is NaN when any coordinate is, so a NaN point fails too
-        return bool(x.min() >= -tol and (x <= self.upper + tol).all())
 
 
 def _normalize_blocks(dim: int, blocks) -> tuple[tuple[int, ...], ...]:
@@ -123,8 +84,8 @@ class ConstraintSpec:
     ``upper`` stores the per-coordinate cap for all three kinds so membership,
     linear maximization, and projection can treat them uniformly;
     ``block_index`` holds each block as an index array for the same code.
-    Two specs are equal, and hash alike, when their kind, the bytes of
-    ``upper``, their blocks and their budgets agree.
+    Two specs are equal, and hash alike, when their class, kind, the bytes
+    of ``upper``, their blocks and their budgets agree.
     """
 
     kind: str
@@ -166,7 +127,7 @@ class ConstraintSpec:
         object.__setattr__(self, "block_index", _index_arrays(blocks))
 
     def _key(self) -> tuple:
-        return (self.kind, self.upper.tobytes(), self.blocks, self.budgets)
+        return (type(self), self.kind, self.upper.tobytes(), self.blocks, self.budgets)
 
     def __eq__(self, other):
         if not isinstance(other, ConstraintSpec):
@@ -214,21 +175,19 @@ class ConstraintSpec:
         return spec
 
 
-def shrink_domain(domain: BoxDomain, delta: float) -> BoxDomain:
-    """Shrink ``[0, a]`` by ``delta`` on both sides and translate to the origin.
+class BoxDomain(ConstraintSpec):
+    """An objective's box domain ``prod_i [0, upper_i]``: the ``box`` kind.
 
-    Returns ``prod_i [0, a_i - 2*delta]``.  Raises :class:`DomainError` when
-    the result would be empty or degenerate.
+    Its class is part of equality, so it never equals the ``box`` constraint
+    of the same ``upper``.
     """
-    delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be strictly positive")
-    shrunk = domain.upper - 2.0 * delta
-    if np.any(shrunk <= 0):
-        raise DomainError(
-            f"delta={delta} leaves an empty or degenerate box (need delta < min(a)/2)"
-        )
-    return BoxDomain(shrunk)
+
+    def __init__(self, upper):
+        super().__init__(BOX, upper)
+
+    @classmethod
+    def unit_cube(cls, dim: int) -> "BoxDomain":
+        return cls(np.ones(int(dim)))
 
 
 def transform_constraint(
@@ -243,15 +202,24 @@ def transform_constraint(
     a ``box`` when K has no blocks and a ``block_budget`` set otherwise; its
     caps and budgets may be zero or fractional.
 
-    Raises :class:`InfeasibleTransformError` when some block budget drops
+    Raises :class:`ValueError` unless ``delta > 0``, :class:`DomainError`
+    when the box ``[0, a - 2*delta]`` is empty or degenerate, and
+    :class:`InfeasibleTransformError` when some cap or block budget drops
     below zero (the transformed set would not contain the origin).
     """
     if constraint.dim != domain.dim:
         raise ValueError("constraint and domain dimensions differ")
     if np.any(constraint.upper > domain.upper + 1e-12):
         raise ValueError("constraint caps must not exceed the domain box")
-    shrunk = shrink_domain(domain, delta)
-    upper = np.minimum(shrunk.upper, constraint.upper - delta)
+    delta = float(delta)
+    if not delta > 0:  # NaN fails too
+        raise ValueError("delta must be strictly positive")
+    shrunk = domain.upper - 2.0 * delta
+    if np.any(shrunk <= 0):
+        raise DomainError(
+            f"delta={delta} leaves an empty or degenerate box (need delta < min(a)/2)"
+        )
+    upper = np.minimum(shrunk, constraint.upper - delta)
     if np.any(upper < 0):
         raise InfeasibleTransformError(
             "a per-coordinate cap is below delta; transformed set is empty"
@@ -270,12 +238,14 @@ def transform_constraint(
 def contains(
     constraint: ConstraintSpec, x: np.ndarray, tol: float = DEFAULT_FEASIBILITY_TOL
 ) -> bool:
-    """True iff every box and budget inequality holds within additive ``tol``."""
+    """True iff every box and budget inequality holds within additive ``tol``;
+    never for a point with a NaN coordinate."""
     upper = constraint.upper
     x = np.asarray(x, dtype=float)
     if x.shape != upper.shape:
         raise ValueError(f"point has shape {x.shape}, expected {upper.shape}")
-    if np.any(x < -tol) or np.any(x > upper + tol):
+    # min() is NaN when any coordinate is, so a NaN point fails too
+    if not (x.min() >= -tol and (x <= upper + tol).all()):
         return False
     for idx, budget in zip(constraint.block_index, constraint.budgets):
         if float(np.sum(x[idx])) > budget + tol:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constraints import BoxDomain, DomainError
+from .constraints import BoxDomain, DomainError, contains
 
 # Bytes of one chunk of an uncounted trace pass: the uniform draws of
 # peek_sampled_values, or the rows ValueOracle.peek_rows hands its batch_fn.
@@ -73,7 +73,7 @@ class ValueOracle:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        if self.domain is not None and not self.domain.contains(x):
+        if self.domain is not None and not contains(self.domain, x):
             raise DomainError(f"evaluation point {x} leaves the box domain")
         return x
 
@@ -353,7 +353,7 @@ class MultilinearOracle:
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not self.domain.contains(x):
+        if not contains(self.domain, x):
             raise DomainError(f"point {x} leaves the unit cube")
         return x
 

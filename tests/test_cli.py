@@ -141,13 +141,16 @@ class TestRunCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_clean_run_removes_stale_failures_file(self, discrete_config, tmp_path):
-        text = discrete_config.read_text()
-        discrete_config.write_text(text.replace("delta = 0.05", "delta = 0.6"))
+    def test_clean_run_removes_stale_failures_file(self, discrete_config, tmp_path,
+                                                   monkeypatch):
+        def broken(cfg):
+            raise ValueError("cannot build")
+
+        monkeypatch.setattr(zogreedy.bench, "build_objective", broken)
         assert main(["run", str(discrete_config)]) == EXIT_RUNTIME
         failures = tmp_path / "out" / "cli_cover_failures.txt"
         assert failures.exists()
-        discrete_config.write_text(text)
+        monkeypatch.undo()
         assert main(["run", str(discrete_config)]) == EXIT_OK
         assert not failures.exists()
 
@@ -205,13 +208,23 @@ class TestRunCommand:
         (CONTINUOUS, "T = 8", "T = 8\nTT = 6", "[bcg]: unknown key 'tt'"),
         (COVERAGE, "seed = 3", "seed = 3\ndiscrete = maybe", "Not a boolean"),
         (COVERAGE, "seed = 3", "seed = 3\ndiscrete = ture", "Not a boolean"),
+        (CONTINUOUS, "kind = block_budget\n", "", "[constraint]: unknown key 'blocks'"),
+        (DISCRETE, "budgets = 1 1", "budgets = 1 1\ncap = 3", "[constraint]: unknown key 'cap'"),
+        (INFLUENCE, "edges = karate", "edges = karate\ndim = 50\nrows = 7",
+         "[objective]: unknown key 'dim'"),
+        (LOGDET, "seed = 1", "seed = 1\ndiscrete = true", "[objective]: unknown key 'discrete'"),
+        (CONTINUOUS, "delta = 0.05", "delta = 0.6", "empty or degenerate box"),
+        (INFLUENCE, "blocks = 0-9 10-23 24-33\nbudgets = 2 2 2", "blocks = 0-29\nbudgets = 1",
+         "budget 1.0 < delta*|block|"),
     ], ids=["topics_csv_missing", "data_csv_missing", "edges_missing", "topics_zero",
             "topics_negative", "dim_missing", "box_cap_above_domain", "budget_cap_above_domain",
             "objective_typo", "constraint_typo", "run_typo", "algorithm_typo",
-            "discrete_maybe", "discrete_typo"])
+            "discrete_maybe", "discrete_typo", "blocks_without_kind", "cap_on_matroid",
+            "keys_of_other_kind", "discrete_on_logdet", "delta_empties_box",
+            "delta_empties_budget"])
     def test_bad_input_fails_at_load(self, template, line, bad, message, tmp_path, capsys):
-        """Input only the data readers or oracle builders reject, and keys nothing
-        reads, exit 2 before any cell runs."""
+        """Input only the data readers or oracle builders reject, keys nothing
+        reads, and a delta that leaves no shrunk set exit 2 before any cell runs."""
         assert template.count(line) == 1
         p = tmp_path / "bad.ini"
         p.write_text(template.replace(line, bad).format(out=tmp_path / "out"))

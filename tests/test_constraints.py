@@ -8,7 +8,6 @@ from zogreedy import (
     InfeasibleTransformError,
     contains,
     independent,
-    shrink_domain,
     transform_constraint,
 )
 
@@ -16,21 +15,29 @@ from support import box_contains_reference, random_small_constraint, random_poin
 
 
 class TestShrinkDomain:
+    """The image of the whole domain D: the box ``[0, a - 2*delta]``."""
+
     def test_unit_cube(self):
-        shrunk = shrink_domain(BoxDomain.unit_cube(3), 0.1)
+        D = BoxDomain.unit_cube(3)
+        shrunk = transform_constraint(D, ConstraintSpec.box(D.upper), 0.1)
+        assert shrunk.kind == "box"
         np.testing.assert_allclose(shrunk.upper, [0.8, 0.8, 0.8])
 
     def test_anisotropic_box(self):
-        shrunk = shrink_domain(BoxDomain([1.0, 2.0]), 0.25)
+        D = BoxDomain([1.0, 2.0])
+        shrunk = transform_constraint(D, ConstraintSpec.box(D.upper), 0.25)
         np.testing.assert_allclose(shrunk.upper, [0.5, 1.5])
 
     def test_degenerate_box_rejected(self):
-        with pytest.raises(DomainError):
-            shrink_domain(BoxDomain.unit_cube(2), 0.5)
+        D = BoxDomain.unit_cube(2)
+        with pytest.raises(DomainError, match="empty or degenerate box"):
+            transform_constraint(D, ConstraintSpec.box(D.upper), 0.5)
 
     def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ValueError):
-            shrink_domain(BoxDomain.unit_cube(2), 0.0)
+        D = BoxDomain.unit_cube(2)
+        for delta in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="delta must be strictly positive"):
+                transform_constraint(D, ConstraintSpec.box(D.upper), delta)
 
 
 class TestTransformConstraint:
@@ -93,7 +100,7 @@ class TestContains:
 
 
 class TestBoxContains:
-    """``BoxDomain.contains`` against the original two-``np.all`` predicate."""
+    """``contains`` on a box against the original two-``np.all`` predicate."""
 
     @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
     def test_matches_reference(self, tol):
@@ -111,17 +118,26 @@ class TestBoxContains:
                 top = upper[i] + tol
                 near_upper = [upper[i] - tol, upper[i], top, *np.nextafter(top, [-np.inf, np.inf])]
                 x[i] = rng.choice(np.concatenate([edges, near_upper]))
-            verdict = box.contains(x, tol)
+            verdict = contains(box, x, tol)
             assert verdict == box_contains_reference(upper, x, tol)
             verdicts.append(verdict)
         assert any(verdicts) and not all(verdicts)
 
+    @pytest.mark.parametrize("constraint", [
+        BoxDomain.unit_cube(3),
+        ConstraintSpec.block_budget(3, [(0, 1, 2)], [2.0]),
+        ConstraintSpec.partition_matroid(3, [(0, 1), (2,)], [1, 1]),
+        transform_constraint(
+            BoxDomain.unit_cube(3), ConstraintSpec.block_budget(3, [(0, 1, 2)], [2.0]), 0.1
+        ),
+    ], ids=["box", "block_budget", "partition_matroid", "shrunk"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_points_fail(self, bad):
+    def test_non_finite_points_fail(self, bad, constraint):
         for i in range(3):
-            x = np.full(3, 0.5)
+            x = np.full(3, 0.3)
+            assert contains(constraint, x)
             x[i] = bad
-            assert not BoxDomain.unit_cube(3).contains(x)
+            assert not contains(constraint, x)
 
 
 class TestTransformProperties:

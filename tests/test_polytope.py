@@ -249,6 +249,11 @@ class TestSwapRound:
         with pytest.raises(ValueError):
             swap_round(np.array([0.9, 0.9]), M, np.random.default_rng(0))
 
+    def test_nan_input_rejected(self):
+        M = ConstraintSpec.partition_matroid(3, [(0, 1, 2)], [1])
+        with pytest.raises(ValueError, match="outside the matroid polytope"):
+            swap_round(np.array([np.nan, 0.2, 0.3]), M, np.random.default_rng(0))
+
     def test_lossless_in_expectation(self):
         rng = np.random.default_rng(44)
         d = 6
