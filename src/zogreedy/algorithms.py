@@ -56,14 +56,14 @@ ContinuousOracle = Union[ValueOracle, NoisyOracle]
 
 @dataclass(frozen=True)
 class AlgoParams:
-    """Shared knob set for one optimizer run.
+    """Shared knob set for one optimizer run, and the optimizers that read each.
 
-    ``T`` is the iteration budget (at least 4), ``delta`` the smoothing
-    radius, ``B`` the per-iteration direction batch, ``l`` the per-probe
-    sample count for set objectives, ``eta0`` the base step of the ascent
-    baselines (defaults to a feasible-set-diameter / Lipschitz ratio), and
-    ``trace_value_samples`` the uncounted sample size behind the discrete
-    trace's value column.
+    All five read the iteration budget ``T`` (at least 4).  The zeroth-order
+    bcg, dbg and zga read the smoothing radius ``delta`` and the direction
+    batch ``B``; ga and zga the base step ``eta0`` (default: feasible-set
+    diameter / Lipschitz ratio).  On a set function dbg and zga read the
+    per-probe sample count ``l``, and all four ``trace_value_samples``, the
+    uncounted sample size behind the trace's value column.
     """
 
     T: int = 100

@@ -44,7 +44,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algorithms import AlgoParams, RunTrace, bcg, dbg, ga, scg, zga
+from . import algorithms as optimizers
+from .algorithms import AlgoParams, RunTrace
 from .constraints import BoxDomain, ConstraintSpec, transform_constraint
 from .objectives import (
     Graph,
@@ -64,9 +65,6 @@ MAX_BRUTE_FORCE_SETS = 10**6
 # about 128 kB more, little enough not to raise a run's peak memory; all
 # 332,416 masks of configs/influence.ini would take 11.3 MB.
 BRUTE_FORCE_CHUNK_BYTES = 2**14
-
-CONTINUOUS_ALGOS = ("bcg", "scg", "ga", "zga")
-DISCRETE_ALGOS = ("dbg", "scg", "ga", "zga")
 
 TRACE_HEADER = ["algorithm", "seed", "iteration", "queries", "elapsed_ms", "value"]
 SUMMARY_HEADER = [
@@ -170,53 +168,58 @@ def synthetic_data_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    objective: dict
     constraint: ConstraintSpec
     discrete: bool
     dim: int
     algorithms: dict
     seeds: tuple[int, ...]
     out_dir: str
-    # the objective's oracle builder, set by load_config from ``objective``
+    domain: BoxDomain  # the objective's box, the unit cube when it has none
+    # the objective's oracle builder, set by load_config
     builder: Callable[[], Union[ValueOracle, SetOracle]] = field(compare=False, repr=False)
     noise: float = 0.0
 
 
-# The keys each section reads, with the ConfigParser getter that parses each;
-# [objective] and [constraint] read those of their kind.
-_get, _int, _float = ConfigParser.get, ConfigParser.getint, ConfigParser.getfloat
-_OBJECTIVE_KEYS = {
-    "nqp": {"dim": _int, "seed": _int, "noise": _float},
-    "coverage": {"topics": _int, "articles": _int, "topics_csv": _get, "seed": _int,
-                 "noise": _float, "discrete": ConfigParser.getboolean},
-    "logdet": {"rows": _int, "attributes": _int, "data_csv": _get, "seed": _int,
-               "bandwidth": _float},
-    "influence": {"edges": _get},
+# The keys each section reads; [objective] and [constraint] read those of
+# their kind, an algorithm section those its optimizer reads on a continuous
+# objective (False) or a set function (True).  The algorithms that read
+# ``delta`` are the zeroth-order ones, which search the shrunk set K'.
+_OBJECTIVE_KEYS = {"nqp": "dim seed noise",
+                   "coverage": "topics articles topics_csv seed noise discrete",
+                   "logdet": "rows attributes data_csv seed bandwidth",
+                   "influence": "edges"}
+_CONSTRAINT_KEYS = {"box": "cap", "block_budget": "cap blocks budgets",
+                    "partition_matroid": "blocks budgets"}
+_RUN_KEYS = "name seeds out_dir"
+_ALGO_KEYS = {
+    False: {"bcg": "T B delta", "scg": "T", "ga": "T eta0", "zga": "T B delta eta0"},
+    True: {"dbg": "T B delta l trace_value_samples", "scg": "T trace_value_samples",
+           "ga": "T eta0 trace_value_samples", "zga": "T B delta eta0 l trace_value_samples"},
 }
-_CONSTRAINT_KEYS = {"box": {"cap": _float},
-                    "block_budget": {"cap": _float, "blocks": _get, "budgets": _get},
-                    "partition_matroid": {"blocks": _get, "budgets": _get}}
-_RUN_KEYS = dict.fromkeys(("name", "seeds", "out_dir"), _get)
-_ALGO_KEYS = {"T": _int, "B": _int, "l": _int, "trace_value_samples": _int,
-              "delta": _float, "eta0": _float}
+# The ConfigParser getter of each key that is not a string, the same in every section
+_GETTERS = {"discrete": ConfigParser.getboolean,
+            **dict.fromkeys("noise bandwidth cap delta eta0".split(), ConfigParser.getfloat),
+            **dict.fromkeys("dim seed topics articles rows attributes T B l trace_value_samples"
+                            .split(), ConfigParser.getint)}
 
 
-def _read_section(parser: ConfigParser, path: Path, name: str, getters: dict) -> dict:
-    """The keys of section ``[name]``, each parsed by its getter; ``{}`` if absent.
+def _read_section(parser: ConfigParser, path: Path, name: str, keys: str) -> dict:
+    """The ``keys`` of section ``[name]``, each parsed by its getter; ``{}`` if absent.
 
     A key the section does not read, such as a typo, is a config error.
     """
     section = parser[name] if name in parser else {}
-    unknown = sorted(set(section) - {key.lower() for key in getters})
+    keys = keys.split()
+    unknown = sorted(set(section) - {key.lower() for key in keys})
     if unknown:
         raise ConfigError(
-            f"{path}: [{name}]: unknown key {unknown[0]!r} (known: {', '.join(getters)})"
+            f"{path}: [{name}]: unknown key {unknown[0]!r} (known: {', '.join(keys)})"
         )
     values = {}
-    for key, get in getters.items():
+    for key in keys:
         if key in section:
             try:
-                values[key] = get(parser, name, key)
+                values[key] = _GETTERS.get(key, ConfigParser.get)(parser, name, key)
             except ValueError as exc:
                 raise ConfigError(f"{path}: {name}.{key}: {exc}") from exc
     return values
@@ -225,12 +228,14 @@ def _read_section(parser: ConfigParser, path: Path, name: str, getters: dict) ->
 def _read_kind_section(parser: ConfigParser, path: Path, name: str, tables: dict,
                        default: Optional[str] = None) -> dict:
     """Section ``[name]`` read by the key table of its ``kind``, ``default`` if unset."""
+    if name not in parser:
+        raise ConfigError(f"{path}: missing [{name}] section")
     kind = parser.get(name, "kind", fallback=default)
     if kind is None:
         raise ConfigError(f"{path}: {name} needs a kind")
     if kind not in tables:
         raise ConfigError(f"{path}: {name}: unknown kind {kind!r}")
-    return {**_read_section(parser, path, name, {"kind": _get, **tables[kind]}), "kind": kind}
+    return {**_read_section(parser, path, name, "kind " + tables[kind]), "kind": kind}
 
 
 def _parse_blocks(text: str) -> tuple[tuple[int, ...], ...]:
@@ -244,44 +249,45 @@ def _parse_blocks(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def _parse_constraint(spec: dict, dim: int) -> ConstraintSpec:
-    kind = spec["kind"]
+def _parse_constraint(parser: ConfigParser, path: Path, dim: int) -> ConstraintSpec:
+    spec = _read_kind_section(parser, path, "constraint", _CONSTRAINT_KEYS, default="box")
     try:
-        if kind == "box":
+        if spec["kind"] == "box":
             return ConstraintSpec.box(np.full(dim, spec.get("cap", 1.0)))
         blocks = _parse_blocks(spec.get("blocks", ""))
         budgets = tuple(float(b) for b in spec.get("budgets", "").split())
-        if kind == "block_budget":
+        if spec["kind"] == "block_budget":
             return ConstraintSpec.block_budget(dim, blocks, budgets, cap=spec.get("cap", 1.0))
         return ConstraintSpec.partition_matroid(dim, blocks, budgets)
     except ValueError as exc:
-        raise ConfigError(f"constraint: {exc}") from exc
+        raise ConfigError(f"{path}: constraint: {exc}") from exc
 
 
-def _objective_builder(spec: dict, discrete: bool) -> partial:
+def _objective_builder(spec: dict, discrete: bool, directory: Path) -> partial:
     """The oracle builder of an objective spec, over its data read or made once.
 
-    The one dispatch on ``kind``.  The builder is a ``partial`` of a
-    module-level oracle builder, so a config that holds it pickles for worker
-    processes, and each call returns a fresh oracle with zero counters.
+    The one dispatch on ``kind``; data paths are relative to ``directory``,
+    the config's.  The builder is a ``partial`` of a module-level oracle
+    builder, so a config that holds it pickles for worker processes, and each
+    call returns a fresh oracle with zero counters.
     """
     kind, seed = spec["kind"], spec.get("seed", 0)
     if kind == "nqp":
         return partial(nqp_oracle, *nqp_generate(spec["dim"], seed))
     if kind == "coverage":
         if "topics_csv" in spec:
-            P = load_matrix_csv(spec["topics_csv"], unit_interval=True)
+            P = load_matrix_csv(directory / spec["topics_csv"], unit_interval=True)
         else:
             P = synthetic_topics(spec.get("topics", 10), spec.get("articles", 24), seed)
         return partial(coverage_set_oracle if discrete else coverage_value_oracle, P)
     if kind == "logdet":
         if "data_csv" in spec:
-            X = load_matrix_csv(spec["data_csv"])
+            X = load_matrix_csv(directory / spec["data_csv"])
         else:
             X = synthetic_data_matrix(spec.get("rows", 60), spec.get("attributes", 22), seed)
         return partial(logdet_set_oracle, rbf_covariance(X, spec.get("bandwidth", 0.75)))
     edges = spec.get("edges", "karate")  # influence
-    graph = karate_club_graph() if edges == "karate" else load_edge_list(edges)
+    graph = karate_club_graph() if edges == "karate" else load_edge_list(directory / edges)
     return partial(influence_set_oracle, graph)
 
 
@@ -304,19 +310,10 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path)
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if "objective" not in parser:
-        raise ConfigError(f"{path}: missing [objective] section")
     spec = _read_kind_section(parser, path, "objective", _OBJECTIVE_KEYS)
-    for key in ("topics_csv", "data_csv"):
-        if key in spec:
-            spec[key] = str((path.parent / spec[key]).resolve())
-    if "edges" in spec and spec["edges"] != "karate":
-        spec["edges"] = str((path.parent / spec["edges"]).resolve())
     discrete = spec["kind"] in ("logdet", "influence") or spec.get("discrete", False)
-    if spec.get("seed", 0) < 0:
-        raise ConfigError(f"{path}: objective.seed must be non-negative")
     try:
-        builder = _objective_builder(spec, discrete)
+        builder = _objective_builder(spec, discrete, path.parent)
         probe = builder()
     except KeyError as exc:
         raise ConfigError(f"{path}: objective: missing key {exc}") from exc
@@ -324,14 +321,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: objective: {exc}") from exc
     dim = probe.ground_size if discrete else probe.dim
 
-    if "constraint" not in parser:
-        raise ConfigError(f"{path}: missing [constraint] section")
-    constraint = _parse_constraint(
-        _read_kind_section(parser, path, "constraint", _CONSTRAINT_KEYS, default="box"), dim
-    )
+    constraint = _parse_constraint(parser, path, dim)
     if discrete and constraint.kind != "partition_matroid":
-        raise ConfigError("discrete objectives need a partition_matroid constraint")
-    domain = getattr(probe, "domain", None) or BoxDomain.unit_cube(dim)  # as in _run_algorithm
+        raise ConfigError(f"{path}: discrete objectives need a partition_matroid constraint")
+    domain = getattr(probe, "domain", None) or BoxDomain.unit_cube(dim)
     if np.any(constraint.upper > domain.upper + 1e-12):
         raise ConfigError(f"{path}: constraint caps must not exceed the objective's domain")
 
@@ -343,7 +336,7 @@ def load_config(path) -> ExperimentConfig:
     if not seeds:
         raise ConfigError(f"{path}: run.seeds must list at least one seed")
 
-    allowed = DISCRETE_ALGOS if discrete else CONTINUOUS_ALGOS
+    allowed = _ALGO_KEYS[discrete]
     algorithms = {}
     for section in parser.sections():
         if section in ("objective", "constraint", "run"):
@@ -353,10 +346,10 @@ def load_config(path) -> ExperimentConfig:
                 f"{path}: algorithm {section!r} does not apply to this objective "
                 f"(allowed: {', '.join(allowed)})"
             )
-        params = _read_section(parser, path, section, _ALGO_KEYS)
+        params = _read_section(parser, path, section, allowed[section])
         try:
             algorithms[section] = AlgoParams(**params)
-            if section in ("bcg", "dbg", "zga"):  # they search the shrunk set K'
+            if "delta" in allowed[section].split():
                 transform_constraint(domain, constraint, algorithms[section].delta)
         except ValueError as exc:
             raise ConfigError(f"{path}: [{section}]: {exc}") from exc
@@ -365,19 +358,19 @@ def load_config(path) -> ExperimentConfig:
 
     noise = spec.get("noise", 0.0)
     if not 0 <= noise < math.inf:
-        raise ConfigError("objective.noise must be finite and non-negative")
+        raise ConfigError(f"{path}: objective.noise must be finite and non-negative")
     if discrete and "noise" in spec:
-        raise ConfigError("objective.noise applies to continuous objectives only")
+        raise ConfigError(f"{path}: objective.noise applies to continuous objectives only")
 
     return ExperimentConfig(
         name=run.get("name", path.stem),
-        objective=spec,
         constraint=constraint,
         discrete=discrete,
         dim=dim,
         algorithms=algorithms,
         seeds=seeds,
         out_dir=run.get("out_dir", "out"),
+        domain=domain,
         builder=builder,
         noise=noise,
     )
@@ -507,19 +500,18 @@ def run_cell(cfg: ExperimentConfig, algorithm: str, seed: int) -> CellResult:
 def _run_algorithm(oracle, cfg: ExperimentConfig, algorithm: str, params: AlgoParams):
     """Run one of the five optimizers; each checks its own output.
 
-    The zeroth-order ones see the oracle through the config's noise, and bcg
-    and zga search the oracle's box domain, the unit cube when it has none.
+    It is looked up in its module at each call, so wrappers set there see it.
+    Those that read ``delta`` see the oracle through the config's noise, and
+    bcg and zga search the config's domain; dbg's is the unit cube.
     """
-    if algorithm in ("scg", "ga"):
-        return (scg if algorithm == "scg" else ga)(oracle, cfg.constraint, params)
-    domain = getattr(oracle, "domain", None) or BoxDomain.unit_cube(cfg.dim)
+    optimize = getattr(optimizers, algorithm)
+    if "delta" not in _ALGO_KEYS[cfg.discrete][algorithm].split():
+        return optimize(oracle, cfg.constraint, params)
     if cfg.noise:
         oracle = NoisyOracle(oracle, cfg.noise, seed=params.seed + 1)
     if algorithm == "dbg":
-        return dbg(oracle, cfg.constraint, params)
-    if algorithm in ("bcg", "zga"):
-        return (bcg if algorithm == "bcg" else zga)(oracle, domain, cfg.constraint, params)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+        return optimize(oracle, cfg.constraint, params)
+    return optimize(oracle, cfg.domain, cfg.constraint, params)
 
 
 def run_experiment(

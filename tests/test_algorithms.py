@@ -513,7 +513,7 @@ def test_discrete_ascent_traces_peek_all_rows_at_once(algorithm, tmp_path, monke
     ``peek_sampled_values`` call; the values and the final state of the peek
     stream equal one peek per iterate."""
     text = (CONFIG_DIR / "influence.ini").read_text()
-    text += "\n[ga]\nT = 12\nl = 2\n\n[zga]\nT = 12\nB = 2\nl = 2\ndelta = 0.05\n"
+    text += "\n[ga]\nT = 12\n\n[zga]\nT = 12\nB = 2\nl = 2\ndelta = 0.05\n"
     (tmp_path / "influence.ini").write_text(text)
     cfg = load_config(tmp_path / "influence.ini")
     batched = oracles.peek_sampled_values

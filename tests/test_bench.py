@@ -248,7 +248,8 @@ kind = box
 [dbg]
 T = 10
 """)
-        with pytest.raises(ConfigError, match="partition_matroid"):
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: discrete objectives need a "
+                                                        "partition_matroid constraint")):
             load_config(p)
 
     def test_loads_dimensions_from_data(self, tmp_path):
@@ -271,6 +272,79 @@ T = 10
         F1(np.zeros(4))
         F2 = build_objective(cfg)
         assert F2.query_count == 0
+
+
+# The keys each optimizer reads, on a continuous objective and on a set function
+OPTIMIZER_KEYS = {
+    False: {"bcg": "T B delta", "scg": "T", "ga": "T eta0", "zga": "T B delta eta0"},
+    True: {"dbg": "T B delta l trace_value_samples", "scg": "T trace_value_samples",
+           "ga": "T eta0 trace_value_samples", "zga": "T B delta eta0 l trace_value_samples"},
+}
+# a value of each key other than its default
+KEY_VALUES = {"T": 6, "B": 2, "delta": 0.04, "eta0": 0.01, "l": 2, "trace_value_samples": 3}
+
+
+def coverage_config(tmp_path, discrete: bool, algorithm: str, keys: dict) -> Path:
+    lines = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    return write_config(tmp_path, f"""
+[objective]
+kind = coverage
+discrete = {discrete}
+topics = 4
+articles = 6
+seed = 2
+
+[constraint]
+kind = partition_matroid
+blocks = 0-2 3-5
+budgets = 1 1
+
+[{algorithm}]
+{lines}""")
+
+
+class TestAlgorithmKeys:
+    def test_table_is_what_the_optimizers_read(self):
+        assert bench._ALGO_KEYS == OPTIMIZER_KEYS
+
+    @pytest.mark.parametrize("discrete, algorithm, key", [
+        (discrete, algorithm, key)
+        for discrete, rows in OPTIMIZER_KEYS.items()
+        for algorithm, keys in rows.items()
+        for key in keys.split()
+    ])
+    def test_every_key_loads_and_changes_the_run(self, tmp_path, discrete, algorithm, key):
+        """Each key an optimizer reads loads under its section, and a value
+        other than the default changes the cell's queries or values."""
+        def run(keys):
+            cfg = load_config(coverage_config(tmp_path, discrete, algorithm, keys))
+            result = bench.run_cell(cfg, algorithm, seed=1)
+            assert result.error is None
+            return cfg.algorithms[algorithm], result.trace.queries().tolist(), \
+                result.trace.values().tolist()
+
+        params, *changed = run({"T": 5, key: KEY_VALUES[key]})
+        assert getattr(params, key) == KEY_VALUES[key]
+        _, *default = run({"T": 5})
+        assert changed != default
+
+
+def test_readme_key_table_matches_the_loader():
+    """README's ``| section | kind | keys |`` table documents the enforced schema."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    lines = text[text.index("| section | kind | keys |"):].splitlines()[2:]
+    documented = {}
+    for line in lines[:lines.index("")]:
+        section, kind, keys = (cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+        documented[section, kind] = keys.replace(",", "").split()
+    enforced = {("run", "-"): bench._RUN_KEYS.split()}
+    for section, tables in (("objective", bench._OBJECTIVE_KEYS),
+                            ("constraint", bench._CONSTRAINT_KEYS)):
+        enforced.update({(section, kind): keys.split() for kind, keys in tables.items()})
+    for discrete, rows in bench._ALGO_KEYS.items():
+        kind = "set function" if discrete else "continuous"
+        enforced.update({(algorithm, kind): keys.split() for algorithm, keys in rows.items()})
+    assert documented == enforced
 
 
 DISCRETE_COVERAGE = """
@@ -422,7 +496,6 @@ trace_value_samples = 4
 
 [ga]
 T = 10
-l = 2
 
 [zga]
 T = 10

@@ -186,11 +186,12 @@ class TestRunCommand:
             "noise_nan", "noise_discrete", "noise_logdet", "topics", "articles", "rows",
             "attributes", "bandwidth", "bandwidth_nan", "bandwidth_negative", "budgets_nan"])
     def test_malformed_key_is_config_error(self, template, line, bad, tmp_path, capsys):
+        """Each malformed value is a config error that names the config file."""
         assert template.count(line) == 1
         p = tmp_path / "bad.ini"
         p.write_text(template.replace(line, bad).format(out=tmp_path / "out"))
         assert main(["run", str(p)]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {p}: ")
 
     @pytest.mark.parametrize("template, line, bad, message", [
         (DISCRETE, "topics = 4\narticles = 6", "topics_csv = absent.csv", "No such file"),
@@ -216,21 +217,31 @@ class TestRunCommand:
         (CONTINUOUS, "delta = 0.05", "delta = 0.6", "empty or degenerate box"),
         (INFLUENCE, "blocks = 0-9 10-23 24-33\nbudgets = 2 2 2", "blocks = 0-29\nbudgets = 1",
          "budget 1.0 < delta*|block|"),
+        (CONTINUOUS, "T = 8", "T = 8\nl = 5", "[bcg]: unknown key 'l'"),
+        (CONTINUOUS, "T = 8", "T = 8\neta0 = 3", "[bcg]: unknown key 'eta0'"),
+        (CONTINUOUS, "T = 8", "T = 8\ntrace_value_samples = 9",
+         "[bcg]: unknown key 'trace_value_samples'"),
+        (CONTINUOUS, "[bcg]\nT = 8\ndelta = 0.05", "[scg]\nT = 8\nB = 4", "[scg]: unknown key 'b'"),
+        (CONTINUOUS, "[bcg]\nT = 8\ndelta = 0.05", "[scg]\nT = 8\ndelta = 0.3",
+         "[scg]: unknown key 'delta'"),
+        (DISCRETE, "[dbg]", "[ga]\nT = 8\nl = 2\n\n[dbg]", "[ga]: unknown key 'l'"),
     ], ids=["topics_csv_missing", "data_csv_missing", "edges_missing", "topics_zero",
             "topics_negative", "dim_missing", "box_cap_above_domain", "budget_cap_above_domain",
             "objective_typo", "constraint_typo", "run_typo", "algorithm_typo",
             "discrete_maybe", "discrete_typo", "blocks_without_kind", "cap_on_matroid",
             "keys_of_other_kind", "discrete_on_logdet", "delta_empties_box",
-            "delta_empties_budget"])
+            "delta_empties_budget", "l_on_bcg", "eta0_on_bcg", "trace_value_samples_on_bcg",
+            "B_on_scg", "delta_on_scg", "l_on_discrete_ga"])
     def test_bad_input_fails_at_load(self, template, line, bad, message, tmp_path, capsys):
         """Input only the data readers or oracle builders reject, keys nothing
-        reads, and a delta that leaves no shrunk set exit 2 before any cell runs."""
+        reads, and a delta that leaves no shrunk set exit 2 before any cell
+        runs, with a message that names the config file."""
         assert template.count(line) == 1
         p = tmp_path / "bad.ini"
         p.write_text(template.replace(line, bad).format(out=tmp_path / "out"))
         assert main(["run", str(p)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error") and message in err
+        assert err.startswith(f"config error: {p}: ") and message in err
         assert not (tmp_path / "out").exists()
 
     def test_opt_with_missing_data_file_is_config_error(self, tmp_path, capsys):
@@ -240,10 +251,11 @@ class TestRunCommand:
         assert main(["opt", str(p)]) == EXIT_CONFIG
         assert "No such file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["eta0 = inf", "delta = inf"])
-    def test_infinite_step_size_is_config_error(self, key, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key", [("ga", "eta0 = inf"), ("zga", "delta = inf")],
+                             ids=["eta0 = inf", "delta = inf"])
+    def test_infinite_step_size_is_config_error(self, section, key, tmp_path, capsys):
         p = tmp_path / "bad.ini"
-        p.write_text((CONTINUOUS + f"\n[ga]\nT = 8\n{key}\n").format(out=tmp_path / "out"))
+        p.write_text((CONTINUOUS + f"\n[{section}]\nT = 8\n{key}\n").format(out=tmp_path / "out"))
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "finite and positive" in capsys.readouterr().err
 

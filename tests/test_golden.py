@@ -42,7 +42,7 @@ def run_short(config: str, out_dir: Path):
     return run_experiment(cfg, out_dir=str(out_dir))
 
 
-ASCENT_SECTIONS = "\n[ga]\nT = 12\nl = 2\n\n[zga]\nT = 12\nB = 2\nl = 2\ndelta = 0.05\n"
+ASCENT_SECTIONS = "\n[ga]\nT = 12\n\n[zga]\nT = 12\nB = 2\nl = 2\ndelta = 0.05\n"
 
 
 def run_discrete_ascent(out_dir: Path):
