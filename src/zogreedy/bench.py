@@ -188,6 +188,8 @@ _OBJECTIVE_KEYS = {"nqp": "dim seed noise",
                    "coverage": "topics articles topics_csv seed noise discrete",
                    "logdet": "rows attributes data_csv seed bandwidth",
                    "influence": "edges"}
+# The [objective] keys that each data file replaces; setting one next to it is an error
+_DATA_KEYS = {"topics_csv": "topics articles seed", "data_csv": "rows attributes seed"}
 _CONSTRAINT_KEYS = {"box": "cap", "block_budget": "cap blocks budgets",
                     "partition_matroid": "blocks budgets"}
 _RUN_KEYS = "name seeds out_dir"
@@ -311,6 +313,11 @@ def load_config(path) -> ExperimentConfig:
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     spec = _read_kind_section(parser, path, "objective", _OBJECTIVE_KEYS)
+    for data_key, replaced in _DATA_KEYS.items():
+        unused = [key for key in replaced.split() if data_key in spec and key in spec]
+        if unused:
+            raise ConfigError(f"{path}: [objective]: key {unused[0]!r} is unused "
+                              f"when {data_key!r} is set")
     discrete = spec["kind"] in ("logdet", "influence") or spec.get("discrete", False)
     try:
         builder = _objective_builder(spec, discrete, path.parent)

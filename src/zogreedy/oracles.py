@@ -2,12 +2,12 @@
 
 Every optimizer in this package sees its objective through one of these
 wrappers, which do exact bookkeeping of how many evaluations were spent.
-Counted calls go through ``__call__``; ``peek`` evaluates without counting and
-is reserved for instrumentation (trace columns, final reporting), as is
-``peek_rows``, which evaluates every row of a matrix of points.  Set oracles
-also evaluate whole batches of sets, given as rows of a boolean mask matrix,
-without counting (:meth:`SetOracle.peek_masks`).  The optimizers see a set
-function through :class:`MultilinearOracle`, its multilinear extension.
+Counted calls go through ``__call__``.  Each oracle has one uncounted path,
+reserved for instrumentation (trace columns, final reporting): ``peek_rows``
+evaluates every row of a matrix of points, and :meth:`SetOracle.peek_masks`
+every set given as a row of a boolean mask matrix.  ``ValueOracle.peek`` and
+``SetOracle.peek`` are their one-row case.  The optimizers see a set function
+through :class:`MultilinearOracle`, its multilinear extension.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .constraints import BoxDomain, DomainError, contains
 
 # Bytes of one chunk of an uncounted trace pass: the uniform draws of
-# peek_sampled_values, or the rows ValueOracle.peek_rows hands its batch_fn.
+# MultilinearOracle.peek_rows, or the rows ValueOracle.peek_rows hands its batch_fn.
 # Bounds the pass's working memory whatever its length.
 SAMPLE_CHUNK_BYTES = 2**17
 
@@ -87,35 +87,35 @@ class ValueOracle:
         return value
 
     def peek(self, x: np.ndarray) -> float:
-        """Evaluate without touching the query counter (instrumentation only)."""
-        value = float(self._fn(np.asarray(x, dtype=float)))
-        if not math.isfinite(value):
-            raise ValueError(f"oracle {self.name!r} peeked non-finite value {value}")
-        return value
+        """Uncounted value at one point: the one-row case of :meth:`peek_rows`."""
+        return float(self.peek_rows(np.asarray(x, dtype=float)[None])[0])
 
     def peek_rows(self, Z: np.ndarray) -> np.ndarray:
         """Uncounted values at the rows of a ``(n, dim)`` matrix, in row order.
 
-        Uses ``batch_fn`` on chunks of rows of at most :data:`SAMPLE_CHUNK_BYTES`
-        when the oracle has one, and :meth:`peek` row by row otherwise.
+        The oracle's one uncounted path (instrumentation only): ``batch_fn``
+        on chunks of rows of at most :data:`SAMPLE_CHUNK_BYTES` when the oracle
+        has one, and ``fn`` row by row otherwise.
         """
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.dim:
             raise ValueError(f"points have shape {Z.shape}, expected (n, {self.dim})")
         if self._batch_fn is None:
-            return np.array([self.peek(z) for z in Z])
-        rows = max(1, SAMPLE_CHUNK_BYTES // (8 * self.dim))
-        out = np.empty(len(Z))
-        for lo in range(0, len(Z), rows):
-            chunk = Z[lo:lo + rows]
-            values = np.asarray(self._batch_fn(chunk), dtype=float)
-            if values.shape != (len(chunk),):
-                raise ValueError(
-                    f"batch of {len(chunk)} points gave values of shape {values.shape}"
-                )
-            out[lo:lo + rows] = values
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"oracle {self.name!r} peeked a non-finite value")
+            out = np.array([float(self._fn(z)) for z in Z])
+        else:
+            rows = max(1, SAMPLE_CHUNK_BYTES // (8 * self.dim))
+            out = np.empty(len(Z))
+            for lo in range(0, len(Z), rows):
+                chunk = Z[lo:lo + rows]
+                values = np.asarray(self._batch_fn(chunk), dtype=float)
+                if values.shape != (len(chunk),):
+                    raise ValueError(
+                        f"batch of {len(chunk)} points gave values of shape {values.shape}"
+                    )
+                out[lo:lo + rows] = values
+        bad = out[~np.isfinite(out)]
+        if bad.size:
+            raise ValueError(f"oracle {self.name!r} peeked non-finite value {bad[0]}")
         return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -145,39 +145,27 @@ class ValueOracle:
 class NoisyOracle:
     """Value oracle whose counted evaluations carry additive zero-mean noise.
 
-    The default noise is Gaussian with standard deviation ``sigma0``; any
-    zero-mean sampler ``noise(rng) -> float`` may be plugged in instead.  The
-    instance owns a seeded generator stream, so it should be confined to one
-    worker unless re-seeded per worker.  ``peek`` passes through to the exact
+    The noise is Gaussian with standard deviation ``sigma0``; for another
+    zero-mean distribution, subclass and override ``__call__``.  The instance
+    owns a seeded generator stream, so it should be confined to one worker
+    unless re-seeded per worker.  ``peek_rows`` passes through to the exact
     inner oracle.
     """
 
-    def __init__(
-        self,
-        inner: ValueOracle,
-        sigma0: float,
-        seed: int = 0,
-        noise: Optional[Callable[[np.random.Generator], float]] = None,
-    ):
+    def __init__(self, inner: ValueOracle, sigma0: float, seed: int = 0):
         if not 0 <= sigma0 < math.inf:  # NaN fails too
             raise ValueError("sigma0 must be finite and non-negative")
         self.inner = inner
         self.sigma0 = float(sigma0)
-        self._noise = noise
         self._rng = np.random.default_rng(seed)
 
     def __call__(self, x: np.ndarray) -> float:
         value = self.inner(x)
-        if self._noise is not None:
-            value += float(self._noise(self._rng))
-        elif self.sigma0 != 0.0:
+        if self.sigma0 != 0.0:
             value += self._rng.normal(0.0, self.sigma0)
         if not math.isfinite(value):
             raise ValueError(f"noisy oracle returned non-finite value {value}")
         return value
-
-    def peek(self, x: np.ndarray) -> float:
-        return self.inner.peek(x)
 
     def peek_rows(self, Z: np.ndarray) -> np.ndarray:
         return self.inner.peek_rows(Z)
@@ -201,7 +189,7 @@ class SetOracle:
     ``fn`` receives each query as a frozenset of Python ints already checked
     against the ground set.  ``batch_fn``, when given, maps a boolean
     ``(n, ground_size)`` mask matrix to the ``n`` values of the sets its rows
-    select; it must agree with ``fn`` and serves only the uncounted
+    select; it must agree with ``fn`` bitwise and serves only the uncounted
     :meth:`peek_masks`.
     """
 
@@ -241,23 +229,22 @@ class SetOracle:
         value = float(self._fn(members))
         if not abs(value) <= self.bound_M + 1e-9:  # NaN fails too
             if not math.isfinite(value):
-                raise ValueError(f"set function returned non-finite value {value}")
-            raise ValueError(
-                f"set function value {value} exceeds declared bound {self.bound_M}"
-            )
+                raise ValueError(f"set function {self.name!r} returned non-finite value {value}")
+            raise ValueError(f"set function {self.name!r} value {value} "
+                             f"exceeds declared bound {self.bound_M}")
         return value
 
     def peek(self, subset) -> float:
-        value = float(self._fn(self._check(subset)))
-        if not math.isfinite(value):
-            raise ValueError(f"set function peeked non-finite value {value}")
-        return value
+        """Uncounted value of one set: the one-row case of :meth:`peek_masks`."""
+        mask = np.zeros(self.ground_size, dtype=bool)
+        mask[list(self._check(subset))] = True
+        return float(self.peek_masks(mask[None])[0])
 
     def peek_masks(self, masks: np.ndarray) -> np.ndarray:
         """Uncounted values of the sets selected by the rows of a boolean matrix.
 
-        Uses ``batch_fn`` when the oracle has one and ``fn`` row by row
-        otherwise.  Never touches the query counter.
+        The oracle's one uncounted path (instrumentation only): ``batch_fn``
+        when the oracle has one and ``fn`` row by row otherwise.
         """
         masks = np.asarray(masks)
         if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != self.ground_size:
@@ -275,8 +262,9 @@ class SetOracle:
             raise ValueError(
                 f"batch of {masks.shape[0]} sets gave values of shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("set function peeked a non-finite value")
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"set function {self.name!r} peeked non-finite value {bad[0]}")
         return values
 
     @property
@@ -293,25 +281,6 @@ def sample_masks(x: np.ndarray, samples: int, rng: np.random.Generator) -> np.nd
     return rng.random(x.shape[:-1] + (samples, x.shape[-1])) < x[..., None, :]
 
 
-def peek_sampled_values(
-    f: SetOracle, Z: np.ndarray, samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uncounted multilinear-extension estimates of ``f`` at each row of ``Z``.
-
-    Draws the same sets from ``rng``, in row order, as one counted
-    :class:`MultilinearOracle` call with ``l = samples`` per row, with one
-    ``peek_masks`` call per chunk of rows whose uniform draws take at most
-    :data:`SAMPLE_CHUNK_BYTES`, so its memory is bounded whatever the input size.
-    """
-    n, d = np.shape(Z)
-    rows = max(1, SAMPLE_CHUNK_BYTES // (8 * samples * d))
-    out = np.empty(n)
-    for lo in range(0, n, rows):
-        masks = sample_masks(Z[lo:lo + rows], samples, rng).reshape(-1, d)
-        out[lo:lo + rows] = f.peek_masks(masks).reshape(-1, samples).mean(axis=1)
-    return out
-
-
 class MultilinearOracle:
     """The multilinear extension of a set function, seen as a value oracle.
 
@@ -321,12 +290,10 @@ class MultilinearOracle:
     is ``f(S + i) - f(S - i)`` at one set S ~ x (``2*ground_size`` set
     queries).  Both draw their sets from ``rng`` and raise :class:`DomainError`
     outside the cube.
-    ``peek`` and ``peek_rows`` are uncounted :func:`peek_sampled_values` means
-    of ``peek_samples`` sets drawn from ``peek_rng``, so instrumentation never
-    disturbs the counted sampling sequence; ``peek_rows`` draws the same sets
-    as one ``peek`` per row.  ``query_count`` is the set oracle's counter, and
-    the Lipschitz bound ``2*M*sqrt(d)`` of any bounded multilinear extension
-    is used as G.
+    :meth:`peek_rows` is its uncounted path, on sets drawn from ``peek_rng``,
+    so instrumentation never disturbs the counted sampling sequence.
+    ``query_count`` is the set oracle's counter, and the Lipschitz bound
+    ``2*M*sqrt(d)`` of any bounded multilinear extension is used as G.
 
     Deliberately not a :class:`ValueOracle`: each query it spends is one
     counted ``SetOracle`` call and is counted nowhere else.
@@ -371,12 +338,23 @@ class MultilinearOracle:
             g[i] = f(base) - f(base - {i}) if inside else f(base | {i}) - f(base)
         return g
 
-    def peek(self, x: np.ndarray) -> float:
-        Z = np.asarray(x, dtype=float)[None]
-        return float(peek_sampled_values(self.f, Z, self._peek_samples, self._peek_rng)[0])
-
     def peek_rows(self, Z: np.ndarray) -> np.ndarray:
-        return peek_sampled_values(self.f, Z, self._peek_samples, self._peek_rng)
+        """Uncounted estimates at each row of ``Z``: the mean of ``f`` over
+        ``peek_samples`` sets S ~ z, through :meth:`SetOracle.peek_masks`.
+
+        Draws the same sets, in row order, as one counted call per row with
+        ``l = peek_samples``, in chunks of rows whose uniform draws take at
+        most :data:`SAMPLE_CHUNK_BYTES`, so its memory is bounded whatever the
+        number of rows.
+        """
+        n, d = np.shape(Z)
+        s = self._peek_samples
+        rows = max(1, SAMPLE_CHUNK_BYTES // (8 * s * d))
+        out = np.empty(n)
+        for lo in range(0, n, rows):
+            masks = sample_masks(Z[lo:lo + rows], s, self._peek_rng).reshape(-1, d)
+            out[lo:lo + rows] = self.f.peek_masks(masks).reshape(-1, s).mean(axis=1)
+        return out
 
     @property
     def query_count(self) -> int:

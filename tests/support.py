@@ -192,16 +192,17 @@ def project_reference(constraint, y: np.ndarray, bisect_tol: float = 1e-10) -> n
 
 def sampled_peeks_reference(f: SetOracle, Z: np.ndarray, samples: int,
                             rng: np.random.Generator) -> np.ndarray:
-    """Uncounted sampled set values at each row of ``Z``, one ``peek`` per sampled set.
+    """Uncounted sampled set values at each row of ``Z``, one ``fn`` call per sampled set.
 
     The per-iteration, per-set path the discrete traces used before set values
     were batched: for each row in turn it draws ``(samples, d)`` masks from
-    ``rng``.
+    ``rng`` and evaluates each set with the oracle's per-set kernel, not its
+    ``batch_fn``.
     """
     values = []
     for x in np.asarray(Z, dtype=float):
         masks = rng.random((samples, x.size)) < x
-        values.append(np.mean([f.peek(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
+        values.append(np.mean([f._fn(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
     return np.array(values)
 
 
@@ -277,10 +278,11 @@ def batch_grad_reference(oracle, x_t: np.ndarray, delta: float, batch: int,
 
 
 def brute_force_reference(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, float]:
-    """First maximum over ``iter_feasible_sets`` with one ``peek`` per set (the original loop)."""
+    """First maximum over ``iter_feasible_sets`` with one per-set ``fn`` call per set
+    (the original loop, on the oracle's per-set kernel)."""
     best_set, best_value = frozenset(), -np.inf
     for candidate in iter_feasible_sets(matroid):
-        value = f.peek(candidate)
+        value = float(f._fn(candidate))
         if value > best_value:
             best_set, best_value = candidate, value
     return best_set, best_value

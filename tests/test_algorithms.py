@@ -164,8 +164,9 @@ class TestBcg:
         assert F.query_count == 10
 
     def test_nan_noise_raises(self):
+        # a Gaussian draw that overflows to inf on the first counted call
         H, b = nqp_generate(3, seed=6)
-        noisy = NoisyOracle(nqp_oracle(H, b), 0.1, noise=lambda rng: float("nan"))
+        noisy = NoisyOracle(nqp_oracle(H, b), sigma0=1e308, seed=3)
         K = ConstraintSpec.box(np.ones(3))
         with pytest.raises(ValueError, match="non-finite"):
             bcg(noisy, BoxDomain.unit_cube(3), K, AlgoParams(T=5, delta=0.1))
@@ -402,7 +403,10 @@ class TestDiscreteTraceValue:
     @pytest.mark.parametrize("config, algorithm, params", DISCRETE_RUNS, ids=RUN_IDS)
     def test_matches_per_set_reference(self, config, algorithm, params, monkeypatch):
         f, S, trace = run_discrete(config, algorithm, params)
-        monkeypatch.setattr(oracles, "peek_sampled_values", sampled_peeks_reference)
+        monkeypatch.setattr(
+            oracles.MultilinearOracle, "peek_rows",
+            lambda self, Z: sampled_peeks_reference(self.f, Z, self._peek_samples, self._peek_rng),
+        )
         f_ref, S_ref, ref = run_discrete(config, algorithm, params)
         assert S == S_ref
         assert f.query_count == f_ref.query_count
@@ -478,17 +482,17 @@ def test_deferred_trace_values_match_per_iteration_loop(config, algorithm, monke
     cfg = load_config(CONFIG_DIR / f"{config}.ini")
     cfg = replace(cfg, algorithms={algorithm: AlgoParams(T=8, delta=0.05, B=2, l=3)})
 
-    batched = oracles.peek_sampled_values
+    batched = oracles.MultilinearOracle.peek_rows
 
     def run():
         streams = []
 
-        def recording(f, Z, samples, rng):
-            streams.append(rng)
-            return batched(f, Z, samples, rng)
+        def recording(self, Z):
+            streams.append(self._peek_rng)
+            return batched(self, Z)
 
         with monkeypatch.context() as m:
-            m.setattr(oracles, "peek_sampled_values", recording)
+            m.setattr(oracles.MultilinearOracle, "peek_rows", recording)
             result = run_cell(cfg, algorithm, seed=5)
         assert result.error is None
         assert len({id(rng) for rng in streams}) == (1 if cfg.discrete else 0)
@@ -510,33 +514,36 @@ def test_deferred_trace_values_match_per_iteration_loop(config, algorithm, monke
 @pytest.mark.parametrize("algorithm", ["ga", "zga"])
 def test_discrete_ascent_traces_peek_all_rows_at_once(algorithm, tmp_path, monkeypatch):
     """ga and zga on a set function compute their trace values in one
-    ``peek_sampled_values`` call; the values and the final state of the peek
-    stream equal one peek per iterate."""
+    ``MultilinearOracle.peek_rows`` call; the values and the final state of
+    the peek stream equal one one-row call per iterate."""
     text = (CONFIG_DIR / "influence.ini").read_text()
     text += "\n[ga]\nT = 12\n\n[zga]\nT = 12\nB = 2\nl = 2\ndelta = 0.05\n"
     (tmp_path / "influence.ini").write_text(text)
     cfg = load_config(tmp_path / "influence.ini")
-    batched = oracles.peek_sampled_values
+    batched = oracles.MultilinearOracle.peek_rows
 
-    def run():
+    def run(per_row):
         streams = []
 
-        def recording(f, Z, samples, rng):
-            streams.append((rng, len(Z)))
-            return batched(f, Z, samples, rng)
+        def recording(self, Z):
+            streams.append((self._peek_rng, len(Z)))
+            return batched(self, Z)
+
+        def peek_rows(self, Z):
+            if per_row:
+                return np.array([recording(self, z[None])[0] for z in Z])
+            return recording(self, Z)
 
         with monkeypatch.context() as m:
-            m.setattr(oracles, "peek_sampled_values", recording)
+            m.setattr(oracles.MultilinearOracle, "peek_rows", peek_rows)
             result = run_cell(cfg, algorithm, seed=2)
         assert result.error is None
         assert len({id(rng) for rng, _ in streams}) == 1
         return result, [rows for _, rows in streams], streams[-1][0].bit_generator.state
 
-    result, rows, state = run()
+    result, rows, state = run(per_row=False)
     assert rows == [12]
-    monkeypatch.setattr(oracles.MultilinearOracle, "peek_rows",
-                        lambda self, Z: np.array([self.peek(z) for z in Z]))
-    reference, reference_rows, reference_state = run()
+    reference, reference_rows, reference_state = run(per_row=True)
     assert reference_rows == [1] * 12
     assert np.array_equal(result.trace.values(), reference.trace.values())
     assert np.array_equal(result.trace.queries(), reference.trace.queries())

@@ -94,6 +94,9 @@ T = 8
 delta = 0.05
 """
 
+# The lines of DISCRETE that topics_csv replaces
+CSV_REPLACES = "topics = 4\narticles = 6\nseed = 2"
+
 # CONTINUOUS with a continuous coverage objective in place of the quadratic one
 COVERAGE = CONTINUOUS.replace("kind = nqp\ndim = 4", "kind = coverage\ntopics = 3\narticles = 4")
 
@@ -194,8 +197,9 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(f"config error: {p}: ")
 
     @pytest.mark.parametrize("template, line, bad, message", [
-        (DISCRETE, "topics = 4\narticles = 6", "topics_csv = absent.csv", "No such file"),
-        (LOGDET, "rows = 8\nattributes = 4", "data_csv = absent.csv", "No such file"),
+        (DISCRETE, CSV_REPLACES, "topics_csv = absent.csv", "No such file"),
+        (LOGDET, "rows = 8\nattributes = 4\nbandwidth = 0.75\nseed = 1",
+         "data_csv = absent.csv\nbandwidth = 0.75", "No such file"),
         (INFLUENCE, "edges = karate", "edges = absent.txt", "No such file"),
         (DISCRETE, "topics = 4", "topics = 0", "non-empty"),
         (DISCRETE, "topics = 4", "topics = -2", "negative dimensions"),
@@ -225,13 +229,30 @@ class TestRunCommand:
         (CONTINUOUS, "[bcg]\nT = 8\ndelta = 0.05", "[scg]\nT = 8\ndelta = 0.3",
          "[scg]: unknown key 'delta'"),
         (DISCRETE, "[dbg]", "[ga]\nT = 8\nl = 2\n\n[dbg]", "[ga]: unknown key 'l'"),
+        (DISCRETE, "articles = 6\nseed = 2", "topics_csv = t.csv",
+         "[objective]: key 'topics' is unused when 'topics_csv' is set"),
+        (DISCRETE, "topics = 4\n", "topics_csv = t.csv\n",
+         "[objective]: key 'articles' is unused when 'topics_csv' is set"),
+        (DISCRETE, "topics = 4\narticles = 6", "topics_csv = t.csv",
+         "[objective]: key 'seed' is unused when 'topics_csv' is set"),
+        (COVERAGE, "topics = 3\narticles = 4\nseed = 3",
+         "topics_csv = t.csv\ntopics = 50\nseed = -4",
+         "[objective]: key 'topics' is unused when 'topics_csv' is set"),
+        (LOGDET, "attributes = 4\n", "data_csv = d.csv\n",
+         "[objective]: key 'rows' is unused when 'data_csv' is set"),
+        (LOGDET, "rows = 8\n", "data_csv = d.csv\n",
+         "[objective]: key 'attributes' is unused when 'data_csv' is set"),
+        (LOGDET, "rows = 8\nattributes = 4", "data_csv = d.csv",
+         "[objective]: key 'seed' is unused when 'data_csv' is set"),
     ], ids=["topics_csv_missing", "data_csv_missing", "edges_missing", "topics_zero",
             "topics_negative", "dim_missing", "box_cap_above_domain", "budget_cap_above_domain",
             "objective_typo", "constraint_typo", "run_typo", "algorithm_typo",
             "discrete_maybe", "discrete_typo", "blocks_without_kind", "cap_on_matroid",
             "keys_of_other_kind", "discrete_on_logdet", "delta_empties_box",
             "delta_empties_budget", "l_on_bcg", "eta0_on_bcg", "trace_value_samples_on_bcg",
-            "B_on_scg", "delta_on_scg", "l_on_discrete_ga"])
+            "B_on_scg", "delta_on_scg", "l_on_discrete_ga", "topics_with_topics_csv",
+            "articles_with_topics_csv", "seed_with_topics_csv", "continuous_topics_csv",
+            "rows_with_data_csv", "attributes_with_data_csv", "seed_with_data_csv"])
     def test_bad_input_fails_at_load(self, template, line, bad, message, tmp_path, capsys):
         """Input only the data readers or oracle builders reject, keys nothing
         reads, and a delta that leaves no shrunk set exit 2 before any cell
@@ -246,7 +267,7 @@ class TestRunCommand:
 
     def test_opt_with_missing_data_file_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "bad.ini"
-        p.write_text(DISCRETE.replace("topics = 4\narticles = 6", "topics_csv = absent.csv")
+        p.write_text(DISCRETE.replace(CSV_REPLACES, "topics_csv = absent.csv")
                      .format(out=tmp_path / "out"))
         assert main(["opt", str(p)]) == EXIT_CONFIG
         assert "No such file" in capsys.readouterr().err
@@ -265,7 +286,7 @@ class TestRunCommand:
         rows[1][4] = "nan"
         csv.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
         p = tmp_path / "bad.ini"
-        p.write_text(DISCRETE.replace("topics = 4\narticles = 6", "topics_csv = topics.csv")
+        p.write_text(DISCRETE.replace(CSV_REPLACES, "topics_csv = topics.csv")
                      .format(out=tmp_path / "out"))
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from zogreedy import (
     AlgoParams,
     ConstraintSpec,
     Graph,
+    MultilinearOracle,
     SetOracle,
     coverage_eval,
     coverage_gradient,
@@ -28,8 +29,6 @@ from zogreedy import (
 )
 
 from zogreedy.bench import karate_club_graph, synthetic_data_matrix, synthetic_topics
-
-from zogreedy.oracles import peek_sampled_values
 
 from support import (
     coverage_gradient_reference,
@@ -569,11 +568,12 @@ def random_masks(rng, n: int, d: int) -> np.ndarray:
 
 
 def per_set_peeks(f, masks) -> np.ndarray:
-    return np.array([f.peek(np.flatnonzero(m)) for m in masks])
+    """The oracle's per-set kernel ``fn`` at each row's set."""
+    return np.array([f._fn(frozenset(np.flatnonzero(m).tolist())) for m in masks])
 
 
 class TestBatchedPeek:
-    """``peek_masks`` through each builder's kernel against per-set ``peek``."""
+    """``peek_masks`` through each builder's kernel against its per-set ``fn``."""
 
     def test_influence_is_exact(self):
         f = influence_set_oracle(karate_club_graph())
@@ -605,9 +605,13 @@ class TestBatchedPeek:
         Z = np.random.default_rng(10).random((37, f.ground_size))
         Z[0], Z[1] = 0.0, 1.0
         rngs = [np.random.default_rng(11) for _ in range(3)]
-        whole = peek_sampled_values(f, Z, 16, rngs[0])
+
+        def sampled(rng):
+            return MultilinearOracle(f, 1, np.random.default_rng(0), rng, 16).peek_rows(Z)
+
+        whole = sampled(rngs[0])
         monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", 8)
-        assert np.array_equal(peek_sampled_values(f, Z, 16, rngs[1]), whole)
+        assert np.array_equal(sampled(rngs[1]), whole)
         assert np.array_equal(sampled_peeks_reference(f, Z, 16, rngs[2]), whole)
         assert len({str(rng.bit_generator.state) for rng in rngs}) == 1
 

@@ -54,3 +54,22 @@ def test_every_public_name_resolves():
     for name in zogreedy.__all__:
         assert getattr(zogreedy, name) is not None, name
 
+
+
+# The public methods and properties of each oracle class: one counted path
+# (``__call__``, plus ``gradient`` where it has one) and one uncounted path
+# (``peek_rows`` or ``peek_masks``, and ``peek``, its one-row case).
+ORACLE_METHODS = {
+    "ValueOracle": ["__call__", "gradient", "gradient_query_count", "has_gradient", "peek",
+                    "peek_rows", "query_count"],
+    "NoisyOracle": ["__call__", "dim", "lipschitz_G", "peek_rows", "query_count"],
+    "SetOracle": ["__call__", "peek", "peek_masks", "query_count"],
+    "MultilinearOracle": ["__call__", "gradient", "has_gradient", "peek_rows", "query_count"],
+}
+
+
+def test_oracle_methods_are_pinned():
+    for name, methods in ORACLE_METHODS.items():
+        cls = getattr(zogreedy, name)
+        public = [m for m in dir(cls) if not m.startswith("_") or m == "__call__"]
+        assert sorted(public) == methods, name
