@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import BoxDomain
-from .oracles import SetOracle, ValueOracle
+from .oracles import SAMPLE_CHUNK_BYTES, SetOracle, ValueOracle
 
 # Set values memoized per built-in logdet and coverage set oracle.  Counted
 # queries repeat sets often (each pair f(S + i) - f(S - i) of scg asks for the
@@ -38,13 +38,30 @@ def nqp_generate(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Entries of H are minus the absolute value of standard normals; H is then
     symmetrized so the gradient H x + b is entrywise non-negative on the unit
     cube, and b = -H^T 1 pins the gradient to zero at the all-ones corner.
+
+    H is built in place, so one ``(d, d)`` array is alive at a time, plus a
+    band of rows of at most :data:`~zogreedy.oracles.SAMPLE_CHUNK_BYTES`: the
+    absolute value and sign flip write into the drawn matrix, and each band of
+    rows ``lo:hi`` is symmetrized against its columns ``lo:hi``.  Entry
+    ``(i, j)`` is ``(H[i, j] + H[j, i]) * 0.5``, the same sum and product as in
+    ``0.5 * (H + H.T)``, and ``-(H.T @ 1)`` negates exactly, so ``H`` and ``b``
+    are bitwise those of ``H = -abs(draw); H = 0.5 * (H + H.T); b = -H.T @ 1``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    H = -np.abs(rng.standard_normal((d, d)))
-    H = 0.5 * (H + H.T)
-    b = -H.T @ np.ones(d)
+    H = rng.standard_normal((d, d))
+    np.negative(np.abs(H, out=H), out=H)
+    rows = max(1, SAMPLE_CHUNK_BYTES // (8 * d))
+    for lo in range(0, d, rows):
+        hi = min(lo + rows, d)
+        # rows lo:hi from column lo on, with their mirror entries; the entries
+        # left of column lo were written by the earlier bands
+        band = H[lo:hi, lo:] + H[lo:, lo:hi].T
+        band *= 0.5
+        H[lo:hi, lo:] = band
+        H[lo:, lo:hi] = band.T
+    b = -(H.T @ np.ones(d))
     return H, b
 
 
@@ -64,11 +81,19 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
 
     With entrywise non-positive symmetric H and b = -H^T 1, the gradient over
     the unit cube stays in [0, b] per coordinate, so ||b|| is a valid
-    Lipschitz constant.
+    Lipschitz constant.  ``H`` must be ``(d, d)`` for ``d = b.size`` and both
+    must be finite, or ``ValueError`` is raised.  ``H`` is not copied.
     """
     H = np.asarray(H, dtype=float)
     b = np.asarray(b, dtype=float)
     d = b.size
+    if b.shape != (d,) or d < 1 or H.shape != (d, d):
+        raise ValueError(f"nqp needs a non-empty vector b and a square H of its size, "
+                         f"got H{H.shape}, b{b.shape}")
+    # min and max rather than isfinite(H), which would make a (d, d) temporary;
+    # a NaN entry makes both NaN
+    if not (np.isfinite(H.min()) and np.isfinite(H.max()) and np.isfinite(b).all()):
+        raise ValueError("nqp entries of H and b must be finite")
     G = float(np.linalg.norm(b))
     return ValueOracle(
         fn=lambda x: nqp_eval(H, b, x),

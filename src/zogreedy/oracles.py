@@ -23,7 +23,8 @@ from .constraints import BoxDomain, DomainError, contains
 
 # Bytes of one chunk of an uncounted trace pass: the uniform draws of
 # MultilinearOracle.peek_rows, or the rows ValueOracle.peek_rows hands its batch_fn.
-# Bounds the pass's working memory whatever its length.
+# Bounds the pass's working memory whatever its length.  objectives.nqp_generate
+# sizes its symmetrization bands by it too.
 SAMPLE_CHUNK_BYTES = 2**17
 
 

@@ -237,6 +237,15 @@ def ascend_reference(oracle, x, grad, step, lift, T):
     return x, trace
 
 
+def nqp_generate_reference(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratic instance through two full temporaries (the original builder)."""
+    rng = np.random.default_rng(seed)
+    H = -np.abs(rng.standard_normal((d, d)))
+    H = 0.5 * (H + H.T)
+    b = -H.T @ np.ones(d)
+    return H, b
+
+
 def logdet_reference(sigma: np.ndarray, S) -> float:
     """log det(I + Sigma[S, S]) through ``np.ix_`` and ``np.eye`` (the original kernel)."""
     idx = sorted(int(i) for i in S)

@@ -364,6 +364,57 @@ def test_criterion_12_query_accounting():
     _report(12, "exact query accounting", ok)
 
 
+def _every_optimizer_run(rng: np.random.Generator):
+    """Each optimizer on one random instance: ``(label, K, trace, step cost)``.
+
+    The cost is what one step spends: ``2B`` values for bcg and zga, ``2Bl``
+    sets for dbg and zga on a set function, ``2d`` sets for scg and ga on a
+    set function, one gradient access for continuous scg and ga.
+    """
+    d = int(rng.integers(2, 6))
+    T = int(rng.integers(4, 9))
+    B = int(rng.integers(1, 4))
+    l = int(rng.integers(1, 4))
+    seed = int(rng.integers(0, 10**6))
+    params = AlgoParams(T=T, delta=float(rng.uniform(0.02, 0.05)), B=B, l=l,
+                        seed=seed, trace_value_samples=1)
+    K = random_small_constraint(rng, d)
+    try:
+        transform_constraint(BoxDomain.unit_cube(d), K, params.delta)
+    except ValueError:
+        K = ConstraintSpec.box(np.ones(d))
+    H, b = nqp_generate(d, seed)
+    cube = BoxDomain.unit_cube(d)
+    yield "bcg", K, bcg(nqp_oracle(H, b), cube, K, params)[1], 2 * B
+    yield "zga", K, zga(nqp_oracle(H, b), cube, K, params)[1], 2 * B
+    yield "scg", K, scg(nqp_oracle(H, b), K, params)[1], 1
+    yield "ga", K, ga(nqp_oracle(H, b), K, params)[1], 1
+    M = random_matroid(rng, d)
+    f = random_weighted_coverage(d, rng)[0]
+    yield "dbg set", M, dbg(f, M, params)[1], 2 * B * l
+    yield "zga set", M, zga(f, BoxDomain.unit_cube(d), M, params)[1], 2 * B * l
+    yield "scg set", M, scg(f, M, params)[1], 2 * d
+    yield "ga set", M, ga(f, M, params)[1], 2 * d
+
+
+@pytest.mark.parametrize("instance", range(12))
+def test_criterion_11_every_iterate_feasible(instance):
+    """Every trace record's lifted iterate lies in K, not only the output."""
+    rng = np.random.default_rng(1100 + instance)
+    for label, K, trace, _ in _every_optimizer_run(rng):
+        for r in trace.records:
+            assert contains(K, r.z, 1e-9), f"{label}: iterate {r.t} leaves K"
+
+
+@pytest.mark.parametrize("instance", range(12))
+def test_criterion_12_every_step_spends_its_cost(instance):
+    """Every step spends exactly its declared queries, not only the run in total."""
+    rng = np.random.default_rng(1200 + instance)
+    for label, _, trace, cost in _every_optimizer_run(rng):
+        spent = np.diff(trace.queries(), prepend=0)
+        assert np.all(spent == cost), f"{label}: steps spent {spent.tolist()}, not {cost} each"
+
+
 @pytest.fixture(scope="module")
 def noisy_bcg_runs():
     """bcg on noisy values, each run with a noiseless twin: the setting of criterion 13.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from support import (
     logdet_reference,
     mixed_second_bruteforce,
     multilinear_exact,
+    nqp_generate_reference,
     partial_bruteforce,
     random_weighted_coverage,
     sampled_peeks_reference,
@@ -63,6 +65,34 @@ class TestNqpGenerate:
     def test_one_dimensional(self):
         H, b = nqp_generate(1, seed=0)
         assert b[0] == -H[0, 0]
+
+    @pytest.mark.parametrize("d", [1, 2, 17, 300, 1000, 1001])
+    @pytest.mark.parametrize("seed", [0, 1, 77])
+    def test_bitwise_equal_to_reference_builder(self, d, seed):
+        H, b = nqp_generate(d, seed)
+        H_ref, b_ref = nqp_generate_reference(d, seed)
+        assert H.tobytes() == H_ref.tobytes()
+        assert b.tobytes() == b_ref.tobytes()
+
+    def test_one_resident_matrix(self):
+        """The build holds one (d, d) array: the reference builder peaks at 2.008x."""
+        (H, _), peak = traced_peak(lambda: nqp_generate(1000, seed=4))
+        assert peak <= 1.1 * H.nbytes
+
+
+def traced_peak(build):
+    """``build()`` and the peak bytes numpy and Python allocated during it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestNqpEval:
@@ -432,6 +462,41 @@ class TestOracleBuilders:
         x = np.full(4, 0.3)
         np.testing.assert_allclose(F.gradient(x), H @ x + b)
         assert F.lipschitz_G == pytest.approx(float(np.linalg.norm(b)))
+
+    def test_nqp_oracle_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="square H"):
+            nqp_oracle(np.eye(3), np.ones(2))
+
+    def test_nqp_oracle_rejects_non_square_h(self):
+        with pytest.raises(ValueError, match="square H"):
+            nqp_oracle(-np.ones((2, 3)), np.ones(2))
+
+    def test_nqp_oracle_rejects_matrix_b(self):
+        with pytest.raises(ValueError, match="vector b"):
+            nqp_oracle(-np.ones((2, 2)), np.ones((2, 1)))
+
+    def test_nqp_oracle_rejects_empty_b(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            nqp_oracle(np.zeros((0, 0)), np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nqp_oracle_rejects_non_finite_h(self, bad):
+        H, b = nqp_generate(4, seed=9)
+        H[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nqp_oracle(H, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nqp_oracle_rejects_non_finite_b(self, bad):
+        H, b = nqp_generate(4, seed=9)
+        b[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nqp_oracle(H, b)
+
+    def test_nqp_oracle_does_not_copy_h(self):
+        H, b = nqp_generate(1000, seed=9)
+        _, peak = traced_peak(lambda: nqp_oracle(H, b))
+        assert peak <= 0.1 * H.nbytes
 
     def test_influence_oracle_bound(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
