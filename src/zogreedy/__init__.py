@@ -26,11 +26,8 @@ from .estimators import (
 )
 from .objectives import (
     Graph,
-    coverage_eval,
-    coverage_gradient,
     coverage_set_oracle,
     coverage_value_oracle,
-    influence_eval,
     influence_set_oracle,
     logdet_eval,
     logdet_set_oracle,
@@ -60,14 +57,11 @@ __all__ = [
     "batch_grad",
     "bcg",
     "contains",
-    "coverage_eval",
-    "coverage_gradient",
     "coverage_set_oracle",
     "coverage_value_oracle",
     "dbg",
     "ga",
     "independent",
-    "influence_eval",
     "influence_set_oracle",
     "lmo",
     "logdet_eval",

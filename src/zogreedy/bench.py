@@ -305,11 +305,10 @@ def load_config(path) -> ExperimentConfig:
     building one oracle from it.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     parser = ConfigParser()
     try:
-        parser.read(path)
+        with open(path) as fh:
+            parser.read_file(fh)
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     spec = _read_kind_section(parser, path, "objective", _OBJECTIVE_KEYS)
@@ -387,38 +386,22 @@ def load_config(path) -> ExperimentConfig:
 # Brute-force optimum
 # ---------------------------------------------------------------------------
 
+def _groups(matroid: ConstraintSpec) -> list[tuple[tuple[int, ...], int]]:
+    """Each block, then the free coordinates, with how many of its members a set may hold."""
+    covered = set(chain.from_iterable(matroid.blocks))
+    free = tuple(i for i in range(matroid.dim) if i not in covered)
+    limits = [min(int(round(limit)), len(b)) for b, limit in zip(matroid.blocks, matroid.budgets)]
+    return [*zip(matroid.blocks, limits), (free, len(free))]
+
+
 def count_feasible_sets(matroid: ConstraintSpec) -> int:
-    total = 1
-    covered = set(chain.from_iterable(matroid.blocks))
-    for block, limit in zip(matroid.blocks, matroid.budgets):
-        k = int(round(limit))
-        total *= sum(math.comb(len(block), r) for r in range(min(k, len(block)) + 1))
-    total *= 2 ** (matroid.dim - len(covered))
-    return total
+    return math.prod(sum(math.comb(len(m), r) for r in range(k + 1)) for m, k in _groups(matroid))
 
 
-def _feasible_choices(matroid: ConstraintSpec) -> list[list[tuple[int, ...]]]:
-    """The choices of each block, then of the free coordinates, in enumeration order.
-
-    Every independent set is one choice from each list; crossing the lists
-    with the last varying fastest gives the enumeration order.
-    """
-    covered = set(chain.from_iterable(matroid.blocks))
-    free = [i for i in range(matroid.dim) if i not in covered]
-    choices = []
-    for block, limit in zip(matroid.blocks, matroid.budgets):
-        k = int(round(limit))
-        choices.append([
-            subset
-            for r in range(min(k, len(block)) + 1)
-            for subset in combinations(block, r)
-        ])
-    choices.append([subset for r in range(len(free) + 1) for subset in combinations(free, r)])
-    return choices
-
-
-def _choice_masks(choices: list[tuple[int, ...]], dim: int) -> np.ndarray:
-    """Boolean ``(len(choices), dim)`` matrix whose rows select the choices."""
+def _choice_masks(members: tuple[int, ...], k: int, dim: int) -> np.ndarray:
+    """Boolean ``(choices, dim)`` matrix whose rows select the subsets of ``members``
+    of at most ``k`` elements, by size, then lexicographically."""
+    choices = [c for r in range(k + 1) for c in combinations(members, r)]
     masks = np.zeros((len(choices), dim), dtype=bool)
     rows = np.repeat(np.arange(len(choices)), [len(c) for c in choices])
     masks[rows, np.fromiter(chain.from_iterable(choices), dtype=np.intp)] = True
@@ -441,7 +424,7 @@ def brute_force_opt(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, f
     if n > MAX_BRUTE_FORCE_SETS:
         raise ValueError(f"{n} feasible sets exceed the enumeration budget")
     d = matroid.dim
-    tables = [_choice_masks(c, d) for c in _feasible_choices(matroid)]
+    tables = [_choice_masks(m, k, d) for m, k in _groups(matroid)]
     shape = tuple(len(t) for t in tables)
     rows = max(1, BRUTE_FORCE_CHUNK_BYTES // d)
     best_mask, best_value = None, -math.inf

@@ -5,8 +5,12 @@ interaction matrix, and probabilistic topic coverage (the closed-form
 multilinear extension of a coverage set function).  Discrete objectives:
 log-determinant active-set selection and one-hop influence coverage on an
 undirected graph.  All four are monotone (DR-)submodular on their domains.
-The set-function builders also hand their oracle a batched kernel that
-evaluates the sets given as rows of a boolean mask matrix in one array pass.
+
+Each public function here is a data builder, an oracle builder, or the kernel
+an oracle runs on each counted query (:func:`nqp_eval`, :func:`logdet_eval`).
+The builders check their data once, and the oracles each point or set.  The
+set-function builders also hand their oracle a batched kernel that evaluates
+the sets given as rows of a boolean mask matrix in one array pass.
 """
 
 from __future__ import annotations
@@ -121,14 +125,6 @@ def _topic_matrix(P) -> np.ndarray:
     return P
 
 
-def _selection(P: np.ndarray, x) -> np.ndarray:
-    """``x`` as a float vector with one entry in [0, 1] per article of ``P``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (P.shape[1],):
-        raise ValueError(f"inconsistent shapes P{P.shape}, x{x.shape}")
-    return _unit_range(x)
-
-
 def _unit_range(x: np.ndarray) -> np.ndarray:
     """``x``, after checking that its entries lie in [0, 1] up to 1e-12 (NaN fails)."""
     if not (x.min() >= -1e-12 and x.max() <= 1 + 1e-12):
@@ -136,14 +132,8 @@ def _unit_range(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _coverage(P: np.ndarray, x) -> float:
-    """:func:`coverage_eval` for a ``P`` already checked by :func:`_topic_matrix`."""
-    x = _selection(P, x)
-    return float((1.0 - np.prod(1.0 - P * x, axis=1)).sum() / P.shape[0])
-
-
 def _coverage_gradient(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`coverage_gradient` for checked ``P`` and ``x``.
+    """Exact gradient of :func:`coverage_batch` in the selection, for checked ``P`` and ``x``.
 
     Topic ``j`` adds ``P[j] * prod(row) / row`` with ``row = 1 - P[j] * x``.
     A row with one vanishing factor adds only that factor's partial, the
@@ -168,39 +158,30 @@ def _coverage_gradient(P: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (np.cumsum(contrib, axis=0)[-1] + 0.0) / k
 
 
-def coverage_eval(P: np.ndarray, x: np.ndarray) -> float:
-    """Average probabilistic topic coverage of a fractional article selection.
+def coverage_batch(P: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Average probabilistic topic coverage ``mean_j [1 - prod_a (1 - P[j, a] * x[a])]``
+    at each row ``x`` of an ``(n, articles)`` mask or selection matrix.
 
-    ``P`` is a (topics x articles) matrix with entries in [0, 1]; column ``a``
-    is the topic distribution of article ``a``.  Returns
-    ``mean_j [1 - prod_a (1 - P[j, a] * x[a])]``, which at 0/1 vectors equals
-    the coverage set function.  Raises ``ValueError`` on a NaN or out-of-range
-    entry of ``P`` or ``x`` and on inconsistent shapes.
+    At 0/1 rows this is the coverage set function, and at fractional rows its
+    multilinear extension.  ``P`` and the rows are not checked here.
     """
-    return _coverage(_topic_matrix(P), x)
-
-
-def coverage_gradient(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of :func:`coverage_eval` in the selection vector.
-
-    Checks ``P`` and ``x`` as :func:`coverage_eval` does.
-    """
-    P = _topic_matrix(P)
-    return _coverage_gradient(P, _selection(P, x))
+    factors = 1.0 - P[None, :, :] * masks[:, None, :]
+    return np.mean(1.0 - np.prod(factors, axis=2), axis=1)
 
 
 def coverage_value_oracle(P: np.ndarray) -> ValueOracle:
     """Continuous coverage oracle with exact gradient, on the unit cube.
 
-    ``P`` is checked and copied once, here; each call then runs only the
-    arithmetic and the check of its point.
+    ``P`` is a (topics x articles) matrix with entries in [0, 1], column ``a``
+    the topic distribution of article ``a``; it is checked and copied once, here.
+    Each call checks its point and runs :func:`coverage_batch` on it as one row.
     """
     P = _topic_matrix(P)
     d = P.shape[1]
     col = P.sum(axis=0) / P.shape[0]
     G = float(np.linalg.norm(col))
     return ValueOracle(
-        fn=lambda x: _coverage(P, x),
+        fn=lambda x: float(coverage_batch(P, x[None])[0]),
         dim=d,
         lipschitz_G=max(G, 1e-12),
         grad=lambda x: _coverage_gradient(P, x),
@@ -210,18 +191,8 @@ def coverage_value_oracle(P: np.ndarray) -> ValueOracle:
     )
 
 
-def coverage_batch(P: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """:func:`coverage_eval` at each row of an ``(n, articles)`` mask or selection matrix.
-
-    The same products and row sums as :func:`_coverage`, so the values are
-    bitwise equal to it.
-    """
-    factors = 1.0 - P[None, :, :] * masks[:, None, :]
-    return np.mean(1.0 - np.prod(factors, axis=2), axis=1)
-
-
 def coverage_set_oracle(P: np.ndarray) -> SetOracle:
-    """Coverage as a set function; its multilinear extension is coverage_eval.
+    """Coverage as a set function, the 0/1 rows of :func:`coverage_batch`.
 
     ``P`` is checked and copied once, here.  Set values are memoized
     (:data:`SET_VALUE_CACHE`).
@@ -231,10 +202,9 @@ def coverage_set_oracle(P: np.ndarray) -> SetOracle:
 
     @functools.lru_cache(maxsize=SET_VALUE_CACHE)
     def fn(S: frozenset) -> float:
-        x = np.zeros(d)
-        if S:
-            x[sorted(S)] = 1.0
-        return _coverage(P, x)
+        mask = np.zeros((1, d), dtype=bool)
+        mask[0, list(S)] = True
+        return float(coverage_batch(P, mask)[0])
 
     return SetOracle(
         fn, ground_size=d, bound_M=1.0, name="coverage",
@@ -370,20 +340,9 @@ class Graph:
         return cls(tuple(frozenset(a) for a in adj))
 
 
-def influence_eval(graph: Graph, S) -> float:
-    """Nodes reached from the integer seed set through one hop, seeds included."""
-    reach = graph.reach
-    n = len(reach)
-    seeds = []
-    for u in map(operator.index, S):
-        if not 0 <= u < n:
-            raise ValueError(f"node {u} outside the graph")
-        seeds.append(u)
-    return _influence(reach, seeds)
-
-
 def _influence(reach: tuple[int, ...], S) -> float:
-    """:func:`influence_eval` for seeds already checked to be nodes of the graph."""
+    """Nodes reached through one hop from seeds already checked to be nodes of
+    the graph, seeds included: the OR of their ``Graph.reach`` bitmasks."""
     reached = 0
     for u in S:
         reached |= reach[u]
@@ -391,7 +350,7 @@ def _influence(reach: tuple[int, ...], S) -> float:
 
 
 def influence_batch(reach: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """:func:`influence_eval` at each row of a boolean mask matrix.
+    """:func:`_influence` at each row of a boolean mask matrix.
 
     ``reach`` is the dense float32 ``A + I`` of the graph (exact up to 2^24 nodes):
     node ``v`` is reached from seeds ``m`` exactly when ``(m @ reach)[v] > 0``.
@@ -402,8 +361,8 @@ def influence_batch(reach: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def influence_set_oracle(graph: Graph) -> SetOracle:
     """One-hop influence of a seed set as a set function on the graph's nodes.
 
-    Counted queries run the bitmask kernel of :func:`influence_eval` on the
-    members ``SetOracle`` has already checked; uncounted batches of masks run
+    Counted queries run the bitmask kernel :func:`_influence` on the members
+    ``SetOracle`` has already checked; uncounted batches of masks run
     :func:`influence_batch` on a dense ``A + I`` built once, here.  Unlike the
     logdet and coverage oracles, it does not memoize values.
     """

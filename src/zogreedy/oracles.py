@@ -19,13 +19,21 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constraints import BoxDomain, DomainError, contains
+from .constraints import DEFAULT_FEASIBILITY_TOL, BoxDomain, DomainError, contains
 
 # Bytes of one chunk of an uncounted trace pass: the uniform draws of
 # MultilinearOracle.peek_rows, or the rows ValueOracle.peek_rows hands its batch_fn.
 # Bounds the pass's working memory whatever its length.  objectives.nqp_generate
 # sizes its symmetrization bands by it too.
 SAMPLE_CHUNK_BYTES = 2**17
+
+
+def _point_rows(Z, dim: int) -> np.ndarray:
+    """``Z`` as a float ``(n, dim)`` matrix of points; ``ValueError`` for any other shape."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != dim:
+        raise ValueError(f"points have shape {Z.shape}, expected (n, {dim})")
+    return Z
 
 
 class ValueOracle:
@@ -98,9 +106,7 @@ class ValueOracle:
         on chunks of rows of at most :data:`SAMPLE_CHUNK_BYTES` when the oracle
         has one, and ``fn`` row by row otherwise.
         """
-        Z = np.asarray(Z, dtype=float)
-        if Z.ndim != 2 or Z.shape[1] != self.dim:
-            raise ValueError(f"points have shape {Z.shape}, expected (n, {self.dim})")
+        Z = _point_rows(Z, self.dim)
         if self._batch_fn is None:
             out = np.array([float(self._fn(z)) for z in Z])
         else:
@@ -346,9 +352,15 @@ class MultilinearOracle:
         Draws the same sets, in row order, as one counted call per row with
         ``l = peek_samples``, in chunks of rows whose uniform draws take at
         most :data:`SAMPLE_CHUNK_BYTES`, so its memory is bounded whatever the
-        number of rows.
+        number of rows.  Raises ``ValueError`` unless ``Z`` is ``(n, dim)``, and
+        :class:`DomainError` on a row outside the unit cube, before drawing.
         """
-        n, d = np.shape(Z)
+        Z = _point_rows(Z, self.dim)
+        # "not (min >= lo and max <= hi)" so that NaN fails too
+        if Z.size and not (Z.min() >= -DEFAULT_FEASIBILITY_TOL
+                           and Z.max() <= 1 + DEFAULT_FEASIBILITY_TOL):
+            raise DomainError("peeked points leave the unit cube")
+        n, d = Z.shape
         s = self._peek_samples
         rows = max(1, SAMPLE_CHUNK_BYTES // (8 * s * d))
         out = np.empty(n)

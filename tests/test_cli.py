@@ -160,6 +160,11 @@ class TestRunCommand:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_CONFIG
 
+    def test_unreadable_config_is_config_error_naming_it(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == EXIT_CONFIG  # a directory, not a file
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "section" not in err
+
     def test_malformed_config_is_config_error(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[objective]\nkind = unknown_thing\n")

@@ -13,12 +13,9 @@ from zogreedy import (
     Graph,
     MultilinearOracle,
     SetOracle,
-    coverage_eval,
-    coverage_gradient,
     coverage_set_oracle,
     coverage_value_oracle,
     dbg,
-    influence_eval,
     influence_set_oracle,
     logdet_eval,
     logdet_set_oracle,
@@ -127,11 +124,11 @@ class TestNqpEval:
 class TestCoverage:
     def test_hand_value(self):
         P = np.array([[1.0, 0.5], [0.0, 0.5]])
-        assert coverage_eval(P, np.array([1.0, 1.0])) == pytest.approx(0.75)
+        assert coverage_value_oracle(P)(np.array([1.0, 1.0])) == pytest.approx(0.75)
 
     def test_zero_selection(self):
         P = np.array([[1.0, 0.5], [0.0, 0.5]])
-        assert coverage_eval(P, np.zeros(2)) == 0.0
+        assert coverage_value_oracle(P)(np.zeros(2)) == 0.0
 
     def test_set_oracle_empty(self):
         P = np.array([[1.0, 0.5], [0.0, 0.5]])
@@ -148,7 +145,7 @@ class TestCoverage:
 
     def test_out_of_range_entries_rejected(self):
         with pytest.raises(ValueError):
-            coverage_eval(np.array([[1.2]]), np.array([0.5]))
+            coverage_value_oracle(np.array([[1.2]]))
 
     def test_matches_multilinear_extension(self):
         rng = np.random.default_rng(21)
@@ -157,7 +154,7 @@ class TestCoverage:
             P = rng.dirichlet(np.ones(k), size=d).T
             f = coverage_set_oracle(P)
             x = rng.uniform(0, 1, size=d)
-            assert coverage_eval(P, x) == pytest.approx(
+            assert coverage_value_oracle(P)(x) == pytest.approx(
                 multilinear_exact(f, x), abs=1e-9
             )
 
@@ -165,30 +162,35 @@ class TestCoverage:
         rng = np.random.default_rng(22)
         P = rng.dirichlet(np.ones(3), size=5).T
         x = rng.uniform(0.1, 0.9, size=5)
-        g = coverage_gradient(P, x)
+        F = coverage_value_oracle(P)
+        g = F.gradient(x)
         h = 1e-6
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
-            fd = (coverage_eval(P, x + e) - coverage_eval(P, x - e)) / (2 * h)
+            fd = (F(x + e) - F(x - e)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-6)
 
     @pytest.mark.parametrize("P, x, message", [
         ([[np.nan, 0.5]], [0.5, 0.5], "topic matrix"),
-        ([[0.2, 0.5]], [np.nan, 0.5], "selection"),
+        ([[0.2, 0.5]], [np.nan, 0.5], "leaves the box domain"),
         ([[2.0, 0.5]], [0.5, 0.5], "topic matrix"),
         ([[0.2, -0.1]], [0.5, 0.5], "topic matrix"),
-        ([[0.2, 0.5]], [1.5, 0.5], "selection"),
-        ([[0.2, 0.5]], [-0.1, 0.5], "selection"),
-        ([[0.2, 0.5]], [0.5, 0.5, 0.5], "inconsistent shapes"),
+        ([[0.2, 0.5]], [1.5, 0.5], "leaves the box domain"),
+        ([[0.2, 0.5]], [-0.1, 0.5], "leaves the box domain"),
+        ([[0.2, 0.5]], [0.5, 0.5, 0.5], "point has shape"),
         ([0.2, 0.5], [0.5, 0.5], "topic matrix"),
         (np.zeros((0, 2)), [0.5, 0.5], "topic matrix"),
     ], ids=["nan-P", "nan-x", "P-above-1", "P-below-0", "x-above-1", "x-below-0",
             "shape-mismatch", "1-D-P", "no-topics"])
-    @pytest.mark.parametrize("fn", [coverage_eval, coverage_gradient])
-    def test_bad_inputs_raise(self, fn, P, x, message):
+    # the builder checks P; the counted value or gradient query checks x
+    @pytest.mark.parametrize("query", [
+        lambda P, x: coverage_value_oracle(P)(x),
+        lambda P, x: coverage_value_oracle(P).gradient(x),
+    ], ids=["coverage_eval", "coverage_gradient"])
+    def test_bad_inputs_raise(self, query, P, x, message):
         with pytest.raises(ValueError, match=message):
-            fn(np.array(P, dtype=float), np.array(x, dtype=float))
+            query(np.array(P, dtype=float), np.array(x, dtype=float))
 
     @pytest.mark.parametrize("P", [[[2.0, 0.5]], [[np.nan, 0.5]], [[-0.5, 0.5]],
                                    [0.2, 0.5], np.zeros((0, 3))],
@@ -214,19 +216,19 @@ class TestCoverage:
         with pytest.raises(ValueError):
             F.peek(np.array(x))
 
-    def test_oracle_values_equal_coverage_eval(self):
+    def test_oracle_values_equal_coverage_batch(self):
         P = synthetic_topics(10, 24, seed=3)
         F, f = coverage_value_oracle(P), coverage_set_oracle(P)
         rng = np.random.default_rng(23)
         for _ in range(20):
             x = rng.random(24)
             mean = float(np.mean(1.0 - np.prod(1.0 - P * x, axis=1)))
-            assert F(x) == F.peek(x) == coverage_eval(P, x) == mean
-            assert np.array_equal(F.gradient(x), coverage_gradient(P, x))
+            assert F(x) == F.peek(x) == objectives.coverage_batch(P, x[None])[0] == mean
+            assert np.array_equal(F.gradient(x), coverage_gradient_reference(P, x))
             S = frozenset(np.flatnonzero(rng.random(24) < 0.3).tolist())
             indicator = np.zeros(24)
             indicator[sorted(S)] = 1.0
-            assert f(S) == f.peek(S) == coverage_eval(P, indicator)
+            assert f(S) == f.peek(S) == objectives.coverage_batch(P, indicator[None])[0]
 
 
 def gradient_cases():
@@ -269,11 +271,10 @@ GRADIENT_CASES = gradient_cases()
 @pytest.mark.parametrize("P, x", [c[1:] for c in GRADIENT_CASES],
                          ids=[c[0] for c in GRADIENT_CASES])
 def test_coverage_gradient_equals_topic_loop(P, x):
-    g = coverage_gradient(P, x)
+    g = coverage_value_oracle(P).gradient(x)
     ref = coverage_gradient_reference(P, x)
     assert np.array_equal(g, ref)
     assert np.array_equal(np.signbit(g), np.signbit(ref))
-    assert np.array_equal(coverage_value_oracle(P).gradient(x), ref)
 
 
 class TestLogdet:
@@ -344,37 +345,38 @@ class TestRbfCovariance:
 
 class TestInfluence:
     def path3(self):
-        return Graph.from_edges(3, [(0, 1), (1, 2)])
+        return influence_set_oracle(Graph.from_edges(3, [(0, 1), (1, 2)]))
 
     def test_middle_of_path_covers_all(self):
-        assert influence_eval(self.path3(), {1}) == 3.0
+        assert self.path3().peek({1}) == 3.0
 
     def test_empty_seed_set(self):
-        assert influence_eval(self.path3(), set()) == 0.0
+        assert self.path3().peek(set()) == 0.0
 
     def test_leaf_covers_two(self):
-        assert influence_eval(self.path3(), {0}) == 2.0
+        assert self.path3().peek({0}) == 2.0
 
     def test_out_of_range_node(self):
         with pytest.raises(ValueError):
-            influence_eval(self.path3(), {7})
+            self.path3().peek({7})
 
     def test_negative_node(self):
         # reach[-1] would read the last node's mask
-        with pytest.raises(ValueError, match="outside the graph"):
-            influence_eval(self.path3(), [0, -1])
+        with pytest.raises(ValueError, match="outside the ground set"):
+            self.path3().peek([0, -1])
 
     @pytest.mark.parametrize("S", [[0.5], [1.7], [0, 2.0], [np.float64(1.0)], ["1"]])
     def test_non_integral_node_rejected(self, S):
-        with pytest.raises(TypeError):
-            influence_eval(self.path3(), S)
+        with pytest.raises(ValueError, match="must be integers"):
+            self.path3().peek(S)
 
     @pytest.mark.parametrize("S", [[np.int64(1)], np.array([0, 2]), (np.int32(1),)])
     def test_integer_like_nodes_accepted(self, S):
-        assert influence_eval(self.path3(), S) == influence_eval(self.path3(), [int(u) for u in S])
+        f = self.path3()
+        assert f(S) == f.peek(S) == f.peek([int(u) for u in S])
 
-    def test_oracle_kernel_matches_influence_eval(self):
-        """The unchecked kernel behind influence_set_oracle equals the public function."""
+    def test_oracle_kernel_matches_influence_reference(self):
+        """The unchecked kernel behind influence_set_oracle equals the set-union reference."""
         rng = np.random.default_rng(17)
         graphs = [karate_club_graph()] + [
             Graph.from_edges(n, rng.integers(0, n, size=(2 * n, 2)).tolist())
@@ -384,8 +386,8 @@ class TestInfluence:
             f = influence_set_oracle(g)
             for p in (0.0, 0.1, 0.5, 1.0):
                 S = frozenset(np.flatnonzero(rng.random(g.num_nodes) < p).tolist())
-                assert objectives._influence(g.reach, S) == influence_eval(g, S)
-                assert f(S) == f.peek(S) == influence_eval(g, S)
+                assert objectives._influence(g.reach, S) == influence_reference(g, S)
+                assert f(S) == f.peek(S) == influence_reference(g, S)
 
     def test_reach_bitmasks(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
@@ -419,7 +421,7 @@ class TestStructuralProperties:
         rng = np.random.default_rng(17)
         edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.4]
         g = Graph.from_edges(6, edges)
-        _check_monotone_submodular(lambda S: influence_eval(g, S), 6)
+        _check_monotone_submodular(influence_set_oracle(g).peek, 6)
 
     def test_logdet_monotone_submodular(self):
         rng = np.random.default_rng(18)
@@ -525,12 +527,12 @@ def topics_instance():
 
 
 def uncached_value(build: str, data: np.ndarray, S) -> float:
-    """The set value straight from the public kernel, with no oracle in between."""
+    """The set value straight from the kernel, with no oracle in between."""
     if build == "logdet":
         return logdet_eval(data, S)
     x = np.zeros(data.shape[1])
     x[sorted(S)] = 1.0
-    return coverage_eval(data, x)
+    return float(objectives.coverage_batch(data, x[None])[0])
 
 
 def built_oracle(build: str, data: np.ndarray) -> SetOracle:
@@ -719,7 +721,8 @@ class TestKernelsMatchReference:
         g = karate_club_graph()
         sets = [np.flatnonzero(m).tolist()
                 for m in random_masks(np.random.default_rng(7), 600, g.num_nodes)]
-        assert [influence_eval(g, S) for S in sets] == [influence_reference(g, S) for S in sets]
+        f = influence_set_oracle(g)
+        assert [f(S) for S in sets] == [influence_reference(g, S) for S in sets]
 
     def test_influence_with_isolated_nodes(self):
         rng = np.random.default_rng(8)
@@ -730,6 +733,5 @@ class TestKernelsMatchReference:
             g = Graph.from_edges(n, edges if active else [])
             assert sum(len(nb) == 0 for nb in g.neighbors) >= n - active
             sets = [np.flatnonzero(m).tolist() for m in random_masks(rng, 50, n)]
-            assert [influence_eval(g, S) for S in sets] == [
-                influence_reference(g, S) for S in sets
-            ]
+            f = influence_set_oracle(g)
+            assert [f(S) for S in sets] == [influence_reference(g, S) for S in sets]

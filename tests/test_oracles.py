@@ -544,3 +544,27 @@ class TestMultilinearValueOracle:
         with pytest.raises(DomainError):
             F.gradient(np.array(x))
         assert f.query_count == 0
+
+    def karate_view(self):
+        peek_rng = np.random.default_rng(5)
+        F = MultilinearOracle(influence_set_oracle(karate_club_graph()), 1,
+                              np.random.default_rng(4), peek_rng, 8)
+        return F, peek_rng
+
+    @pytest.mark.parametrize("Z, error, message", [
+        (np.full((2, 34), np.nan), DomainError, "unit cube"),
+        (np.full((2, 34), 2.0), DomainError, "unit cube"),
+        (np.full((2, 34), -0.5), DomainError, "unit cube"),
+        (np.full(34, 0.5), ValueError, "points have shape"),
+        (np.full((2, 33), 0.5), ValueError, "points have shape"),
+    ], ids=["nan", "above-1", "below-0", "1-D", "too-few-columns"])
+    def test_peek_rows_rejects_bad_points_before_drawing(self, Z, error, message):
+        F, peek_rng = self.karate_view()
+        state = peek_rng.bit_generator.state
+        with pytest.raises(error, match=message):
+            F.peek_rows(Z)
+        assert peek_rng.bit_generator.state == state
+        # a good row after the rejected call still draws the first sets of the stream
+        fresh, _ = self.karate_view()
+        Z = np.random.default_rng(6).random((3, 34))
+        assert np.array_equal(F.peek_rows(Z), fresh.peek_rows(Z))
