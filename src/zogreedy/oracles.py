@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constraints import DEFAULT_FEASIBILITY_TOL, BoxDomain, DomainError, contains
+from .constraints import BoxDomain, DomainError, contains
 
 # Bytes of one chunk of an uncounted trace pass: the uniform draws of
 # MultilinearOracle.peek_rows, or the rows ValueOracle.peek_rows hands its batch_fn.
@@ -34,6 +34,16 @@ def _point_rows(Z, dim: int) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != dim:
         raise ValueError(f"points have shape {Z.shape}, expected (n, {dim})")
     return Z
+
+
+def _rows_in(domain: BoxDomain, Z: np.ndarray) -> bool:
+    """True iff every row of the ``(n, dim)`` matrix ``Z`` lies in the box ``domain``.
+
+    A box holds every row iff it holds their columnwise minimum and maximum,
+    and a NaN coordinate makes both extremes of its column NaN, so two
+    :func:`contains` calls test any number of rows.
+    """
+    return Z.size == 0 or (contains(domain, Z.min(axis=0)) and contains(domain, Z.max(axis=0)))
 
 
 class ValueOracle:
@@ -104,9 +114,15 @@ class ValueOracle:
 
         The oracle's one uncounted path (instrumentation only): ``batch_fn``
         on chunks of rows of at most :data:`SAMPLE_CHUNK_BYTES` when the oracle
-        has one, and ``fn`` row by row otherwise.
+        has one, and ``fn`` row by row otherwise.  Each row is checked against
+        the domain first, as a counted call checks its point: a row outside
+        it, or with a NaN coordinate, raises :class:`DomainError` before any
+        value is computed.
         """
         Z = _point_rows(Z, self.dim)
+        if self.domain is not None and not _rows_in(self.domain, Z):
+            z = next(z for z in Z if not contains(self.domain, z))
+            raise DomainError(f"peeked point {z} leaves the box domain")
         if self._batch_fn is None:
             out = np.array([float(self._fn(z)) for z in Z])
         else:
@@ -356,9 +372,7 @@ class MultilinearOracle:
         :class:`DomainError` on a row outside the unit cube, before drawing.
         """
         Z = _point_rows(Z, self.dim)
-        # "not (min >= lo and max <= hi)" so that NaN fails too
-        if Z.size and not (Z.min() >= -DEFAULT_FEASIBILITY_TOL
-                           and Z.max() <= 1 + DEFAULT_FEASIBILITY_TOL):
+        if not _rows_in(self.domain, Z):
             raise DomainError("peeked points leave the unit cube")
         n, d = Z.shape
         s = self._peek_samples

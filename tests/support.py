@@ -246,6 +246,11 @@ def nqp_generate_reference(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return H, b
 
 
+def nqp_reference(H: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """x^T H x / 2 + b^T x as one product with all of ``H`` (the original kernel)."""
+    return float(0.5 * x @ H @ x + b @ x)
+
+
 def logdet_reference(sigma: np.ndarray, S) -> float:
     """log det(I + Sigma[S, S]) through ``np.ix_`` and ``np.eye`` (the original kernel)."""
     idx = sorted(int(i) for i in S)

@@ -36,6 +36,7 @@ from support import (
     mixed_second_bruteforce,
     multilinear_exact,
     nqp_generate_reference,
+    nqp_reference,
     partial_bruteforce,
     random_weighted_coverage,
     sampled_peeks_reference,
@@ -119,6 +120,39 @@ class TestNqpEval:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             nqp_eval(np.eye(2), np.ones(2), np.ones(3))
+
+    @pytest.mark.parametrize("d", [1, 2, 127, 128, 129, 255, 256, 257, 1000])
+    def test_matches_full_product_across_band_edges(self, d):
+        """On symmetric H of either sign and points in and beyond the cube, the
+        banded kernel equals the full product to rounding."""
+        rng = np.random.default_rng(d)
+        H, b = nqp_generate(d, seed=d)
+        A = rng.standard_normal((d, d))
+        for H_i, b_i in ((H, b), (A + A.T, rng.standard_normal(d))):
+            for x in (rng.random(d), rng.uniform(-3.0, 3.0, d), np.ones(d)):
+                want = nqp_reference(H_i, b_i, x)
+                assert nqp_eval(H_i, b_i, x) == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+    def test_bitwise_full_product_within_one_band(self):
+        rng = np.random.default_rng(5)
+        for d in range(1, objectives.NQP_BAND_ROWS + 1):
+            H, b = nqp_generate(d, seed=d)
+            for x in (rng.random(d), np.zeros(d)):
+                assert nqp_eval(H, b, x).hex() == nqp_reference(H, b, x).hex(), d
+
+    @pytest.mark.parametrize("d", [257, 1000])
+    def test_reads_only_upper_bands(self, d):
+        """NaN below every diagonal block leaves the value as it was."""
+        H, b = nqp_generate(d, seed=3)
+        x = np.random.default_rng(3).random(d)
+        poisoned = H.copy()
+        rows = objectives.NQP_BAND_ROWS
+        for lo in range(0, d, rows):
+            poisoned[lo + rows:, lo:lo + rows] = np.nan
+        assert np.isnan(poisoned).any()
+        value = nqp_eval(poisoned, b, x)
+        assert value == nqp_eval(H, b, x)
+        assert value == pytest.approx(nqp_reference(H, b, x), rel=1e-13)
 
 
 class TestCoverage:
@@ -483,6 +517,7 @@ class TestOracleBuilders:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nqp_oracle_rejects_non_finite_h(self, bad):
+        """One bad entry also breaks symmetry; the message still says "finite"."""
         H, b = nqp_generate(4, seed=9)
         H[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -494,6 +529,35 @@ class TestOracleBuilders:
         b[3] = bad
         with pytest.raises(ValueError, match="finite"):
             nqp_oracle(H, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nqp_oracle_non_finite_below_the_diagonal_reads_finite(self, bad):
+        H, b = nqp_generate(1000, seed=9)
+        H[999, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nqp_oracle(H, b)
+
+    @pytest.mark.parametrize("d, i, j", [(4, 0, 1), (1000, 999, 995), (1000, 999, 0)],
+                             ids=["first_band_d4", "last_band_d1000", "corner_d1000"])
+    def test_nqp_oracle_rejects_asymmetric_h(self, d, i, j):
+        H, b = nqp_generate(d, seed=9)
+        H[i, j] = -H[i, j]
+        with pytest.raises(ValueError, match="symmetric"):
+            nqp_oracle(H, b)
+
+    def test_nqp_value_and_gradient_describe_one_function(self):
+        """Central differences of counted values match the exact gradient over
+        several bands of the value kernel."""
+        d, eps = 300, 1e-3
+        F = nqp_oracle(*nqp_generate(d, seed=12))
+        x = np.random.default_rng(12).uniform(0.2, 0.8, d)
+        step = np.zeros(d)
+        fd = np.empty(d)
+        for i in range(d):
+            step[i] = eps
+            fd[i] = (F(x + step) - F(x - step)) / (2 * eps)
+            step[i] = 0.0
+        np.testing.assert_allclose(fd, F.gradient(x), rtol=1e-6)
 
     def test_nqp_oracle_does_not_copy_h(self):
         H, b = nqp_generate(1000, seed=9)

@@ -13,6 +13,8 @@ from zogreedy import (
     coverage_value_oracle,
     influence_set_oracle,
     logdet_set_oracle,
+    nqp_generate,
+    nqp_oracle,
     rbf_covariance,
 )
 
@@ -148,10 +150,46 @@ class TestPeekRows:
         F = coverage_value_oracle(np.full((2, 3), 0.5))
         Z = np.full((4, 3), 0.5)
         Z[2, 1] = bad
-        with pytest.raises(ValueError, match="selection entries"):
+        with pytest.raises(DomainError, match="leaves the box domain"):
             F.peek(Z[2])
-        with pytest.raises(ValueError, match="selection entries"):
+        with pytest.raises(DomainError, match="leaves the box domain"):
             F.peek_rows(Z)
+
+    @pytest.mark.parametrize("build", [
+        lambda: nqp_oracle(*nqp_generate(4, 0)),
+        lambda: coverage_value_oracle(np.full((2, 4), 0.5)),
+        lambda: NoisyOracle(nqp_oracle(*nqp_generate(4, 0)), 0.1, seed=1),
+    ], ids=["nqp", "coverage", "noisy"])
+    @pytest.mark.parametrize("bad", [2.0, -0.1, np.nan])
+    def test_peek_rows_checks_the_domain_as_a_counted_call(self, build, bad):
+        F = build()
+        Z = np.full((3, 4), 0.5)
+        Z[1, 2] = bad
+        with pytest.raises(DomainError):
+            F(Z[1])
+        with pytest.raises(DomainError, match="leaves the box domain"):
+            F.peek_rows(Z)
+        with pytest.raises(DomainError, match="leaves the box domain"):
+            F.peek_rows(Z[1:2])
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["fn", "batch_fn"])
+    def test_peek_rows_checks_every_row_before_any_value(self, batched, monkeypatch):
+        monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", 8 * 2)  # one-row chunks
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return 0.0
+
+        def batch(Z):
+            seen.append(Z)
+            return np.zeros(len(Z))
+
+        F = ValueOracle(fn, dim=2, lipschitz_G=1.0, domain=BoxDomain.unit_cube(2),
+                        batch_fn=batch if batched else None)
+        with pytest.raises(DomainError):
+            F.peek_rows(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, np.nan]]))
+        assert seen == []
 
     def test_batch_fn_gets_chunks_in_row_order(self, monkeypatch):
         monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", 8 * 2 * 3)  # three rows of two
