@@ -12,6 +12,7 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -83,7 +84,8 @@ class ConstraintSpec:
 
     ``upper`` stores the per-coordinate cap for all three kinds so membership,
     linear maximization, and projection can treat them uniformly;
-    ``block_index`` holds each block as an index array for the same code.
+    ``block_index`` holds each block as an index array for the same code, and
+    ``block_scan`` all blocks at once for :func:`~zogreedy.polytope.lmo`.
     Two specs are equal, and hash alike, when their class, kind, the bytes
     of ``upper``, their blocks and their budgets agree.
     """
@@ -125,6 +127,31 @@ class ConstraintSpec:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "budgets", tuple(float(b) for b in budgets))
         object.__setattr__(self, "block_index", _index_arrays(blocks))
+
+    @functools.cached_property
+    def block_scan(self) -> tuple[np.ndarray, ...]:
+        """Every block laid out for one sort and one running difference.
+
+        ``(members, block_of, slots, table)``, built at first use: ``members``
+        lists the blocked coordinates block by block, each block's indices
+        ascending, and ``block_of`` the block of each.  Sorted by block and
+        then by any key, the coordinate at position ``j`` lands in row
+        ``block_of[j]`` of the ``(blocks, longest block + 1)`` scan matrix, at
+        the flat position ``slots[j]``.  ``table`` is that matrix with the
+        budgets in its first column and zeros elsewhere.
+        """
+        sizes = np.array([len(block) for block in self.blocks], dtype=np.intp)
+        width = int(sizes.max(initial=0)) + 1
+        members = np.array([i for block in self.blocks for i in sorted(block)], dtype=np.intp)
+        # the narrowest type lets np.lexsort radix-sort the block key
+        block_of = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)
+        rank = np.arange(1, members.size + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        table = np.zeros((sizes.size, width))
+        table[:, 0] = self.budgets
+        scan = (members, block_of, block_of.astype(np.intp) * width + rank, table)
+        for arr in scan:
+            arr.setflags(write=False)
+        return scan
 
     def _key(self) -> tuple:
         return (type(self), self.kind, self.upper.tobytes(), self.blocks, self.budgets)

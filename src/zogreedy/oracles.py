@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,8 +60,7 @@ class ValueOracle:
         values of ``fn`` at its rows; it must agree with ``fn`` bitwise and
         serves only the uncounted :meth:`peek_rows`.
 
-    The evaluation counter is lock-protected so concurrent workers never lose
-    increments.
+    The counters are plain integers, so use one oracle per thread.
     """
 
     def __init__(
@@ -84,7 +82,6 @@ class ValueOracle:
         self._grad = grad
         self.domain = domain
         self.name = name
-        self._lock = threading.Lock()
         self._queries = 0
         self._grad_queries = 0
 
@@ -98,8 +95,7 @@ class ValueOracle:
 
     def __call__(self, x: np.ndarray) -> float:
         x = self._check(x)
-        with self._lock:
-            self._queries += 1
+        self._queries += 1
         value = float(self._fn(x))
         if not math.isfinite(value):
             raise ValueError(f"oracle {self.name!r} returned non-finite value {value}")
@@ -145,8 +141,7 @@ class ValueOracle:
         if self._grad is None:
             raise ValueError(f"oracle {self.name!r} exposes no gradient")
         x = self._check(x)
-        with self._lock:
-            self._grad_queries += 1
+        self._grad_queries += 1
         g = np.asarray(self._grad(x), dtype=float)
         if not np.all(np.isfinite(g)):
             raise ValueError(f"oracle {self.name!r} returned a non-finite gradient")
@@ -170,9 +165,9 @@ class NoisyOracle:
 
     The noise is Gaussian with standard deviation ``sigma0``; for another
     zero-mean distribution, subclass and override ``__call__``.  The instance
-    owns a seeded generator stream, so it should be confined to one worker
-    unless re-seeded per worker.  ``peek_rows`` passes through to the exact
-    inner oracle.
+    owns a seeded generator stream and counts through its inner oracle, so
+    use one oracle per thread, each with its own seed.  ``peek_rows`` passes
+    through to the exact inner oracle.
     """
 
     def __init__(self, inner: ValueOracle, sigma0: float, seed: int = 0):
@@ -213,7 +208,8 @@ class SetOracle:
     against the ground set.  ``batch_fn``, when given, maps a boolean
     ``(n, ground_size)`` mask matrix to the ``n`` values of the sets its rows
     select; it must agree with ``fn`` bitwise and serves only the uncounted
-    :meth:`peek_masks`.
+    :meth:`peek_masks`.  The counter is a plain integer, so use one oracle per
+    thread.
     """
 
     def __init__(
@@ -232,7 +228,6 @@ class SetOracle:
         self._ground = frozenset(range(self.ground_size))
         self.bound_M = float(bound_M)
         self.name = name
-        self._lock = threading.Lock()
         self._queries = 0
 
     def _check(self, subset) -> frozenset:
@@ -247,8 +242,7 @@ class SetOracle:
 
     def __call__(self, subset) -> float:
         members = self._check(subset)
-        with self._lock:
-            self._queries += 1
+        self._queries += 1
         value = float(self._fn(members))
         if not abs(value) <= self.bound_M + 1e-9:  # NaN fails too
             if not math.isfinite(value):
@@ -349,7 +343,8 @@ class MultilinearOracle:
 
     def __call__(self, x: np.ndarray) -> float:
         masks = sample_masks(self._check(x), self.l, self._rng)
-        return float(np.mean([self.f(frozenset(np.flatnonzero(m).tolist())) for m in masks]))
+        values = [self.f(frozenset(np.flatnonzero(m).tolist())) for m in masks]
+        return float(np.add.reduce(values)) / self.l
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         mask = sample_masks(self._check(x), 1, self._rng)[0]

@@ -25,18 +25,23 @@ def lmo(constraint: ConstraintSpec, g: np.ndarray) -> np.ndarray:
     Coordinates with non-positive weight receive 0 (the sets are down-closed,
     so they never help).  Within a block, capacity is granted in decreasing
     weight order, ties broken toward the lowest index, and the last coordinate
-    funded may be fractional.  The budget left before each grant is a running
-    difference, the same arithmetic as granting one coordinate at a time.
+    funded may be fractional.  One stable sort, keyed by block and then by
+    weight, orders every block at once.  The budget left before each grant is
+    a running difference along the block's row of the constraint's scan
+    matrix, the same arithmetic as granting one coordinate at a time.
     """
     upper = constraint.upper
     g = np.asarray(g, dtype=float)
     if g.shape != upper.shape:
         raise ValueError(f"gradient has shape {g.shape}, expected {upper.shape}")
     v = np.where(g > 0.0, upper, 0.0)
-    for idx, budget in zip(constraint.block_index, constraint.budgets):
-        order = idx[np.lexsort((idx, -g[idx]))]
+    if constraint.blocks:
+        members, block_of, slots, table = constraint.block_scan
+        order = members[np.lexsort((-g[members], block_of))]
         caps = upper[order]
-        remaining = np.subtract.accumulate(np.concatenate(([budget], caps)))[:-1]
+        scan = table.copy()
+        scan.reshape(-1)[slots] = caps
+        remaining = np.subtract.accumulate(scan, axis=1).reshape(-1)[slots - 1]
         funded = (g[order] > 0.0) & (remaining > 0.0)
         v[order] = np.where(funded, np.minimum(caps, remaining), 0.0)
     return v

@@ -9,6 +9,7 @@ its margin stated inline.
 import numpy as np
 import pytest
 
+import zogreedy.algorithms as algorithms
 from zogreedy import (
     AlgoParams,
     BoxDomain,
@@ -514,3 +515,42 @@ def test_criterion_13_noise_gap_shrinks_with_batch(noisy_bcg_runs):
     ok = all(0.0 < gaps[s, 1] and gaps[s, 16] <= 0.5 * gaps[s, 1] for s in (0.01, 0.05))
     _report(13, "noise gap shrinks as 1/sqrt(B)", ok,
             "; ".join(f"sigma0 {s} B {B}: {g:.2e}" for (s, B), g in gaps.items()))
+
+
+def test_criterion_13_momentum_error_shrinks_with_batch(monkeypatch):
+    """The quantity the paper bounds, the momentum estimate's error, shrinks with B.
+
+    Noise adds d^2 sigma0^2 / (2 delta^2 B) to each estimate's variance, and
+    the momentum average carries that into E||g_bar_t - grad F(c_t)||^2, so
+    the error itself scales as 1/sqrt(B): 1/4 from B = 1 to 16.  Here c_T is
+    the center of the last estimate, the lifted iterate before the last step,
+    and grad F = H c + b is exactly the smoothed gradient of the quadratic.
+    Instance, T, delta, sigma0 and seeds as the ``noisy_bcg_runs`` fixture;
+    g_bar_T is read by wrapping ``algorithms.momentum_update``.  Required at
+    each sigma0: the seed-mean relative error ||g_bar_T - grad F(c_T)|| /
+    ||grad F(c_T)|| at B = 16 is at most 0.35 of the one at B = 1.  That is
+    1/sqrt(16) = 0.25, plus 0.10 for the part of the error that does not fall
+    with B (momentum averages gradients from earlier iterates) and for the
+    sampling error of a 10-seed mean.
+    """
+    last = {}
+
+    def recording(g_bar, g, rho):
+        last["g_bar"] = momentum_update(g_bar, g, rho)
+        return last["g_bar"]
+
+    monkeypatch.setattr(algorithms, "momentum_update", recording)
+    H, b, K, D, _ = _ascent_target_instance()
+    errors = {}
+    for sigma0 in (0.01, 0.05):
+        for B in (1, 16):
+            rel = []
+            for seed in range(10):
+                F = NoisyOracle(nqp_oracle(H, b), sigma0, seed=1000 + seed)
+                _, trace = bcg(F, D, K, AlgoParams(T=500, delta=0.02, B=B, seed=seed))
+                exact = H @ trace.records[-2].z + b
+                rel.append(np.linalg.norm(last["g_bar"] - exact) / np.linalg.norm(exact))
+            errors[sigma0, B] = float(np.mean(rel))
+    ok = all(errors[s, 16] <= 0.35 * errors[s, 1] for s in (0.01, 0.05))
+    _report(13, "momentum error shrinks with the batch", ok,
+            "; ".join(f"sigma0 {s} B {B}: {e:.4f}" for (s, B), e in errors.items()))

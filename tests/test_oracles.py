@@ -481,17 +481,26 @@ class TestMultilinearSample:
         assert f.query_count == 13
 
     def test_one_draw_matches_per_sample_draws(self):
+        """Sets drawn per sample, and the value ``np.mean`` of theirs, bitwise.
+
+        NumPy sums 8 or more terms pairwise, so ``l`` covers both of its paths.
+        """
         x = np.array([0.3, 0.0, 1.0, 0.5, 0.0, 1.0, 0.9])
+        w = 10.0 ** np.linspace(-3.0, 3.0, x.size) / 3.0
         seen = []
-        f = SetOracle(lambda S: seen.append(S) or len(S), ground_size=x.size, bound_M=x.size)
-        rng = np.random.default_rng(17)
-        value = counted_sample(f, x, 11, rng)
-        ref_rng = np.random.default_rng(17)
-        ref = [frozenset(np.flatnonzero(sample_masks(x, 1, ref_rng)[0]).tolist())
-               for _ in range(11)]
-        assert seen == ref
-        assert value == float(np.mean([len(S) for S in ref]))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        f = SetOracle(lambda S: seen.append(S) or float(w[sorted(S)].sum()),
+                      ground_size=x.size, bound_M=float(w.sum()))
+        for l in (1, 2, 3, 7, 8, 9, 11, 16):
+            seen.clear()
+            rng = np.random.default_rng(17 + l)
+            value = counted_sample(f, x, l, rng)
+            ref_rng = np.random.default_rng(17 + l)
+            ref = [frozenset(np.flatnonzero(sample_masks(x, 1, ref_rng)[0]).tolist())
+                   for _ in range(l)]
+            assert seen == ref
+            expected = float(np.mean([f.peek(S) for S in ref]))
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMultilinearValueOracle:

@@ -42,6 +42,37 @@ def random_geometry(rng, d):
     return C
 
 
+def random_layout(rng):
+    """A random spec for lmo's one sort over all blocks, up to d = 40.
+
+    Permuted, non-contiguous blocks with free coordinates; the shrunk K' of
+    such blocks under fractional caps, where a budget that filled its block
+    ends above the block's shrunk capacity; a box; one block; or all
+    singleton blocks.
+    """
+    d = int(rng.integers(1, 41))
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return ConstraintSpec.box(rng.uniform(0.1, 1.0, d))
+    if kind == 1:
+        return ConstraintSpec.block_budget(d, [rng.permutation(d)], [rng.uniform(0.1, d)])
+    if kind == 2:
+        return ConstraintSpec.block_budget(
+            d, [(i,) for i in rng.permutation(d)], rng.uniform(0.1, 1.0, d))
+    used = rng.permutation(d)[: int(rng.integers(1, d + 1))]
+    cuts = rng.choice(np.arange(1, used.size), size=min(used.size - 1, 4), replace=False)
+    blocks = [tuple(int(i) for i in b) for b in np.split(used, np.sort(cuts))]
+    if kind == 3:
+        return ConstraintSpec.block_budget(
+            d, blocks, [rng.uniform(0.1, 1.0) * len(b) for b in blocks])
+    domain = BoxDomain(rng.uniform(0.5, 2.0, d))
+    caps = np.where(rng.random(d) < 0.5, domain.upper, rng.uniform(0.5, 1.0, d) * domain.upper)
+    budgets = [float(np.sum(caps[list(b)])) * rng.choice([1.0, rng.uniform(0.5, 1.0)])
+               for b in blocks]
+    K = ConstraintSpec("block_budget", caps, blocks, budgets)
+    return transform_constraint(domain, K, float(rng.uniform(0.01, 0.1)))
+
+
 def simplex_like():
     """{x in [0, 0.8]^2 : x1 + x2 <= 0.8}, the shrunk single-budget square."""
     K = ConstraintSpec.block_budget(2, [(0, 1)], [1.0])
@@ -101,14 +132,18 @@ class TestLmo:
                 assert float(g @ v) >= best - 1e-9
 
     def test_bitwise_equal_to_scalar_reference(self):
-        rng = np.random.default_rng(34)
+        geometries, layouts = np.random.default_rng(34), np.random.default_rng(35)
+        above_capacity = 0
         for _ in range(2000):
-            d = int(rng.integers(1, 12))
-            C = random_geometry(rng, d)
-            g = rng.standard_normal(d)
-            if rng.random() < 0.5:
-                g = np.round(g)  # ties and zero weights
-            assert np.array_equal(lmo(C, g), lmo_reference(C, g))
+            for rng, C in ((geometries, random_geometry(geometries, int(geometries.integers(1, 12)))),
+                           (layouts, random_layout(layouts))):
+                g = rng.standard_normal(C.dim)
+                if rng.random() < 0.5:
+                    g = np.round(g)  # ties and zero weights
+                assert lmo(C, g).tobytes() == lmo_reference(C, g).tobytes()
+            above_capacity += any(budget > np.sum(C.upper[idx])
+                                  for idx, budget in zip(C.block_index, C.budgets))
+        assert above_capacity >= 100
 
 
 class TestProject:
