@@ -16,11 +16,11 @@ A set function enters through one step: all five see it as its
 :class:`~zogreedy.oracles.MultilinearOracle`, whose value is an ``l``-sample
 estimate of the multilinear extension, whose gradient is the estimate
 ``f(S + i) - f(S - i)`` and whose uncounted trace values are means of set
-values over sampled masks.  Trace values are computed for all iterates in one
-pass after the loop.  One of two finishers checks the output: continuous runs
-return the lifted iterate after a ``contains`` check; set-function runs
-repair the lifted point onto the matroid polytope, swap-round it, and check
-independence.
+values over sampled masks.  After the loop, :func:`contains` checks that every
+lifted iterate lies in the run's constraint, within 1e-9 on a continuous run
+and 1e-6 on a set function, and one pass computes their trace values.
+Continuous runs return the last lifted iterate; set-function runs repair it
+onto the matroid polytope, swap-round it, and check independence.
 
 All runs are sequential in the iteration counter, deterministic given
 (parameters, seed), and do exact query accounting: bcg and zga spend
@@ -48,7 +48,7 @@ from .constraints import (
     transform_constraint,
 )
 from .estimators import batch_grad, momentum_update, rho_schedule
-from .oracles import MultilinearOracle, NoisyOracle, SetOracle, ValueOracle
+from .oracles import SAMPLE_CHUNK_BYTES, MultilinearOracle, NoisyOracle, SetOracle, ValueOracle
 from .polytope import lmo, project, swap_round
 
 ContinuousOracle = Union[ValueOracle, NoisyOracle]
@@ -156,16 +156,18 @@ def _projected(region: ConstraintSpec, eta0: Optional[float], lipschitz_G: float
 
 def _ascend(
     oracle, x: np.ndarray, grad: Callable[[np.ndarray], np.ndarray], step: Step,
-    lift: float, T: int,
+    lift: float, T: int, constraint: ConstraintSpec, tol: float,
 ) -> tuple[np.ndarray, RunTrace]:
     """The one ascent loop: ``T`` times ``x <- step(x, grad(x), t)``.
 
     Records the lifted iterate ``x + lift``, the value plus gradient queries
     spent on ``oracle`` so far, the elapsed time and the gradient norm.  The
-    lifted iterates are the rows of one ``(T, d)`` buffer, which one uncounted
-    ``oracle.peek_rows`` pass turns into the trace values after the loop, so
-    the times are algorithm time only.  Returns the last unlifted iterate and
-    the trace.
+    lifted iterates are the rows of one ``(T, d)`` buffer.  After the loop,
+    :func:`contains` checks them against ``constraint`` within ``tol``, in
+    chunks of at most :data:`SAMPLE_CHUNK_BYTES`, raising ``RuntimeError`` at
+    the first iteration outside it, and one uncounted ``oracle.peek_rows``
+    pass turns them into the trace values, so the times are algorithm time
+    only.  Returns the last unlifted iterate and the trace.
     """
     def accesses():
         return oracle.query_count + getattr(oracle, "gradient_query_count", 0)
@@ -179,19 +181,16 @@ def _ascend(
         np.add(x, lift, out=zs[t - 1])
         queries = accesses() - q0
         progress.append((t, queries, time.perf_counter() - start, grad_norm))
+    rows = max(1, SAMPLE_CHUNK_BYTES // (8 * x.size))
+    for lo in range(0, T, rows):
+        if not contains(constraint, zs[lo:lo + rows], tol):
+            t = next(t for t in range(lo + 1, T + 1) if not contains(constraint, zs[t - 1], tol))
+            raise RuntimeError(f"iteration {t} left the constraint set; internal error")
     return x, RunTrace([
         TraceRecord(t, queries, elapsed, z, float(value), grad_norm)
         for (t, queries, elapsed, grad_norm), z, value
         in zip(progress, zs, oracle.peek_rows(zs))
     ])
-
-
-def _lifted(x: np.ndarray, lift: float, constraint: ConstraintSpec) -> np.ndarray:
-    """Finisher for continuous runs: the lifted point, checked feasible."""
-    out = x + lift
-    if not contains(constraint, out, tol=1e-9):
-        raise RuntimeError("final iterate left the constraint set; internal error")
-    return out
 
 
 def _rounded(
@@ -200,10 +199,9 @@ def _rounded(
 ) -> frozenset:
     """Finisher for set functions: repair the lifted point, swap-round, check.
 
-    The lifted point satisfies the matroid polytope up to floating point; the
-    repair clamps tolerance-level violations and records their size as the
-    trace's rounding overshoot, and anything beyond 1e-6 signals a real bug
-    and raises.
+    The lifted point satisfies the matroid polytope within 1e-6, as
+    :func:`_ascend` checked; the repair clamps those tolerance-level
+    violations and records their size as the trace's rounding overshoot.
     """
     z = x + lift
     overshoot = max(0.0, float(np.max(z - 1.0)), float(np.max(-z)))
@@ -213,10 +211,6 @@ def _rounded(
         if s > limit:
             overshoot = max(overshoot, s - limit)
             z[idx] *= limit / s
-    if overshoot > 1e-6:
-        raise RuntimeError(
-            f"rounding input violates the matroid polytope by {overshoot}"
-        )
     trace.rounding_overshoot = overshoot
     chosen = swap_round(z, matroid, rng)
     if not independent(matroid, chosen):
@@ -262,10 +256,12 @@ def _optimize(
         step = _projected(region, params.eta0, oracle.lipschitz_G)
     else:
         step = _frank_wolfe(region, params.T)
-    x, trace = _ascend(oracle, x, grad, step, lift, params.T)
-    if isinstance(oracle, MultilinearOracle):
+    discrete = isinstance(oracle, MultilinearOracle)
+    x, trace = _ascend(oracle, x, grad, step, lift, params.T, constraint,
+                       1e-6 if discrete else 1e-9)
+    if discrete:
         return _rounded(x, lift, constraint, rng, trace), trace
-    return _lifted(x, lift, constraint), trace
+    return x + lift, trace
 
 
 def bcg(

@@ -5,7 +5,8 @@ has been pulled away from the boundary of the objective's box domain by a
 margin ``delta``, so that every smoothing sample ``x + delta*u`` stays inside
 the domain.  This module owns that geometry: the three supported constraint
 families, of which the box domain is the ``box`` kind, the shrink-and-translate
-transform, and the feasibility predicates everything else relies on.
+transform, and the one feasibility predicate, :func:`contains`, which tests a
+point or every row of a matrix; :func:`independent` applies it to a set.
 
 All types are immutable after construction and safe to share across workers.
 """
@@ -265,33 +266,44 @@ def transform_constraint(
 def contains(
     constraint: ConstraintSpec, x: np.ndarray, tol: float = DEFAULT_FEASIBILITY_TOL
 ) -> bool:
-    """True iff every box and budget inequality holds within additive ``tol``;
-    never for a point with a NaN coordinate."""
+    """True iff every box and budget inequality holds within additive ``tol`` at
+    the point ``x``, shape ``(dim,)``, or at every row of the matrix ``x``, shape
+    ``(n, dim)``, so always for ``n = 0``; never when a coordinate is NaN."""
     upper = constraint.upper
     x = np.asarray(x, dtype=float)
-    if x.shape != upper.shape:
-        raise ValueError(f"point has shape {x.shape}, expected {upper.shape}")
-    # min() is NaN when any coordinate is, so a NaN point fails too
-    if not (x.min() >= -tol and (x <= upper + tol).all()):
+    rows = x.ndim == 2
+    if x.ndim > 2 or x.shape[rows:] != upper.shape:
+        raise ValueError(f"point has shape {x.shape}, expected {upper.shape} or (n, {upper.size})")
+    if rows and not len(x):
+        return True
+    # a box holds every row iff it holds their columnwise extremes; min() is
+    # NaN when any coordinate is, so a NaN point fails too
+    lo, hi = (x.min(axis=0), x.max(axis=0)) if rows else (x, x)
+    if not (lo.min() >= -tol and (hi <= upper + tol).all()):
         return False
     for idx, budget in zip(constraint.block_index, constraint.budgets):
-        if float(np.sum(x[idx])) > budget + tol:
+        # take() copies contiguous rows, which np.sum adds as it adds one point
+        total = np.sum(x.take(idx, axis=1), axis=1).max() if rows else np.sum(x[idx])
+        if total > budget + tol:
             return False
     return True
+
+
+def _members(subset, ground: frozenset) -> frozenset:
+    """``subset`` as a frozenset of ints drawn from ``ground``; ``ValueError`` otherwise."""
+    try:
+        members = frozenset(map(operator.index, subset))
+    except TypeError as exc:
+        raise ValueError(f"set elements must be integers: {exc}") from None
+    if not members <= ground:
+        raise ValueError(f"element {min(members - ground)} outside the ground set")
+    return members
 
 
 def independent(matroid: ConstraintSpec, subset) -> bool:
-    """True iff ``subset`` respects every block limit of a partition matroid."""
+    """True iff the 0/1 indicator of ``subset`` lies in the partition matroid's polytope."""
     if matroid.kind != PARTITION_MATROID:
         raise ValueError("independence is defined for partition matroids only")
-    try:
-        members = set(map(operator.index, subset))
-    except TypeError as exc:
-        raise ValueError(f"set elements must be integers: {exc}") from None
-    for i in members:
-        if not 0 <= i < matroid.dim:
-            raise ValueError(f"element {i} outside the ground set")
-    for block, limit in zip(matroid.blocks, matroid.budgets):
-        if len(members.intersection(block)) > limit + 1e-12:
-            return False
-    return True
+    indicator = np.zeros(matroid.dim)
+    indicator[list(_members(subset, frozenset(range(matroid.dim))))] = 1.0
+    return contains(matroid, indicator)

@@ -6,43 +6,42 @@ Counted calls go through ``__call__``.  Each oracle has one uncounted path,
 reserved for instrumentation (trace columns, final reporting): ``peek_rows``
 evaluates every row of a matrix of points, and :meth:`SetOracle.peek_masks`
 every set given as a row of a boolean mask matrix.  ``ValueOracle.peek`` and
-``SetOracle.peek`` are their one-row case.  The optimizers see a set function
-through :class:`MultilinearOracle`, its multilinear extension.
+``SetOracle.peek`` are their one-row case.  Both paths check alike: a point,
+or a matrix's rows at once, with one :func:`contains` call on the domain; a
+set's members against the ground set, and its value against ``bound_M``.  The
+optimizers see a set function through :class:`MultilinearOracle`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Optional
 
 import numpy as np
 
-from .constraints import BoxDomain, DomainError, contains
+from .constraints import BoxDomain, DomainError, _members, contains
 
 # Bytes of one chunk of an uncounted trace pass: the uniform draws of
 # MultilinearOracle.peek_rows, or the rows ValueOracle.peek_rows hands its batch_fn.
 # Bounds the pass's working memory whatever its length.  objectives.nqp_generate
-# sizes its symmetrization bands by it too.
+# sizes its symmetrization bands by it too, and algorithms._ascend its row checks.
 SAMPLE_CHUNK_BYTES = 2**17
 
 
-def _point_rows(Z, dim: int) -> np.ndarray:
-    """``Z`` as a float ``(n, dim)`` matrix of points; ``ValueError`` for any other shape."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] != dim:
-        raise ValueError(f"points have shape {Z.shape}, expected (n, {dim})")
-    return Z
-
-
-def _rows_in(domain: BoxDomain, Z: np.ndarray) -> bool:
-    """True iff every row of the ``(n, dim)`` matrix ``Z`` lies in the box ``domain``.
-
-    A box holds every row iff it holds their columnwise minimum and maximum,
-    and a NaN coordinate makes both extremes of its column NaN, so two
-    :func:`contains` calls test any number of rows.
-    """
-    return Z.size == 0 or (contains(domain, Z.min(axis=0)) and contains(domain, Z.max(axis=0)))
+def _checked(oracle, x, ndim: int) -> np.ndarray:
+    """``x`` as a float point (``ndim`` 1) or matrix of points (``ndim`` 2) of
+    ``oracle.dim`` coordinates: ``ValueError`` for any other shape, and
+    :class:`DomainError` when a point leaves ``oracle.domain`` or has a NaN."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.shape[-1] != oracle.dim:
+        if ndim == 1:
+            raise ValueError(f"point has shape {x.shape}, expected ({oracle.dim},)")
+        raise ValueError(f"points have shape {x.shape}, expected (n, {oracle.dim})")
+    if oracle.domain is not None and not contains(oracle.domain, x):
+        what = f"point {x}" if ndim == 1 else f"one of {len(x)} points"
+        cube = " (the unit cube)" if (oracle.domain.upper == 1.0).all() else ""
+        raise DomainError(f"{what} leaves the box domain{cube}")
+    return x
 
 
 class ValueOracle:
@@ -85,16 +84,8 @@ class ValueOracle:
         self._queries = 0
         self._grad_queries = 0
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        if self.domain is not None and not contains(self.domain, x):
-            raise DomainError(f"evaluation point {x} leaves the box domain")
-        return x
-
     def __call__(self, x: np.ndarray) -> float:
-        x = self._check(x)
+        x = _checked(self, x, 1)
         self._queries += 1
         value = float(self._fn(x))
         if not math.isfinite(value):
@@ -115,10 +106,7 @@ class ValueOracle:
         it, or with a NaN coordinate, raises :class:`DomainError` before any
         value is computed.
         """
-        Z = _point_rows(Z, self.dim)
-        if self.domain is not None and not _rows_in(self.domain, Z):
-            z = next(z for z in Z if not contains(self.domain, z))
-            raise DomainError(f"peeked point {z} leaves the box domain")
+        Z = _checked(self, Z, 2)
         if self._batch_fn is None:
             out = np.array([float(self._fn(z)) for z in Z])
         else:
@@ -140,9 +128,12 @@ class ValueOracle:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         if self._grad is None:
             raise ValueError(f"oracle {self.name!r} exposes no gradient")
-        x = self._check(x)
+        x = _checked(self, x, 1)
         self._grad_queries += 1
         g = np.asarray(self._grad(x), dtype=float)
+        if g.shape != x.shape:
+            raise ValueError(f"oracle {self.name!r} returned a gradient of shape {g.shape}, "
+                             f"expected {x.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"oracle {self.name!r} returned a non-finite gradient")
         return g
@@ -230,18 +221,8 @@ class SetOracle:
         self.name = name
         self._queries = 0
 
-    def _check(self, subset) -> frozenset:
-        try:
-            members = frozenset(map(operator.index, subset))
-        except TypeError as exc:
-            raise ValueError(f"set elements must be integers: {exc}") from None
-        if not members <= self._ground:
-            i = next(i for i in members if i not in self._ground)
-            raise ValueError(f"element {i} outside the ground set")
-        return members
-
     def __call__(self, subset) -> float:
-        members = self._check(subset)
+        members = _members(subset, self._ground)
         self._queries += 1
         value = float(self._fn(members))
         if not abs(value) <= self.bound_M + 1e-9:  # NaN fails too
@@ -254,7 +235,7 @@ class SetOracle:
     def peek(self, subset) -> float:
         """Uncounted value of one set: the one-row case of :meth:`peek_masks`."""
         mask = np.zeros(self.ground_size, dtype=bool)
-        mask[list(self._check(subset))] = True
+        mask[list(_members(subset, self._ground))] = True
         return float(self.peek_masks(mask[None])[0])
 
     def peek_masks(self, masks: np.ndarray) -> np.ndarray:
@@ -279,9 +260,10 @@ class SetOracle:
             raise ValueError(
                 f"batch of {masks.shape[0]} sets gave values of shape {values.shape}"
             )
-        bad = values[~np.isfinite(values)]
+        bad = values[~(np.abs(values) <= self.bound_M + 1e-9)]  # NaN fails too
         if bad.size:
-            raise ValueError(f"set function {self.name!r} peeked non-finite value {bad[0]}")
+            raise ValueError(f"set function {self.name!r} peeked value {bad[0]}, non-finite "
+                             f"or beyond its declared bound {self.bound_M}")
         return values
 
     @property
@@ -335,19 +317,13 @@ class MultilinearOracle:
         self._peek_rng = peek_rng
         self._peek_samples = peek_samples
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not contains(self.domain, x):
-            raise DomainError(f"point {x} leaves the unit cube")
-        return x
-
     def __call__(self, x: np.ndarray) -> float:
-        masks = sample_masks(self._check(x), self.l, self._rng)
+        masks = sample_masks(_checked(self, x, 1), self.l, self._rng)
         values = [self.f(frozenset(np.flatnonzero(m).tolist())) for m in masks]
         return float(np.add.reduce(values)) / self.l
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        mask = sample_masks(self._check(x), 1, self._rng)[0]
+        mask = sample_masks(_checked(self, x, 1), 1, self._rng)[0]
         base = frozenset(np.flatnonzero(mask).tolist())
         f = self.f
         g = np.empty(self.dim)
@@ -366,9 +342,7 @@ class MultilinearOracle:
         number of rows.  Raises ``ValueError`` unless ``Z`` is ``(n, dim)``, and
         :class:`DomainError` on a row outside the unit cube, before drawing.
         """
-        Z = _point_rows(Z, self.dim)
-        if not _rows_in(self.domain, Z):
-            raise DomainError("peeked points leave the unit cube")
+        Z = _checked(self, Z, 2)
         n, d = Z.shape
         s = self._peek_samples
         rows = max(1, SAMPLE_CHUNK_BYTES // (8 * s * d))

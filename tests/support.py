@@ -150,6 +150,17 @@ def random_point_in(constraint, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
+def blind_point(constraint) -> np.ndarray:
+    """The point a method that spends no queries can pick: each block's budget
+    spread evenly over the block's members, capped at ``upper``, and every
+    coordinate outside the blocks at its cap."""
+    x = np.array(constraint.upper, dtype=float)
+    for block, budget in zip(constraint.blocks, constraint.budgets):
+        idx = list(block)
+        x[idx] = np.minimum(budget / len(idx), x[idx])
+    return x
+
+
 def lmo_reference(constraint, g: np.ndarray) -> np.ndarray:
     """Coordinate-at-a-time greedy linear maximization (the original scalar loop)."""
     upper = constraint.upper
@@ -214,11 +225,13 @@ def set_gradient_reference(f: SetOracle, base: frozenset) -> np.ndarray:
     return np.array([f(base | {i}) - f(base - {i}) for i in range(f.ground_size)])
 
 
-def ascend_reference(oracle, x, grad, step, lift, T):
-    """The ascent loop with each trace value computed inside it, one iterate at a time.
+def ascend_reference(oracle, x, grad, step, lift, T, constraint, tol):
+    """The ascent loop with each iterate checked and valued inside it, one at a time.
 
-    The loop before trace values were deferred to one pass after it: it calls
-    ``oracle.peek_rows`` on a one-row matrix at every iteration.
+    The loop before trace values were deferred to one pass after it: at every
+    iteration it checks the lifted iterate with one ``contains`` call on the
+    point, raising ``RuntimeError`` at the first one outside ``constraint``,
+    and calls ``oracle.peek_rows`` on a one-row matrix.
     """
     from zogreedy.algorithms import RunTrace, TraceRecord
 
@@ -230,6 +243,8 @@ def ascend_reference(oracle, x, grad, step, lift, T):
     for t in range(1, T + 1):
         x, grad_norm = step(x, grad(x), t)
         z = x + lift
+        if not contains(constraint, z, tol):
+            raise RuntimeError(f"iteration {t} left the constraint set; internal error")
         trace.records.append(TraceRecord(
             t=t, queries=accesses() - q0, elapsed_s=0.0, z=z,
             value=float(next(iter(oracle.peek_rows(z[None])))), grad_norm=grad_norm,

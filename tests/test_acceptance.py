@@ -37,6 +37,7 @@ from zogreedy.bench import brute_force_opt
 from zogreedy.objectives import coverage_set_oracle
 
 from support import (
+    blind_point,
     enumerate_vertices,
     gradient_bruteforce,
     mixed_second_bruteforce,
@@ -240,6 +241,37 @@ def test_criterion_08_discrete_ratio_vs_bruteforce():
             f"mean {mean:.4f} vs needed {need:.4f} (opt {opt:.4f})")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "dbg's seed mean is below the blind point at criterion 8's parameters; "
+    "see the FOUND line on criterion 8 in CHANGES.md"))
+def test_criterion_08_companion_beats_the_blind_point():
+    """dbg at criterion 8's instance, parameters and seeds beats the query-free point.
+
+    The blind point is scored by the mean value of 2000 swap-rounded sets on
+    ``default_rng(0)``.  Required: dbg's seed mean exceeds it by two standard
+    errors of that mean.
+    """
+    rng = np.random.default_rng(2024)
+    P = rng.dirichlet(np.ones(6), size=9).T
+    M = ConstraintSpec.partition_matroid(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], [1, 1, 1])
+    finals = []
+    for seed in range(20):
+        f = coverage_set_oracle(P)
+        S, _ = dbg(f, M, AlgoParams(T=200, delta=0.05, B=1, l=4, seed=seed,
+                                    trace_value_samples=8))
+        finals.append(f.peek(S))
+    x, stream = blind_point(M), np.random.default_rng(0)
+    f = coverage_set_oracle(P)
+    blind = float(np.mean([f.peek(swap_round(x, M, stream)) for _ in range(2000)]))
+    _report_companion(8, "dbg", finals, blind)
+
+
+def _report_companion(num: int, label: str, finals, blind: float):
+    mean, se = float(np.mean(finals)), float(np.std(finals, ddof=1) / np.sqrt(len(finals)))
+    _report(num, f"{label} beats the blind point", mean > blind + 2.0 * se,
+            f"mean {mean:.4f}, standard error {se:.4f}, blind point {blind:.4f}")
+
+
 def _ascent_target_instance():
     """A d=5 quadratic under one budget of 2, with the best of 20 ``ga`` restarts."""
     H, b = nqp_generate(5, seed=77)
@@ -266,6 +298,23 @@ def test_criterion_09_continuous_ratio_vs_ascent_target():
     need = (1.0 - 1.0 / np.e) * target - 0.05 * target
     _report(9, "zeroth-order ratio vs ascent target", mean >= need,
             f"mean {mean:.4f} vs needed {need:.4f} (target {target:.4f})")
+
+
+def test_criterion_09_companion_beats_the_blind_point():
+    """bcg at criterion 9's instance, parameters and seeds beats the query-free point.
+
+    Required: bcg's seed mean exceeds the blind point's value by two standard
+    errors of that mean.
+    """
+    H, b = nqp_generate(5, seed=77)
+    K = ConstraintSpec.block_budget(5, [(0, 1, 2, 3, 4)], [2.0])
+    D = BoxDomain.unit_cube(5)
+    finals = []
+    for seed in range(10):
+        F = nqp_oracle(H, b)
+        out, _ = bcg(F, D, K, AlgoParams(T=500, delta=0.02, B=5, seed=seed))
+        finals.append(F.peek(out))
+    _report_companion(9, "bcg", finals, nqp_oracle(H, b).peek(blind_point(K)))
 
 
 def test_criterion_10_matches_first_order_baseline():

@@ -549,3 +549,36 @@ def test_discrete_ascent_traces_peek_all_rows_at_once(algorithm, tmp_path, monke
     assert np.array_equal(result.trace.queries(), reference.trace.queries())
     assert result.final_value == reference.final_value
     assert state == reference_state
+
+
+@pytest.mark.parametrize("rows", [None, 2], ids=["default_chunk", "two_row_chunks"])
+@pytest.mark.parametrize("algorithm, patched", [("ga", "project"), ("bcg", "lmo"),
+                                                ("dbg", "lmo")])
+def test_an_infeasible_step_names_its_iteration(algorithm, patched, rows, monkeypatch):
+    """A step that leaves the constraint at iteration 3 only fails the run there.
+
+    Step 3's point breaks the budget of one block of four but stays in the
+    unit box, so every probe stays in the domain.  Under ``ga`` the next
+    projection repairs it and the output is feasible; under ``bcg`` and
+    ``dbg`` the momentum average carries it to the end.
+    """
+    if rows is not None:
+        monkeypatch.setattr(algorithms, "SAMPLE_CHUNK_BYTES", 8 * 4 * rows)
+    real = getattr(algorithms, patched)
+    calls = []
+
+    def broken(region, y):
+        calls.append(None)
+        return region.upper.copy() if len(calls) == 3 else real(region, y)
+
+    monkeypatch.setattr(algorithms, patched, broken)
+    params = AlgoParams(T=4, delta=0.05, seed=1, trace_value_samples=1)
+    H, b = nqp_generate(4, seed=3)
+    K = ConstraintSpec.block_budget(4, [(0, 1, 2, 3)], [1.0])
+    f = SetOracle(lambda S: float(len(S)), ground_size=4, bound_M=4.0)
+    M = ConstraintSpec.partition_matroid(4, [(0, 1, 2, 3)], [1])
+    runs = {"ga": lambda: ga(nqp_oracle(H, b), K, params),
+            "bcg": lambda: bcg(nqp_oracle(H, b), BoxDomain.unit_cube(4), K, params),
+            "dbg": lambda: dbg(f, M, params)}
+    with pytest.raises(RuntimeError, match="iteration 3 left the constraint set"):
+        runs[algorithm]()

@@ -11,7 +11,12 @@ from zogreedy import (
     transform_constraint,
 )
 
-from support import box_contains_reference, random_small_constraint, random_point_in
+from support import (
+    box_contains_reference,
+    random_matroid,
+    random_point_in,
+    random_small_constraint,
+)
 
 
 class TestShrinkDomain:
@@ -138,6 +143,53 @@ class TestBoxContains:
             assert contains(constraint, x)
             x[i] = bad
             assert not contains(constraint, x)
+
+
+def _rows_at_the_bounds(K, n, tol, rng):
+    """``n`` points of ``K``, each moved onto a cap, the floor or a block budget
+    shifted by ``-tol``, 0, ``tol`` or the floats next to ``tol``; some with a NaN."""
+    offsets = [-tol, 0.0, tol, *np.nextafter(tol, [-np.inf, np.inf])]
+    Z = np.array([random_point_in(K, rng) for _ in range(n)]).reshape(n, K.dim)
+    for z in Z:
+        for _ in range(int(rng.integers(0, 3))):
+            i = int(rng.integers(K.dim))
+            z[i] = K.upper[i] + rng.choice(offsets) if rng.random() < 0.5 else -rng.choice(offsets)
+        for idx, budget in zip(K.block_index, K.budgets):
+            if rng.random() < 0.5:
+                z[idx[0]] += budget + rng.choice(offsets) - np.sum(z[idx])
+        if rng.random() < 0.1:
+            z[rng.integers(K.dim)] = np.nan
+    return Z
+
+
+class TestContainsRows:
+    """``contains`` on a matrix holds iff it holds at every row."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+    def test_matches_every_row(self, tol):
+        rng = np.random.default_rng(23)
+        verdicts = []
+        for _ in range(1500):
+            d = int(rng.integers(1, 9))
+            K = (random_small_constraint if rng.random() < 0.5 else random_matroid)(rng, d)
+            if rng.random() < 0.2:  # np.sum adds 8 or more terms pairwise
+                d = int(rng.integers(8, 41))
+                K = ConstraintSpec.block_budget(d, [rng.permutation(d)], [rng.uniform(0.3, 1) * d])
+            if rng.random() < 0.5:
+                K = transform_constraint(BoxDomain.unit_cube(d), K, rng.uniform(0.01, 0.2))
+            Z = _rows_at_the_bounds(K, int(rng.integers(0, 4)), tol, rng)
+            verdict = contains(K, Z, tol)
+            assert verdict == all(contains(K, z, tol) for z in Z)
+            verdicts.append((len(Z), verdict))
+        assert {(n > 1, v) for n, v in verdicts} == {(True, True), (True, False), (False, True),
+                                                     (False, False)}
+        assert (0, True) in verdicts
+
+    def test_rejects_other_shapes(self):
+        K = ConstraintSpec.block_budget(3, [(0, 1)], [1.0])
+        for x in [np.zeros((2, 4)), np.zeros((1, 2, 3)), np.zeros(()), np.zeros(4)]:
+            with pytest.raises(ValueError, match=r"has shape .*, expected \(3,\) or \(n, 3\)"):
+                contains(K, x)
 
 
 class TestTransformProperties:

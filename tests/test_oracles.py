@@ -3,7 +3,9 @@ import pytest
 
 import zogreedy.oracles as oracles
 from zogreedy import (
+    AlgoParams,
     BoxDomain,
+    ConstraintSpec,
     DomainError,
     MultilinearOracle,
     NoisyOracle,
@@ -11,6 +13,7 @@ from zogreedy import (
     ValueOracle,
     coverage_set_oracle,
     coverage_value_oracle,
+    ga,
     influence_set_oracle,
     logdet_set_oracle,
     nqp_generate,
@@ -18,7 +21,12 @@ from zogreedy import (
     rbf_covariance,
 )
 
-from zogreedy.bench import karate_club_graph, synthetic_data_matrix, synthetic_topics
+from zogreedy.bench import (
+    brute_force_opt,
+    karate_club_graph,
+    synthetic_data_matrix,
+    synthetic_topics,
+)
 from zogreedy.oracles import sample_masks
 
 from support import (
@@ -92,6 +100,18 @@ class TestValueOracle:
             F(np.zeros(2))
         with pytest.raises(ValueError, match="non-finite"):
             F.gradient(np.zeros(2))
+
+    def test_scalar_gradient_is_not_broadcast(self):
+        F = ValueOracle(lambda x: float(x.sum()), dim=3, lipschitz_G=1.0, grad=lambda x: 1.0,
+                        name="sum")
+        with pytest.raises(ValueError, match=r"oracle 'sum' returned a gradient of shape \(\)"):
+            ga(F, ConstraintSpec.box(np.ones(3)), AlgoParams(T=5, eta0=0.1))
+
+    def test_column_gradient_is_rejected_where_it_is_returned(self):
+        F = ValueOracle(lambda x: float(x.sum()), dim=3, lipschitz_G=1.0,
+                        grad=lambda x: np.ones((3, 1)), name="sum")
+        with pytest.raises(ValueError, match=r"'sum' returned a gradient of shape \(3, 1\)"):
+            F.gradient(np.zeros(3))
 
 
 class TestPeekRows:
@@ -358,6 +378,20 @@ class TestSetOracle:
             with pytest.raises(ValueError, match="non-finite"):
                 oracle.peek_masks(masks)
         assert f.peek_masks(masks[:1]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["fn", "batch_fn"])
+    def test_peeked_values_respect_the_bound(self, batched):
+        f = SetOracle(lambda S: 10.0, ground_size=3, bound_M=1.0,
+                      batch_fn=(lambda masks: np.full(len(masks), 10.0)) if batched else None)
+        M = ConstraintSpec.partition_matroid(3, [(0, 1, 2)], [1])
+        masks = np.zeros((1, 3), dtype=bool)
+        for peek in (lambda: f.peek_masks(masks), lambda: f.peek({0}),
+                     lambda: brute_force_opt(f, M)):
+            with pytest.raises(ValueError, match="value 10.0, non-finite or beyond its declared "
+                                                 "bound 1.0"):
+                peek()
+        edge = SetOracle(lambda S: -1.0 - 1e-9, ground_size=3, bound_M=1.0)
+        assert edge.peek_masks(np.ones((2, 3), dtype=bool)).tolist() == [-1.0 - 1e-9] * 2
 
     def test_peek_masks_is_uncounted(self):
         f = or_oracle()
