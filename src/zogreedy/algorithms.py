@@ -48,7 +48,7 @@ from .constraints import (
     transform_constraint,
 )
 from .estimators import batch_grad, momentum_update, rho_schedule
-from .oracles import SAMPLE_CHUNK_BYTES, MultilinearOracle, NoisyOracle, SetOracle, ValueOracle
+from .oracles import MultilinearOracle, NoisyOracle, SetOracle, ValueOracle, row_chunks
 from .polytope import lmo, project, swap_round
 
 ContinuousOracle = Union[ValueOracle, NoisyOracle]
@@ -63,7 +63,8 @@ class AlgoParams:
     batch ``B``; ga and zga the base step ``eta0`` (default: feasible-set
     diameter / Lipschitz ratio).  On a set function dbg and zga read the
     per-probe sample count ``l``, and all four ``trace_value_samples``, the
-    uncounted sample size behind the trace's value column.
+    uncounted sample size behind the trace's value column.  ``seed`` must be
+    a non-negative integer, so that a run is deterministic.
     """
 
     T: int = 100
@@ -77,6 +78,8 @@ class AlgoParams:
     def __post_init__(self):
         if not isinstance(self.T, numbers.Integral) or self.T < 4:
             raise ValueError("iteration count T must be an integer >= 4")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         # "not 0 < v < inf" so that NaN fails too
         if not 0 < self.delta < math.inf:
             raise ValueError("smoothing radius delta must be finite and positive")
@@ -163,9 +166,9 @@ def _ascend(
     Records the lifted iterate ``x + lift``, the value plus gradient queries
     spent on ``oracle`` so far, the elapsed time and the gradient norm.  The
     lifted iterates are the rows of one ``(T, d)`` buffer.  After the loop,
-    :func:`contains` checks them against ``constraint`` within ``tol``, in
-    chunks of at most :data:`SAMPLE_CHUNK_BYTES`, raising ``RuntimeError`` at
-    the first iteration outside it, and one uncounted ``oracle.peek_rows``
+    :func:`contains` checks them against ``constraint`` within ``tol``, a
+    chunk of rows at a time, raising ``RuntimeError`` at the first iteration
+    outside it, and one uncounted ``oracle.peek_rows``
     pass turns them into the trace values, so the times are algorithm time
     only.  Returns the last unlifted iterate and the trace.
     """
@@ -181,10 +184,10 @@ def _ascend(
         np.add(x, lift, out=zs[t - 1])
         queries = accesses() - q0
         progress.append((t, queries, time.perf_counter() - start, grad_norm))
-    rows = max(1, SAMPLE_CHUNK_BYTES // (8 * x.size))
-    for lo in range(0, T, rows):
-        if not contains(constraint, zs[lo:lo + rows], tol):
-            t = next(t for t in range(lo + 1, T + 1) if not contains(constraint, zs[t - 1], tol))
+    for rows in row_chunks(T, 8 * x.size):
+        if not contains(constraint, zs[rows], tol):
+            t = next(t for t in range(rows.start + 1, T + 1)
+                     if not contains(constraint, zs[t - 1], tol))
             raise RuntimeError(f"iteration {t} left the constraint set; internal error")
     return x, RunTrace([
         TraceRecord(t, queries, elapsed, z, float(value), grad_norm)

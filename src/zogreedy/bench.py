@@ -57,14 +57,9 @@ from .objectives import (
     nqp_oracle,
     rbf_covariance,
 )
-from .oracles import NoisyOracle, SetOracle, ValueOracle
+from .oracles import NoisyOracle, SetOracle, ValueOracle, row_chunks
 
 MAX_BRUTE_FORCE_SETS = 10**6
-# Bytes of feasible-set masks brute_force_opt holds at once.  The influence
-# kernel makes two float32 arrays of 4 bytes per mask byte, so a chunk needs
-# about 128 kB more, little enough not to raise a run's peak memory; all
-# 332,416 masks of configs/influence.ini would take 11.3 MB.
-BRUTE_FORCE_CHUNK_BYTES = 2**14
 
 TRACE_HEADER = ["algorithm", "seed", "iteration", "queries", "elapsed_ms", "value"]
 SUMMARY_HEADER = [
@@ -412,11 +407,12 @@ def brute_force_opt(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, f
     """Exhaustive maximum of a set function over a small partition matroid.
 
     The feasible sets are evaluated as boolean masks through
-    :meth:`SetOracle.peek_masks`, at most :data:`BRUTE_FORCE_CHUNK_BYTES` of
-    masks at a time.  The scan takes one choice per block in block order, then
-    one subset of the free coordinates, the last varying fastest; each block's
-    choices run by size, then lexicographically.  The first set with the
-    largest value wins.
+    :meth:`SetOracle.peek_masks`, a chunk of rows at a time
+    (:func:`~zogreedy.oracles.row_chunks`) at 8 bytes per mask byte, the
+    influence kernel's two float32 temporaries.  The scan takes one choice per
+    block in block order, then one subset of the free coordinates, the last
+    varying fastest; each block's choices run by size, then lexicographically.
+    The first set with the largest value wins.
     """
     if matroid.kind != "partition_matroid":
         raise ValueError("brute force optimum needs a partition matroid")
@@ -426,10 +422,9 @@ def brute_force_opt(f: SetOracle, matroid: ConstraintSpec) -> tuple[frozenset, f
     d = matroid.dim
     tables = [_choice_masks(m, k, d) for m, k in _groups(matroid)]
     shape = tuple(len(t) for t in tables)
-    rows = max(1, BRUTE_FORCE_CHUNK_BYTES // d)
     best_mask, best_value = None, -math.inf
-    for lo in range(0, n, rows):
-        digits = np.unravel_index(np.arange(lo, min(lo + rows, n)), shape)
+    for rows in row_chunks(n, 8 * d):
+        digits = np.unravel_index(np.arange(rows.start, rows.stop), shape)
         masks = tables[0][digits[0]]
         for table, digit in zip(tables[1:], digits[1:]):
             masks |= table[digit]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import BoxDomain
-from .oracles import SAMPLE_CHUNK_BYTES, SetOracle, ValueOracle
+from .oracles import SetOracle, ValueOracle, row_chunks
 
 # Set values memoized per built-in logdet and coverage set oracle.  Counted
 # queries repeat sets often (each pair f(S + i) - f(S - i) of scg asks for the
@@ -50,9 +50,9 @@ def nqp_generate(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     cube, and b = -H^T 1 pins the gradient to zero at the all-ones corner.
 
     H is built in place, so one ``(d, d)`` array is alive at a time, plus a
-    band of rows of at most :data:`~zogreedy.oracles.SAMPLE_CHUNK_BYTES`: the
-    absolute value and sign flip write into the drawn matrix, and each band of
-    rows ``lo:hi`` is symmetrized against its columns ``lo:hi``.  Entry
+    band of rows (:func:`~zogreedy.oracles.row_chunks`): the absolute value
+    and sign flip write into the drawn matrix, and each band of rows
+    ``lo:hi`` is symmetrized against its columns ``lo:hi``.  Entry
     ``(i, j)`` is ``(H[i, j] + H[j, i]) * 0.5``, the same sum and product as in
     ``0.5 * (H + H.T)``, and ``-(H.T @ 1)`` negates exactly, so ``H`` and ``b``
     are bitwise those of ``H = -abs(draw); H = 0.5 * (H + H.T); b = -H.T @ 1``.
@@ -62,9 +62,8 @@ def nqp_generate(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((d, d))
     np.negative(np.abs(H, out=H), out=H)
-    rows = max(1, SAMPLE_CHUNK_BYTES // (8 * d))
-    for lo in range(0, d, rows):
-        hi = min(lo + rows, d)
+    for rows in row_chunks(d, 8 * d):
+        lo, hi = rows.start, rows.stop
         # rows lo:hi from column lo on, with their mirror entries; the entries
         # left of column lo were written by the earlier bands
         band = H[lo:hi, lo:] + H[lo:, lo:hi].T
@@ -120,9 +119,8 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
     Lipschitz constant.  ``H`` must be ``(d, d)`` for ``d = b.size``, both
     must be finite, and ``H`` must equal its transpose exactly, or
     ``ValueError`` is raised.  Symmetry is checked once, here, in bands of
-    rows, each against its mirror columns through at most
-    :data:`~zogreedy.oracles.SAMPLE_CHUNK_BYTES` of temporaries, so no
-    ``(d, d)`` temporary is made; each query then
+    rows (:func:`~zogreedy.oracles.row_chunks`), each against its mirror
+    columns, so no ``(d, d)`` temporary is made; each query then
     runs :func:`nqp_eval`, which reads only the upper band triangle of ``H``.
     ``H`` is not copied.
     """
@@ -135,12 +133,10 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
     if not np.isfinite(b).all():
         raise ValueError("nqp entries of H and b must be finite")
     # One pass over H in bands of rows lo:hi from column lo on, each compared
-    # with its mirror columns; a band's bool temporaries take at most
-    # SAMPLE_CHUNK_BYTES.  Equal bands make H symmetric, so finite bands make
-    # all of H finite.
-    rows = max(1, SAMPLE_CHUNK_BYTES // d)
-    for lo in range(0, d, rows):
-        hi = min(lo + rows, d)
+    # with its mirror columns through bool temporaries of d bytes a row.  Equal
+    # bands make H symmetric, so finite bands make all of H finite.
+    for rows in row_chunks(d, d):
+        lo, hi = rows.start, rows.stop
         band = H[lo:hi, lo:]
         if not (np.isfinite(band).all() and np.array_equal(band, H[lo:, lo:hi].T)):
             # min and max are not finite when any entry is not (NaN included)
@@ -297,26 +293,20 @@ def logdet_eval(sigma: np.ndarray, S) -> float:
     return float(2.0 * np.log(chol.diagonal()).sum())
 
 
-# Bytes of one stacked (rows, k, k) block of k-element sets in logdet_batch;
-# bounds the batch's working memory whatever the number of masks or attributes.
-LOGDET_CHUNK_BYTES = 2**20
-
-
 def logdet_batch(sigma: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """:func:`logdet_eval` at each row of a boolean ``(n, d)`` mask matrix.
 
     Groups the rows by set size ``k`` and factors each group's ``I + Sigma[S, S]``
-    blocks as stacked ``(rows, k, k)`` Cholesky calls of at most
-    :data:`LOGDET_CHUNK_BYTES`: the ``k x k`` factorization of :func:`logdet_eval`,
-    so the values are bitwise equal.  The empty set gives 0.
+    blocks as stacked ``(rows, k, k)`` Cholesky calls, a chunk of rows at a
+    time (:func:`~zogreedy.oracles.row_chunks`): the ``k x k`` factorization of
+    :func:`logdet_eval`, so the values are bitwise equal.  The empty set gives 0.
     """
     sizes = np.count_nonzero(masks, axis=1)
     out = np.zeros(masks.shape[0])
     for k in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
         group = np.flatnonzero(sizes == k)
-        rows = max(1, LOGDET_CHUNK_BYTES // (8 * k * k))
-        for lo in range(0, group.size, rows):
-            at = group[lo:lo + rows]
+        for rows in row_chunks(group.size, 8 * k * k):
+            at = group[rows]
             idx = np.nonzero(masks[at])[1].reshape(-1, k)
             stack = sigma[idx[:, :, None], idx[:, None, :]]
             stack.reshape(-1, k * k)[:, ::k + 1] += 1.0

@@ -10,22 +10,34 @@ every set given as a row of a boolean mask matrix.  ``ValueOracle.peek`` and
 or a matrix's rows at once, with one :func:`contains` call on the domain; a
 set's members against the ground set, and its value against ``bound_M``.  The
 optimizers see a set function through :class:`MultilinearOracle`.
+
+Every pass over rows whose length grows with its input (trace values, the
+every-iterate check, the bands that build and check a quadratic's ``H``,
+logdet stacks, brute force) holds at most :data:`CHUNK_BYTES` at a time:
+:func:`row_chunks` cuts it by its own bytes per row, so its memory stays flat
+however long it is.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from typing import Callable, Optional
 
 import numpy as np
 
 from .constraints import BoxDomain, DomainError, _members, contains
 
-# Bytes of one chunk of an uncounted trace pass: the uniform draws of
-# MultilinearOracle.peek_rows, or the rows ValueOracle.peek_rows hands its batch_fn.
-# Bounds the pass's working memory whatever its length.  objectives.nqp_generate
-# sizes its symmetrization bands by it too, and algorithms._ascend its row checks.
-SAMPLE_CHUNK_BYTES = 2**17
+# The one memory budget of a bounded pass: bytes of one chunk of rows.
+CHUNK_BYTES = 2**17
+
+
+def row_chunks(n: int, row_bytes: int):
+    """Slices that cover ``range(n)`` in order, each of as many rows of
+    ``row_bytes`` bytes as :data:`CHUNK_BYTES` holds, and at least one."""
+    rows = max(1, CHUNK_BYTES // row_bytes)
+    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
 def _checked(oracle, x, ndim: int) -> np.ndarray:
@@ -50,14 +62,14 @@ class ValueOracle:
     Parameters
     ----------
     fn : callable mapping a length-``dim`` array to a float.
-    dim : ambient dimension.
+    dim : ambient dimension, an integer >= 1.
     lipschitz_G : known (or conservative) Lipschitz constant of ``fn``.
     grad : optional gradient callable; required by the first-order baselines.
     domain : optional box; when given, counted evaluations outside it raise
         :class:`DomainError`.
     batch_fn : optional callable mapping a ``(n, dim)`` matrix to the ``n``
         values of ``fn`` at its rows; it must agree with ``fn`` bitwise and
-        serves only the uncounted :meth:`peek_rows`.
+        serves only the uncounted :meth:`peek_rows`.  By default ``fn`` row by row.
 
     The counters are plain integers, so use one oracle per thread.
     """
@@ -75,8 +87,10 @@ class ValueOracle:
         if not 0 < lipschitz_G < math.inf:  # NaN fails too
             raise ValueError("lipschitz_G must be finite and strictly positive")
         self._fn = fn
-        self._batch_fn = batch_fn
-        self.dim = int(dim)
+        self._batch_fn = batch_fn or (lambda Z: [float(fn(z)) for z in Z])
+        self.dim = operator.index(dim)
+        if self.dim < 1:
+            raise ValueError("dim must be an integer >= 1")
         self.lipschitz_G = float(lipschitz_G)
         self._grad = grad
         self.domain = domain
@@ -100,26 +114,21 @@ class ValueOracle:
         """Uncounted values at the rows of a ``(n, dim)`` matrix, in row order.
 
         The oracle's one uncounted path (instrumentation only): ``batch_fn``
-        on chunks of rows of at most :data:`SAMPLE_CHUNK_BYTES` when the oracle
-        has one, and ``fn`` row by row otherwise.  Each row is checked against
+        on chunks of rows (:func:`row_chunks`).  Each row is checked against
         the domain first, as a counted call checks its point: a row outside
         it, or with a NaN coordinate, raises :class:`DomainError` before any
         value is computed.
         """
         Z = _checked(self, Z, 2)
-        if self._batch_fn is None:
-            out = np.array([float(self._fn(z)) for z in Z])
-        else:
-            rows = max(1, SAMPLE_CHUNK_BYTES // (8 * self.dim))
-            out = np.empty(len(Z))
-            for lo in range(0, len(Z), rows):
-                chunk = Z[lo:lo + rows]
-                values = np.asarray(self._batch_fn(chunk), dtype=float)
-                if values.shape != (len(chunk),):
-                    raise ValueError(
-                        f"batch of {len(chunk)} points gave values of shape {values.shape}"
-                    )
-                out[lo:lo + rows] = values
+        out = np.empty(len(Z))
+        for rows in row_chunks(len(Z), 8 * self.dim):
+            chunk = Z[rows]
+            values = np.asarray(self._batch_fn(chunk), dtype=float)
+            if values.shape != (len(chunk),):
+                raise ValueError(
+                    f"batch of {len(chunk)} points gave values of shape {values.shape}"
+                )
+            out[rows] = values
         bad = out[~np.isfinite(out)]
         if bad.size:
             raise ValueError(f"oracle {self.name!r} peeked non-finite value {bad[0]}")
@@ -156,14 +165,17 @@ class NoisyOracle:
 
     The noise is Gaussian with standard deviation ``sigma0``; for another
     zero-mean distribution, subclass and override ``__call__``.  The instance
-    owns a seeded generator stream and counts through its inner oracle, so
-    use one oracle per thread, each with its own seed.  ``peek_rows`` passes
+    owns a generator stream seeded by a non-negative integer and counts
+    through its inner oracle, so use one oracle per thread, each with its own
+    seed.  ``peek_rows`` passes
     through to the exact inner oracle.
     """
 
     def __init__(self, inner: ValueOracle, sigma0: float, seed: int = 0):
         if not 0 <= sigma0 < math.inf:  # NaN fails too
             raise ValueError("sigma0 must be finite and non-negative")
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         self.inner = inner
         self.sigma0 = float(sigma0)
         self._rng = np.random.default_rng(seed)
@@ -193,14 +205,15 @@ class NoisyOracle:
 
 
 class SetOracle:
-    """Set function on ground set ``{0, .., ground_size-1}`` with |f| <= bound_M.
+    """Set function on ground set ``{0, .., ground_size-1}`` with |f| <= bound_M,
+    for an integer ``ground_size >= 1``.
 
     ``fn`` receives each query as a frozenset of Python ints already checked
-    against the ground set.  ``batch_fn``, when given, maps a boolean
-    ``(n, ground_size)`` mask matrix to the ``n`` values of the sets its rows
-    select; it must agree with ``fn`` bitwise and serves only the uncounted
-    :meth:`peek_masks`.  The counter is a plain integer, so use one oracle per
-    thread.
+    against the ground set.  ``batch_fn`` maps a boolean ``(n, ground_size)``
+    mask matrix to the ``n`` values of the sets its rows select, ``fn`` row by
+    row by default; it must agree with ``fn`` bitwise and serves only the
+    uncounted :meth:`peek_masks`.  The counter is a plain integer, so use one
+    oracle per thread.
     """
 
     def __init__(
@@ -214,8 +227,11 @@ class SetOracle:
         if not 0 < bound_M < math.inf:  # NaN fails too
             raise ValueError("bound_M must be finite and strictly positive")
         self._fn = fn
-        self._batch_fn = batch_fn
-        self.ground_size = int(ground_size)
+        self._batch_fn = batch_fn or (
+            lambda masks: [fn(frozenset(np.flatnonzero(m).tolist())) for m in masks])
+        self.ground_size = operator.index(ground_size)
+        if self.ground_size < 1:
+            raise ValueError("ground_size must be an integer >= 1")
         self._ground = frozenset(range(self.ground_size))
         self.bound_M = float(bound_M)
         self.name = name
@@ -241,8 +257,7 @@ class SetOracle:
     def peek_masks(self, masks: np.ndarray) -> np.ndarray:
         """Uncounted values of the sets selected by the rows of a boolean matrix.
 
-        The oracle's one uncounted path (instrumentation only): ``batch_fn``
-        when the oracle has one and ``fn`` row by row otherwise.
+        The oracle's one uncounted path (instrumentation only): one ``batch_fn`` call.
         """
         masks = np.asarray(masks)
         if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != self.ground_size:
@@ -250,12 +265,7 @@ class SetOracle:
                 f"masks must be a bool array of shape (n, {self.ground_size}), "
                 f"got {masks.dtype} {masks.shape}"
             )
-        if self._batch_fn is not None:
-            values = np.asarray(self._batch_fn(masks), dtype=float)
-        else:
-            values = np.array(
-                [self._fn(frozenset(np.flatnonzero(m).tolist())) for m in masks], dtype=float
-            )
+        values = np.asarray(self._batch_fn(masks), dtype=float)
         if values.shape != (masks.shape[0],):
             raise ValueError(
                 f"batch of {masks.shape[0]} sets gave values of shape {values.shape}"
@@ -337,19 +347,17 @@ class MultilinearOracle:
         ``peek_samples`` sets S ~ z, through :meth:`SetOracle.peek_masks`.
 
         Draws the same sets, in row order, as one counted call per row with
-        ``l = peek_samples``, in chunks of rows whose uniform draws take at
-        most :data:`SAMPLE_CHUNK_BYTES`, so its memory is bounded whatever the
-        number of rows.  Raises ``ValueError`` unless ``Z`` is ``(n, dim)``, and
+        ``l = peek_samples``, in chunks of rows (:func:`row_chunks`, by their
+        uniform draws).  Raises ``ValueError`` unless ``Z`` is ``(n, dim)``, and
         :class:`DomainError` on a row outside the unit cube, before drawing.
         """
         Z = _checked(self, Z, 2)
         n, d = Z.shape
         s = self._peek_samples
-        rows = max(1, SAMPLE_CHUNK_BYTES // (8 * s * d))
         out = np.empty(n)
-        for lo in range(0, n, rows):
-            masks = sample_masks(Z[lo:lo + rows], s, self._peek_rng).reshape(-1, d)
-            out[lo:lo + rows] = self.f.peek_masks(masks).reshape(-1, s).mean(axis=1)
+        for rows in row_chunks(n, 8 * s * d):
+            masks = sample_masks(Z[rows], s, self._peek_rng).reshape(-1, d)
+            out[rows] = self.f.peek_masks(masks).reshape(-1, s).mean(axis=1)
         return out
 
     @property

@@ -11,8 +11,18 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
 from zogreedy import ConstraintSpec, SetOracle, contains, sample_sphere
+
+
+def with_one_row_chunks(cases, ids) -> list:
+    """Parameters for a test that also takes ``budget``: each case at the default
+    chunk budget (``None``) under its id, then at a budget of 1 byte, one row per
+    chunk, under its id plus ``-one_row_chunks``."""
+    cases = [case if isinstance(case, tuple) else (case,) for case in cases]
+    return ([pytest.param(*case, None, id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(*case, 1, id=f"{i}-one_row_chunks") for case, i in zip(cases, ids)])
 
 
 def random_weighted_coverage(

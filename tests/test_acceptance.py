@@ -335,6 +335,27 @@ def test_criterion_10_matches_first_order_baseline():
             f"ratio {ratio:.4f}")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "bcg's seed mean is below the blind point at criterion 10's parameters; "
+    "see the FOUND line on criterion 10 in CHANGES.md"))
+def test_criterion_10_companion_beats_the_blind_point():
+    """bcg at criterion 10's instance, parameters and seeds beats the query-free point.
+
+    Required: bcg's seed mean exceeds the blind point's value by two standard
+    errors of that mean.
+    """
+    H, b = nqp_generate(20, seed=5)
+    blocks = [tuple(range(0, 6)), tuple(range(6, 12)), tuple(range(12, 20))]
+    K = ConstraintSpec.block_budget(20, blocks, [6.0, 4.0, 4.0])
+    D = BoxDomain.unit_cube(20)
+    finals = []
+    for seed in range(10):
+        F = nqp_oracle(H, b)
+        out, _ = bcg(F, D, K, AlgoParams(T=100, delta=0.02, B=10, seed=seed))
+        finals.append(F.peek(out))
+    _report_companion(10, "bcg", finals, nqp_oracle(H, b).peek(blind_point(K)))
+
+
 def test_criterion_11_feasibility_fuzz():
     rng = np.random.default_rng(1111)
     ok = True
@@ -500,6 +521,25 @@ def test_criterion_13_noisy_ratio_vs_ascent_target(noisy_bcg_runs):
             min(means.values()) >= need,
             f"needed {need:.4f}; " + "; ".join(
                 f"sigma0 {s} B {B}: {m:.4f}" for (s, B), m in means.items()))
+
+
+def test_criterion_13_companion_beats_the_blind_point(noisy_bcg_runs):
+    """Noisy bcg at each sigma0 and B of criterion 13 beats the query-free point.
+
+    Required, at every ``(sigma0, B)``: the noisy seed mean exceeds the blind
+    point's value by two standard errors of that mean.
+    """
+    _, runs = noisy_bcg_runs
+    H, b = nqp_generate(5, seed=77)
+    K = ConstraintSpec.block_budget(5, [(0, 1, 2, 3, 4)], [2.0])
+    blind = nqp_oracle(H, b).peek(blind_point(K))
+    stats = {key: (float(noisy.mean()), float(noisy.std(ddof=1) / np.sqrt(noisy.size)))
+             for key, (_, noisy) in runs.items()}
+    _report(13, "noisy bcg beats the blind point",
+            all(mean > blind + 2.0 * se for mean, se in stats.values()),
+            f"blind point {blind:.4f}; " + "; ".join(
+                f"sigma0 {s} B {B}: mean {mean:.4f}, standard error {se:.4f}"
+                for (s, B), (mean, se) in stats.items()))
 
 
 def test_criterion_13_noise_reaches_bcg(noisy_bcg_runs):

@@ -33,6 +33,7 @@ from support import (
     random_matroid,
     random_weighted_coverage,
     sampled_peeks_reference,
+    with_one_row_chunks,
 )
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -47,6 +48,22 @@ def identity_oracle():
 
 
 class TestAlgoParams:
+    # None draws OS entropy, so a run on it is not deterministic; the others
+    # used to fail later, inside numpy
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3", np.float64(2.0)],
+                             ids=["none", "negative", "float", "string", "numpy_float"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            AlgoParams(seed=seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            NoisyOracle(identity_oracle(), 0.1, seed=seed)
+
+    def test_numpy_integer_seeds_run_as_ints(self):
+        K, D = ConstraintSpec.box(np.ones(1)), BoxDomain.unit_cube(1)
+        runs = [bcg(NoisyOracle(identity_oracle(), 0.1, seed=seed), D, K,
+                    AlgoParams(T=4, seed=seed))[0] for seed in (3, np.int64(3), np.uint32(3))]
+        assert all(np.array_equal(out, runs[0]) for out in runs)
+
     def test_minimum_iterations(self):
         with pytest.raises(ValueError):
             AlgoParams(T=3)
@@ -474,11 +491,14 @@ def test_every_iterate_is_counted_and_feasible(config, algorithm):
         assert contains(cfg.constraint, rec.z, tol=1e-9)
 
 
-@pytest.mark.parametrize("config, algorithm", SHIPPED_CELLS)
-def test_deferred_trace_values_match_per_iteration_loop(config, algorithm, monkeypatch):
+@pytest.mark.parametrize("config, algorithm, budget", with_one_row_chunks(
+    SHIPPED_CELLS, [f"{config}-{algorithm}" for config, algorithm in SHIPPED_CELLS]))
+def test_deferred_trace_values_match_per_iteration_loop(config, algorithm, budget, monkeypatch):
     """Trace values computed in one pass after the loop equal those computed
     inside it, one iterate at a time, and leave the trace stream in the same
-    state."""
+    state, whatever the chunk budget."""
+    if budget is not None:
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", budget)
     cfg = load_config(CONFIG_DIR / f"{config}.ini")
     cfg = replace(cfg, algorithms={algorithm: AlgoParams(T=8, delta=0.05, B=2, l=3)})
 
@@ -563,7 +583,7 @@ def test_an_infeasible_step_names_its_iteration(algorithm, patched, rows, monkey
     ``dbg`` the momentum average carries it to the end.
     """
     if rows is not None:
-        monkeypatch.setattr(algorithms, "SAMPLE_CHUNK_BYTES", 8 * 4 * rows)
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", 8 * 4 * rows)
     real = getattr(algorithms, patched)
     calls = []
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import zogreedy.bench as bench
+import zogreedy.oracles as oracles
 from zogreedy import ConstraintSpec, SetOracle, coverage_set_oracle
 from zogreedy.bench import (
     ConfigError,
@@ -156,7 +157,7 @@ class TestBruteForce:
                           ground_size=d, bound_M=4.0,
                           batch_fn=lambda masks: np.minimum(masks @ w, 4.0))
             if chunk_rows is not None:
-                monkeypatch.setattr(bench, "BRUTE_FORCE_CHUNK_BYTES", chunk_rows * d)
+                monkeypatch.setattr(oracles, "CHUNK_BYTES", 8 * chunk_rows * d)
             assert brute_force_opt(f, M) == brute_force_reference(f, M)
 
     @pytest.mark.parametrize("config", ["active_set", "influence"])

@@ -40,6 +40,7 @@ from support import (
     partial_bruteforce,
     random_weighted_coverage,
     sampled_peeks_reference,
+    with_one_row_chunks,
 )
 
 
@@ -64,9 +65,12 @@ class TestNqpGenerate:
         H, b = nqp_generate(1, seed=0)
         assert b[0] == -H[0, 0]
 
-    @pytest.mark.parametrize("d", [1, 2, 17, 300, 1000, 1001])
+    @pytest.mark.parametrize("d, budget", with_one_row_chunks(
+        [1, 2, 17, 300, 1000, 1001], ["1", "2", "17", "300", "1000", "1001"]))
     @pytest.mark.parametrize("seed", [0, 1, 77])
-    def test_bitwise_equal_to_reference_builder(self, d, seed):
+    def test_bitwise_equal_to_reference_builder(self, d, seed, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(oracles, "CHUNK_BYTES", budget)
         H, b = nqp_generate(d, seed)
         H_ref, b_ref = nqp_generate_reference(d, seed)
         assert H.tobytes() == H_ref.tobytes()
@@ -537,9 +541,12 @@ class TestOracleBuilders:
         with pytest.raises(ValueError, match="finite"):
             nqp_oracle(H, b)
 
-    @pytest.mark.parametrize("d, i, j", [(4, 0, 1), (1000, 999, 995), (1000, 999, 0)],
-                             ids=["first_band_d4", "last_band_d1000", "corner_d1000"])
-    def test_nqp_oracle_rejects_asymmetric_h(self, d, i, j):
+    @pytest.mark.parametrize("d, i, j, budget", with_one_row_chunks(
+        [(4, 0, 1), (1000, 999, 995), (1000, 999, 0)],
+        ["first_band_d4", "last_band_d1000", "corner_d1000"]))
+    def test_nqp_oracle_rejects_asymmetric_h(self, d, i, j, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(oracles, "CHUNK_BYTES", budget)
         H, b = nqp_generate(d, seed=9)
         H[i, j] = -H[i, j]
         with pytest.raises(ValueError, match="symmetric"):
@@ -724,7 +731,7 @@ class TestBatchedPeek:
         assert np.array_equal(values, per_set_peeks(f, masks))
         assert values[0] == 0.0
         # one row per stack splits every size group
-        monkeypatch.setattr(objectives, "LOGDET_CHUNK_BYTES", 8)
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", 8)
         assert np.array_equal(f.peek_masks(masks), values)
 
     @pytest.mark.parametrize("build", ["logdet", "influence"])
@@ -741,7 +748,7 @@ class TestBatchedPeek:
             return MultilinearOracle(f, 1, np.random.default_rng(0), rng, 16).peek_rows(Z)
 
         whole = sampled(rngs[0])
-        monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", 8)
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", 8)
         assert np.array_equal(sampled(rngs[1]), whole)
         assert np.array_equal(sampled_peeks_reference(f, Z, 16, rngs[2]), whole)
         assert len({str(rng.bit_generator.state) for rng in rngs}) == 1
@@ -750,7 +757,7 @@ class TestBatchedPeek:
         sigma = rbf_covariance(synthetic_data_matrix(30, 9, seed=2), 3.0)
         masks = random_masks(np.random.default_rng(2), 50, 9)
         whole = objectives.logdet_batch(sigma, masks)
-        monkeypatch.setattr(objectives, "LOGDET_CHUNK_BYTES", 8 * 9 * 9 * 7)
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", 8 * 9 * 9 * 7)
         assert np.array_equal(objectives.logdet_batch(sigma, masks), whole)
 
     def test_coverage_matches(self):

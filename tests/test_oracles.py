@@ -80,6 +80,18 @@ class TestValueOracle:
         with pytest.raises(ValueError):
             F.gradient(np.zeros(2))
 
+    @pytest.mark.parametrize("dim, error", [(2.5, TypeError), ("3", TypeError),
+                                            (0, ValueError), (-2, ValueError)],
+                             ids=["float", "string", "zero", "negative"])
+    def test_dim_must_be_a_positive_integer(self, dim, error):
+        with pytest.raises(error):
+            ValueOracle(lambda x: 0.0, dim=dim, lipschitz_G=1.0)
+
+    def test_numpy_integer_dim(self):
+        F = ValueOracle(lambda x: float(x.sum()), dim=np.int64(3), lipschitz_G=1.0)
+        assert type(F.dim) is int and F.dim == 3
+        assert F(np.ones(3)) == 3.0
+
     @pytest.mark.parametrize("G", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_non_finite_or_non_positive_lipschitz(self, G):
         with pytest.raises(ValueError, match="lipschitz_G must be finite and strictly positive"):
@@ -151,7 +163,7 @@ class TestPeekRows:
     def test_coverage_batch_equals_one_peek_per_row(self, chunk, monkeypatch):
         """The batched trace pass of coverage_value_oracle is bitwise its per-point ``fn``."""
         if chunk is not None:
-            monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", chunk)
+            monkeypatch.setattr(oracles, "CHUNK_BYTES", chunk)
         rng = np.random.default_rng(31)
         for k, d in [(1, 1), (3, 5), (8, 1), (10, 24), (130, 7)]:
             P = rng.random((k, d)) * (rng.random((k, d)) < 0.7)
@@ -194,7 +206,7 @@ class TestPeekRows:
 
     @pytest.mark.parametrize("batched", [False, True], ids=["fn", "batch_fn"])
     def test_peek_rows_checks_every_row_before_any_value(self, batched, monkeypatch):
-        monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", 8 * 2)  # one-row chunks
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", 8 * 2)  # one-row chunks
         seen = []
 
         def fn(x):
@@ -212,7 +224,7 @@ class TestPeekRows:
         assert seen == []
 
     def test_batch_fn_gets_chunks_in_row_order(self, monkeypatch):
-        monkeypatch.setattr(oracles, "SAMPLE_CHUNK_BYTES", 8 * 2 * 3)  # three rows of two
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", 8 * 2 * 3)  # three rows of two
         chunks = []
 
         def batch(Z):
@@ -313,6 +325,18 @@ class TestSetOracle:
         f = or_oracle()
         with pytest.raises(ValueError):
             f({3})
+
+    @pytest.mark.parametrize("size, error", [(3.7, TypeError), ("3", TypeError),
+                                             (0, ValueError), (-2, ValueError)],
+                             ids=["float", "string", "zero", "negative"])
+    def test_ground_size_must_be_a_positive_integer(self, size, error):
+        with pytest.raises(error):
+            SetOracle(lambda S: float(len(S)), ground_size=size, bound_M=4.0)
+
+    def test_numpy_integer_ground_size(self):
+        f = SetOracle(lambda S: float(len(S)), ground_size=np.int32(3), bound_M=3.0)
+        assert type(f.ground_size) is int and f.ground_size == 3
+        assert f({0, 2}) == 2.0
 
     @pytest.mark.parametrize("M", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_non_finite_or_non_positive_bound(self, M):
