@@ -16,16 +16,19 @@ A set function enters through one step: all five see it as its
 :class:`~zogreedy.oracles.MultilinearOracle`, whose value is an ``l``-sample
 estimate of the multilinear extension, whose gradient is the estimate
 ``f(S + i) - f(S - i)`` and whose uncounted trace values are means of set
-values over sampled masks.  After the loop, :func:`contains` checks that every
-lifted iterate lies in the run's constraint, within 1e-9 on a continuous run
-and 1e-6 on a set function, and one pass computes their trace values.
+values over sampled masks.  After each step the loop checks that the step
+spent exactly its declared cost (below).  After the loop, :func:`contains`
+checks that every lifted iterate lies in the run's constraint, within 1e-9 on
+a continuous run and 1e-6 on a set function, and one pass computes their
+trace values.
 Continuous runs return the last lifted iterate; set-function runs repair it
 onto the matroid polytope, swap-round it, and check independence.
 
 All runs are sequential in the iteration counter, deterministic given
-(parameters, seed), and do exact query accounting: bcg and zga spend
-``2*B*T`` evaluations, or ``2*B*l*T`` set evaluations on a set function as
-dbg does, and scg and ga spend ``2*d*T`` set evaluations on a set function.
+(parameters, seed), and do exact query accounting: each step of bcg and zga
+spends ``2*B`` evaluations, or ``2*B*l`` set evaluations on a set function as
+dbg does; each step of scg and ga spends one gradient access, or ``2*d`` set
+evaluations on a set function.
 Trace instrumentation uses uncounted peeks and a separate random stream.
 """
 
@@ -159,12 +162,14 @@ def _projected(region: ConstraintSpec, eta0: Optional[float], lipschitz_G: float
 
 def _ascend(
     oracle, x: np.ndarray, grad: Callable[[np.ndarray], np.ndarray], step: Step,
-    lift: float, T: int, constraint: ConstraintSpec, tol: float,
+    lift: float, T: int, constraint: ConstraintSpec, tol: float, cost: int,
 ) -> tuple[np.ndarray, RunTrace]:
     """The one ascent loop: ``T`` times ``x <- step(x, grad(x), t)``.
 
     Records the lifted iterate ``x + lift``, the value plus gradient queries
-    spent on ``oracle`` so far, the elapsed time and the gradient norm.  The
+    spent on ``oracle`` so far, the elapsed time and the gradient norm, and
+    raises ``RuntimeError`` naming the iteration whose step did not spend
+    exactly ``cost`` of those queries.  The
     lifted iterates are the rows of one ``(T, d)`` buffer.  After the loop,
     :func:`contains` checks them against ``constraint`` within ``tol``, a
     chunk of rows at a time, raising ``RuntimeError`` at the first iteration
@@ -183,6 +188,9 @@ def _ascend(
         x, grad_norm = step(x, grad(x), t)
         np.add(x, lift, out=zs[t - 1])
         queries = accesses() - q0
+        if queries != t * cost:
+            raise RuntimeError(f"iteration {t} spent {queries - (t - 1) * cost} queries, "
+                               f"not {cost}; internal error")
         progress.append((t, queries, time.perf_counter() - start, grad_norm))
     for rows in row_chunks(T, 8 * x.size):
         if not contains(constraint, zs[rows], tol):
@@ -243,13 +251,16 @@ def _optimize(
         oracle = MultilinearOracle(oracle, params.l, rng, instr, params.trace_value_samples)
     if oracle.dim != constraint.dim:
         raise ValueError("oracle and constraint dimensions differ")
+    discrete = isinstance(oracle, MultilinearOracle)
     if domain is None:
         if not getattr(oracle, "has_gradient", False):
             raise ValueError("first-order methods need a gradient-bearing oracle")
         region, lift, grad = constraint, 0.0, oracle.gradient
+        cost = 2 * oracle.dim if discrete else 1
     else:
         region = transform_constraint(domain, constraint, params.delta)
         lift = params.delta
+        cost = 2 * params.B * (params.l if discrete else 1)
 
         def grad(x):
             return batch_grad(oracle, x, params.delta, params.B, rng)
@@ -259,9 +270,8 @@ def _optimize(
         step = _projected(region, params.eta0, oracle.lipschitz_G)
     else:
         step = _frank_wolfe(region, params.T)
-    discrete = isinstance(oracle, MultilinearOracle)
     x, trace = _ascend(oracle, x, grad, step, lift, params.T, constraint,
-                       1e-6 if discrete else 1e-9)
+                       1e-6 if discrete else 1e-9, cost)
     if discrete:
         return _rounded(x, lift, constraint, rng, trace), trace
     return x + lift, trace

@@ -16,12 +16,17 @@ the sets given as rows of a boolean mask matrix in one array pass.
 The quadratic oracle checks once that H is symmetric, in bands of rows, and
 each query then reads only the upper band triangle of H (:func:`nqp_eval`):
 at d = 1000 that is 0.63 of its entries, and the kernel is bound by how fast
-they stream from memory.
+they stream from memory.  So consecutive queries sweep the bands in
+alternate directions, each starting on the bands the last one left in cache,
+and trace values are computed a chunk of rows at a time, band by band, so
+that each band is read once per chunk.  Every value is bitwise that of one
+forward sweep over its point.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -77,38 +82,77 @@ def nqp_generate(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 # Rows of one band of nqp_eval.  At d = 1000 (H is 8 MB, past L2) 256-row bands
 # read 0.63 d^2 entries and took 300 us a call against 400 us for the full
 # product; 128-row bands read 0.56 d^2 but took 310 us, in more, smaller calls
-# (OpenBLAS 0.3.31 on one thread of a 2-core x86-64 host).
+# (OpenBLAS 0.3.31 on one thread of a 2-core x86-64 host).  Sweeping the bands
+# in alternate directions on consecutive calls, as nqp_oracle does, starts each
+# call on the 1.4 MB of blocks the last one read last, still in the 2 MB L2:
+# 258-281 us a call against 275-297 us forward only.  A chunk of 16 trace rows
+# reads each band once, not 16 times: 300 rows took 35-37 ms, not 76-82 ms.
 NQP_BAND_ROWS = 256
 
 
-def nqp_eval(H: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+@functools.cache
+def _nqp_blocks(d: int, band_rows: int) -> tuple[tuple[slice, slice, bool], ...]:
+    """The blocks of :func:`nqp_eval`'s products at dimension ``d``, in the
+    forward order: per band ``lo:hi`` of ``band_rows`` rows, its diagonal
+    block ``(lo:hi, lo:hi, False)``, then the block right of it
+    ``(lo:hi, hi:d, True)``, if any."""
+    blocks = []
+    for lo in range(0, d, band_rows):
+        hi = min(lo + band_rows, d)
+        blocks.append((slice(lo, hi), slice(lo, hi), False))
+        if hi < d:
+            blocks.append((slice(lo, hi), slice(hi, d), True))
+    return tuple(blocks)
+
+
+def nqp_eval(
+    H: np.ndarray, b: np.ndarray, x: np.ndarray, *, reverse: bool = False,
+) -> float | np.ndarray:
     """Evaluate x^T H x / 2 + b^T x for a symmetric H, reading its upper band triangle.
 
     For each band of :data:`NQP_BAND_ROWS` rows ``lo:hi`` it adds the diagonal
     block's ``0.5 * x[lo:hi] @ H[lo:hi, lo:hi] @ x[lo:hi]`` and the block right
     of it, ``x[lo:hi] @ H[lo:hi, hi:] @ x[hi:]``, which stands for its mirror
     below the diagonal too; the entries below the diagonal blocks are never
-    read.  When ``d <= NQP_BAND_ROWS``, one band, it returns
+    read.  With ``reverse`` the products run in exactly the opposite order,
+    bands last to first and each band's right block before its diagonal block,
+    and are then added in the forward order, so the value is bitwise the same.
+    When ``d <= NQP_BAND_ROWS``, one band, it returns
     ``0.5 * x @ H @ x + b @ x`` as written.  Symmetry is not checked here:
     :func:`nqp_oracle` checks it once.
+
+    ``x`` is one point ``(d,)``, giving a float, or the rows of an ``(n, d)``
+    matrix, giving their ``n`` values: each band is read once for all rows
+    and each row gets the products of a one-point call, so every value is
+    bitwise that of one call on its row.
     """
     H = np.asarray(H, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
     d = b.size
-    if H.shape != (d, d) or x.shape != (d,):
+    if H.shape != (d, d) or x.ndim not in (1, 2) or x.shape[-1] != d:
         raise ValueError(f"inconsistent shapes H{H.shape}, b{b.shape}, x{x.shape}")
     if d <= NQP_BAND_ROWS:
         # one band: the full product, without the loop's 2 us a call at d = 20
-        return float(0.5 * x @ H @ x + b @ x)
-    half = 0.0
-    for lo in range(0, d, NQP_BAND_ROWS):
-        hi = min(lo + NQP_BAND_ROWS, d)
-        xb = x[lo:hi]
-        half += 0.5 * xb @ H[lo:hi, lo:hi] @ xb
-        if hi < d:
-            half += xb @ H[lo:hi, hi:] @ x[hi:]
-    return float(half + b @ x)
+        if x.ndim == 1:
+            return float(0.5 * x @ H @ x + b @ x)
+        return np.array([0.5 * z @ H @ z + b @ z for z in x])
+    points = [x] if x.ndim == 1 else list(x)
+    blocks = _nqp_blocks(d, NQP_BAND_ROWS)
+    terms = [[0.0] * len(blocks) for _ in points]
+    for k in reversed(range(len(blocks))) if reverse else range(len(blocks)):
+        rows, cols, right = blocks[k]
+        block = H[rows, cols]
+        for z, z_terms in zip(points, terms):
+            zb = z[rows]
+            z_terms[k] = zb @ block @ z[cols] if right else 0.5 * zb @ block @ zb
+    values = []
+    for z, z_terms in zip(points, terms):
+        half = 0.0
+        for term in z_terms:
+            half += term
+        values.append(float(half + b @ z))
+    return values[0] if x.ndim == 1 else np.array(values)
 
 
 def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
@@ -145,13 +189,18 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
                                  "differ from their columns")
             raise ValueError("nqp entries of H and b must be finite")
     G = float(np.linalg.norm(b))
+    # Consecutive calls, counted queries and trace chunks alike, sweep the
+    # bands in alternate directions, so each starts on the bands the last one
+    # left in cache; the values do not depend on the direction.
+    reverse = itertools.cycle((False, True))
     return ValueOracle(
-        fn=lambda x: nqp_eval(H, b, x),
+        fn=lambda x: nqp_eval(H, b, x, reverse=next(reverse)),
         dim=d,
         lipschitz_G=max(G, 1e-12),
         grad=lambda x: H @ x + b,
         domain=BoxDomain.unit_cube(d),
         name="nqp",
+        batch_fn=lambda Z: nqp_eval(H, b, Z, reverse=next(reverse)),
     )
 
 

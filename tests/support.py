@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from zogreedy import ConstraintSpec, SetOracle, contains, sample_sphere
+from zogreedy.objectives import NQP_BAND_ROWS
 
 
 def with_one_row_chunks(cases, ids) -> list:
@@ -235,13 +236,14 @@ def set_gradient_reference(f: SetOracle, base: frozenset) -> np.ndarray:
     return np.array([f(base | {i}) - f(base - {i}) for i in range(f.ground_size)])
 
 
-def ascend_reference(oracle, x, grad, step, lift, T, constraint, tol):
+def ascend_reference(oracle, x, grad, step, lift, T, constraint, tol, cost):
     """The ascent loop with each iterate checked and valued inside it, one at a time.
 
     The loop before trace values were deferred to one pass after it: at every
-    iteration it checks the lifted iterate with one ``contains`` call on the
-    point, raising ``RuntimeError`` at the first one outside ``constraint``,
-    and calls ``oracle.peek_rows`` on a one-row matrix.
+    iteration it checks that the step spent ``cost`` queries and the lifted
+    iterate with one ``contains`` call on the point, raising ``RuntimeError``
+    at the first one that did not or lies outside ``constraint``, and calls
+    ``oracle.peek_rows`` on a one-row matrix.
     """
     from zogreedy.algorithms import RunTrace, TraceRecord
 
@@ -251,7 +253,11 @@ def ascend_reference(oracle, x, grad, step, lift, T, constraint, tol):
     q0 = accesses()
     trace = RunTrace()
     for t in range(1, T + 1):
+        before = accesses()
         x, grad_norm = step(x, grad(x), t)
+        spent = accesses() - before
+        if spent != cost:
+            raise RuntimeError(f"iteration {t} spent {spent} queries, not {cost}; internal error")
         z = x + lift
         if not contains(constraint, z, tol):
             raise RuntimeError(f"iteration {t} left the constraint set; internal error")
@@ -274,6 +280,23 @@ def nqp_generate_reference(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def nqp_reference(H: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     """x^T H x / 2 + b^T x as one product with all of ``H`` (the original kernel)."""
     return float(0.5 * x @ H @ x + b @ x)
+
+
+def nqp_band_reference(H: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """x^T H x / 2 + b^T x from the upper band triangle of a symmetric ``H``, one
+    point, bands first to last, adding each product as it is made (the banded
+    kernel before its sweep could run backwards or over rows)."""
+    d = b.size
+    if d <= NQP_BAND_ROWS:
+        return float(0.5 * x @ H @ x + b @ x)
+    half = 0.0
+    for lo in range(0, d, NQP_BAND_ROWS):
+        hi = min(lo + NQP_BAND_ROWS, d)
+        xb = x[lo:hi]
+        half += 0.5 * xb @ H[lo:hi, lo:hi] @ xb
+        if hi < d:
+            half += xb @ H[lo:hi, hi:] @ x[hi:]
+    return float(half + b @ x)
 
 
 def logdet_reference(sigma: np.ndarray, S) -> float:

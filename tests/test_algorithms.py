@@ -602,3 +602,58 @@ def test_an_infeasible_step_names_its_iteration(algorithm, patched, rows, monkey
             "dbg": lambda: dbg(f, M, params)}
     with pytest.raises(RuntimeError, match="iteration 3 left the constraint set"):
         runs[algorithm]()
+
+
+def _peek(self, arg):
+    return self.peek(arg)
+
+
+SKIPPED_QUERY_RUNS = {
+    # algorithm: (the counted method a step spends, its calls per step, the
+    # uncounted stand-in for one call (None: the exact gradient H x + b), the
+    # run on d = 4 with B = 2, l = 3)
+    "bcg": (ValueOracle, "__call__", 4, _peek,
+            lambda o, f, K, M, p: bcg(o, BoxDomain.unit_cube(4), K, p)),
+    "zga": (ValueOracle, "__call__", 4, _peek,
+            lambda o, f, K, M, p: zga(o, BoxDomain.unit_cube(4), K, p)),
+    "ga": (ValueOracle, "gradient", 1, None, lambda o, f, K, M, p: ga(o, K, p)),
+    "scg": (ValueOracle, "gradient", 1, None, lambda o, f, K, M, p: scg(o, K, p)),
+    "dbg-set": (SetOracle, "__call__", 12, _peek,
+                lambda o, f, K, M, p: dbg(f, M, p)),
+    "zga-set": (SetOracle, "__call__", 12, _peek,
+                lambda o, f, K, M, p: zga(f, BoxDomain.unit_cube(4), M, p)),
+    "ga-set": (SetOracle, "__call__", 8, _peek, lambda o, f, K, M, p: ga(f, M, p)),
+    "scg-set": (SetOracle, "__call__", 8, _peek, lambda o, f, K, M, p: scg(f, M, p)),
+}
+
+
+@pytest.mark.parametrize("algorithm", list(SKIPPED_QUERY_RUNS))
+def test_a_step_that_skips_a_query_names_its_iteration(algorithm, monkeypatch):
+    """Step 3's gradient makes one of its counted calls through the uncounted
+    path instead, so steps 1-2 spend their declared cost and step 3 one query
+    less: the run fails there, and it runs to the end unpatched."""
+    cls, name, per_step, free, run = SKIPPED_QUERY_RUNS[algorithm]
+    H, b = nqp_generate(4, seed=3)
+    K = ConstraintSpec.block_budget(4, [(0, 1, 2, 3)], [1.0])
+    M = ConstraintSpec.partition_matroid(4, [(0, 1, 2, 3)], [1])
+    params = AlgoParams(T=4, delta=0.05, B=2, l=3, seed=1, trace_value_samples=1)
+
+    def start():
+        return run(nqp_oracle(H, b), SetOracle(lambda S: float(len(S)), 4, 4.0), K, M, params)
+
+    _, trace = start()
+    assert trace.final.queries == 4 * per_step
+    if free is None:
+        def free(self, x):
+            return H @ x + b
+    counted = getattr(cls, name)
+    calls = []
+
+    def skipping(self, arg):
+        calls.append(None)
+        return (free if len(calls) == 2 * per_step + 1 else counted)(self, arg)
+
+    monkeypatch.setattr(cls, name, skipping)
+    with pytest.raises(RuntimeError, match=f"iteration 3 spent {per_step - 1} queries, "
+                                           f"not {per_step}"):
+        start()

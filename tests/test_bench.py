@@ -8,7 +8,16 @@ import pytest
 
 import zogreedy.bench as bench
 import zogreedy.oracles as oracles
-from zogreedy import ConstraintSpec, SetOracle, coverage_set_oracle
+from zogreedy import (
+    AlgoParams,
+    BoxDomain,
+    ConstraintSpec,
+    SetOracle,
+    bcg,
+    coverage_set_oracle,
+    nqp_generate,
+    nqp_oracle,
+)
 from zogreedy.bench import (
     ConfigError,
     brute_force_opt,
@@ -201,6 +210,19 @@ class TestReportedValueIsCounted:
                 assert result.error is None
                 assert result.final_value == build_objective(cfg)(outputs[-1]), (algorithm, seed)
         assert len(outputs) == 3 * len(cfg.algorithms)
+
+    def test_bcg_trace_values_at_d_1000(self):
+        """Past one band of H, where the trace reads chunks of rows band by band
+        and counted calls alternate their sweep, every trace value and the
+        output's value equal a counted call of a fresh oracle, bitwise."""
+        H, b = nqp_generate(1000, seed=6)
+        K = ConstraintSpec.block_budget(1000, [range(500), range(500, 1000)], [100.0, 100.0])
+        params = AlgoParams(T=48, delta=0.02, B=1, seed=2)
+        x, trace = bcg(nqp_oracle(H, b), BoxDomain.unit_cube(1000), K, params)
+        fresh = nqp_oracle(H, b)
+        assert [float(v).hex() for v in trace.values()] == [
+            fresh(z).hex() for z in trace.iterates()]
+        assert trace.values()[-1] == fresh(x)
 
     @pytest.mark.parametrize("config", ["active_set", "influence"])
     def test_brute_force_optimum(self, config):

@@ -35,6 +35,7 @@ from support import (
     logdet_reference,
     mixed_second_bruteforce,
     multilinear_exact,
+    nqp_band_reference,
     nqp_generate_reference,
     nqp_reference,
     partial_bruteforce,
@@ -144,19 +145,66 @@ class TestNqpEval:
             for x in (rng.random(d), np.zeros(d)):
                 assert nqp_eval(H, b, x).hex() == nqp_reference(H, b, x).hex(), d
 
-    @pytest.mark.parametrize("d", [257, 1000])
+    @pytest.mark.parametrize("d", [257, 300, 513, 1000])
+    def test_every_sweep_is_bitwise_the_forward_kernel(self, d):
+        """The forward sweep, the backward sweep and the row form, in either
+        direction, each give the one-point forward kernel's values bit for bit,
+        on symmetric H of either sign and points in and beyond the cube."""
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((d, d))
+        Z = np.vstack([rng.random((8, d)), rng.uniform(-3.0, 3.0, (4, d)),
+                       np.ones(d), np.zeros(d)])
+        for H, b in (nqp_generate(d, seed=d), (A + A.T, rng.standard_normal(d))):
+            want = [nqp_band_reference(H, b, z).hex() for z in Z]
+            for reverse in (False, True):
+                assert [nqp_eval(H, b, z, reverse=reverse).hex() for z in Z] == want
+                assert [float(v).hex() for v in nqp_eval(H, b, Z, reverse=reverse)] == want
+
+    @pytest.mark.parametrize("d", [257, 300, 513, 1000])
     def test_reads_only_upper_bands(self, d):
-        """NaN below every diagonal block leaves the value as it was."""
+        """NaN below every diagonal block leaves the values as they were, in
+        both sweeps and the row form."""
         H, b = nqp_generate(d, seed=3)
-        x = np.random.default_rng(3).random(d)
+        Z = np.random.default_rng(3).random((3, d))
         poisoned = H.copy()
         rows = objectives.NQP_BAND_ROWS
         for lo in range(0, d, rows):
             poisoned[lo + rows:, lo:lo + rows] = np.nan
         assert np.isnan(poisoned).any()
-        value = nqp_eval(poisoned, b, x)
-        assert value == nqp_eval(H, b, x)
-        assert value == pytest.approx(nqp_reference(H, b, x), rel=1e-13)
+        want = [nqp_band_reference(H, b, z) for z in Z]
+        assert want == pytest.approx([nqp_reference(H, b, z) for z in Z], rel=1e-13)
+        for reverse in (False, True):
+            assert [nqp_eval(poisoned, b, z, reverse=reverse) for z in Z] == want
+            assert nqp_eval(poisoned, b, Z, reverse=reverse).tolist() == want
+
+    @pytest.mark.parametrize("d", [1, 20, 256])
+    def test_row_form_within_one_band(self, d):
+        """At d <= NQP_BAND_ROWS the row form is the full product of each row."""
+        H, b = nqp_generate(d, seed=d)
+        Z = np.random.default_rng(d).random((5, d))
+        values = nqp_eval(H, b, Z)
+        assert values.shape == (5,)
+        assert [float(v).hex() for v in values] == [nqp_reference(H, b, z).hex() for z in Z]
+
+    def test_no_rows(self):
+        H, b = nqp_generate(300, seed=1)
+        assert nqp_eval(H, b, np.zeros((0, 300))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 300), (3, 299)], ids=["scalar", "3-D", "width"])
+    def test_rejects_other_point_shapes(self, shape):
+        H, b = nqp_generate(300, seed=1)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            nqp_eval(H, b, np.zeros(shape))
+
+    def test_peek_rows_equal_counted_calls_at_d_1000(self):
+        """Trace rows, read band by band in chunks of 16, give what one counted
+        call per row gives, bitwise, while the calls alternate their sweep."""
+        H, b = nqp_generate(1000, seed=8)
+        Z = np.random.default_rng(8).random((40, 1000))
+        F = nqp_oracle(H, b)
+        peeked = F.peek_rows(Z)
+        assert [float(v).hex() for v in peeked] == [F(z).hex() for z in Z]
+        assert F.query_count == 40
 
 
 class TestCoverage:
