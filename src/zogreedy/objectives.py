@@ -85,7 +85,7 @@ def nqp_generate(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 # (OpenBLAS 0.3.31 on one thread of a 2-core x86-64 host).  Sweeping the bands
 # in alternate directions on consecutive calls, as nqp_oracle does, starts each
 # call on the 1.4 MB of blocks the last one read last, still in the 2 MB L2:
-# 258-281 us a call against 275-297 us forward only.  A chunk of 16 trace rows
+# 240-281 us a call against 269-297 us forward only.  A chunk of 16 trace rows
 # reads each band once, not 16 times: 300 rows took 35-37 ms, not 76-82 ms.
 NQP_BAND_ROWS = 256
 
