@@ -46,6 +46,7 @@ from .constraints import (
     PARTITION_MATROID,
     BoxDomain,
     ConstraintSpec,
+    _integer,
     contains,
     independent,
     transform_constraint,
@@ -66,8 +67,9 @@ class AlgoParams:
     batch ``B``; ga and zga the base step ``eta0`` (default: feasible-set
     diameter / Lipschitz ratio).  On a set function dbg and zga read the
     per-probe sample count ``l``, and all four ``trace_value_samples``, the
-    uncounted sample size behind the trace's value column.  ``seed`` must be
-    a non-negative integer, so that a run is deterministic.
+    uncounted sample size behind the trace's value column.  The counts are
+    integers, not bools.  ``seed`` must be a non-negative integer, so that a
+    run is deterministic.
     """
 
     T: int = 100
@@ -86,12 +88,12 @@ class AlgoParams:
         # "not 0 < v < inf" so that NaN fails too
         if not 0 < self.delta < math.inf:
             raise ValueError("smoothing radius delta must be finite and positive")
-        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.B, self.l)):
+        if not all(_integer(n) and n >= 1 for n in (self.B, self.l)):
             raise ValueError("batch sizes B and l must be integers >= 1")
         if self.eta0 is not None and not 0 < self.eta0 < math.inf:
             raise ValueError("eta0 must be finite and positive when given")
         samples = self.trace_value_samples
-        if not isinstance(samples, numbers.Integral) or samples < 1:
+        if not _integer(samples) or samples < 1:
             raise ValueError("trace_value_samples must be an integer >= 1")
 
 
@@ -139,7 +141,7 @@ def _frank_wolfe(region: ConstraintSpec, T: int) -> Step:
     def step(x, g, t):
         nonlocal g_bar
         g_bar = momentum_update(g_bar, g, rho_schedule(t))
-        return x + lmo(region, g_bar) / T, float(np.linalg.norm(g_bar))
+        return x + lmo(region, g_bar) / T, math.sqrt(g_bar @ g_bar)
 
     return step
 
@@ -155,7 +157,7 @@ def _projected(region: ConstraintSpec, eta0: Optional[float], lipschitz_G: float
         eta0 = float(np.linalg.norm(lmo(region, np.ones(region.dim)))) / lipschitz_G
 
     def step(x, g, t):
-        return project(region, x + (eta0 / np.sqrt(t)) * g), float(np.linalg.norm(g))
+        return project(region, x + (eta0 / math.sqrt(t)) * g), math.sqrt(g @ g)
 
     return step
 

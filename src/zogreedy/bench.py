@@ -137,7 +137,7 @@ def load_matrix_csv(path, unit_interval: bool = False) -> np.ndarray:
 
 def karate_club_graph() -> Graph:
     """The bundled 34-node, 78-edge social network used by the influence demo."""
-    ref = resources.files("zogreedy").joinpath("data/karate_club_edges.txt")
+    ref = resources.files(__package__).joinpath("data/karate_club_edges.txt")
     with resources.as_file(ref) as path:
         graph = load_edge_list(path)
     if graph.num_nodes != 34 or graph.num_edges != 78:

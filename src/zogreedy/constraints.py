@@ -14,6 +14,7 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -287,6 +288,11 @@ def contains(
         if total > budget + tol:
             return False
     return True
+
+
+def _integer(n) -> bool:
+    """True for a value of any integer type but bool: True is no count."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _members(subset, ground: frozenset) -> frozenset:

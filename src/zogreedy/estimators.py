@@ -10,21 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from .constraints import _integer
+
 
 def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform draw(s) from the unit sphere, via normalized Gaussians.
 
-    Returns shape (dim,) when ``size`` is None, else (size, dim).
+    Returns shape (dim,) when ``size`` is None, else (size, dim) for an
+    integer ``size``.  The norms are ``np.linalg.norm``'s own formula for
+    rows, ``sqrt(add.reduce(u * u))``, without its Python-level wrapper.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    n = 1 if size is None else int(size)
+    if size is not None and not _integer(size):
+        raise ValueError(f"sample count must be an integer, got {size!r}")
+    n = 1 if size is None else size
     u = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(u, axis=1)
-    while np.any(norms < 1e-12):
+    norms = np.sqrt(np.add.reduce(u * u, axis=1))
+    while (norms < 1e-12).any():
         bad = norms < 1e-12
-        u[bad] = rng.standard_normal((int(np.sum(bad)), dim))
-        norms = np.linalg.norm(u, axis=1)
+        u[bad] = rng.standard_normal((np.count_nonzero(bad), dim))
+        norms = np.sqrt(np.add.reduce(u * u, axis=1))
     u /= norms[:, None]
     return u[0] if size is None else u
 
@@ -37,13 +43,14 @@ def batch_grad(
     A direction u gives ``(d/2delta) * (F(c + delta*u) - F(c - delta*u)) * u``,
     unbiased for the gradient of the delta-ball average of F.  The center
     shift keeps both probe points inside the original box whenever x_t lies
-    in the twice-shrunk domain.  Spends exactly ``2 * batch`` queries.
+    in the twice-shrunk domain.  Spends exactly ``2 * batch`` queries, for an
+    integer ``batch >= 1``.
     """
-    if batch < 1:
-        raise ValueError("batch size must be >= 1")
+    if not _integer(batch) or batch < 1:
+        raise ValueError(f"batch size must be an integer >= 1, got {batch!r}")
     center = np.asarray(x_t, dtype=float) + delta
     d = center.size
-    total = np.zeros_like(center)
+    total = np.zeros(center.shape)
     for u in sample_sphere(d, rng, size=batch):
         diff = oracle(center + delta * u) - oracle(center - delta * u)
         total += (d / (2.0 * delta)) * diff * u

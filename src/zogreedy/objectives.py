@@ -235,15 +235,16 @@ def _coverage_gradient(P: np.ndarray, x: np.ndarray) -> np.ndarray:
     if counts.any():
         free = counts == 0
         contrib = np.zeros((k, d))
-        contrib[free] = P[free] * (np.prod(factors[free], axis=1)[:, None] / factors[free])
+        contrib[free] = P[free] * (np.multiply.reduce(factors[free], axis=1)[:, None]
+                                   / factors[free])
         for j in np.flatnonzero(counts == 1).tolist():
             a = int(np.flatnonzero(vanishing[j])[0])
-            contrib[j, a] = P[j, a] * np.prod(np.delete(factors[j], a))
+            contrib[j, a] = P[j, a] * np.multiply.reduce(np.delete(factors[j], a))
     else:
-        contrib = P * (np.prod(factors, axis=1)[:, None] / factors)
+        contrib = P * (np.multiply.reduce(factors, axis=1)[:, None] / factors)
     # A cumulative sum adds the rows in order (a plain sum may pair them up);
     # "+ 0.0" turns a column of -0.0 terms into the 0.0 that summing from 0 gives.
-    return (np.cumsum(contrib, axis=0)[-1] + 0.0) / k
+    return (np.add.accumulate(contrib, axis=0)[-1] + 0.0) / k
 
 
 def coverage_batch(P: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -251,10 +252,12 @@ def coverage_batch(P: np.ndarray, masks: np.ndarray) -> np.ndarray:
     at each row ``x`` of an ``(n, articles)`` mask or selection matrix.
 
     At 0/1 rows this is the coverage set function, and at fractional rows its
-    multilinear extension.  ``P`` and the rows are not checked here.
+    multilinear extension.  ``P`` and the rows are not checked here.  The
+    reductions are the ufuncs behind ``np.prod`` and ``np.mean``, called
+    directly: the values equal theirs bit for bit.
     """
     factors = 1.0 - P[None, :, :] * masks[:, None, :]
-    return np.mean(1.0 - np.prod(factors, axis=2), axis=1)
+    return np.add.reduce(1.0 - np.multiply.reduce(factors, axis=2), axis=1) / P.shape[0]
 
 
 def coverage_value_oracle(P: np.ndarray) -> ValueOracle:

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constraints import BoxDomain, DomainError, _members, contains
+from .constraints import BoxDomain, DomainError, _integer, _members, contains
 
 # The one memory budget of a bounded pass: bytes of one chunk of rows.
 CHUNK_BYTES = 2**17
@@ -143,7 +143,7 @@ class ValueOracle:
         if g.shape != x.shape:
             raise ValueError(f"oracle {self.name!r} returned a gradient of shape {g.shape}, "
                              f"expected {x.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError(f"oracle {self.name!r} returned a non-finite gradient")
         return g
 
@@ -302,7 +302,9 @@ class MultilinearOracle:
     :meth:`peek_rows` is its uncounted path, on sets drawn from ``peek_rng``,
     so instrumentation never disturbs the counted sampling sequence.
     ``query_count`` is the set oracle's counter, and the Lipschitz bound
-    ``2*M*sqrt(d)`` of any bounded multilinear extension is used as G.
+    ``2*M*sqrt(d)`` of any bounded multilinear extension is used as G.  A
+    count ``l`` or ``peek_samples`` that is not an integer >= 1, or is a
+    bool, raises ``ValueError`` here, before any query.
 
     Deliberately not a :class:`ValueOracle`: each query it spends is one
     counted ``SetOracle`` call and is counted nowhere else.
@@ -314,10 +316,9 @@ class MultilinearOracle:
         self, f: SetOracle, l: int, rng: np.random.Generator,
         peek_rng: np.random.Generator, peek_samples: int,
     ):
-        if l < 1:
-            raise ValueError("sample count l must be >= 1")
-        if peek_samples < 1:
-            raise ValueError("peek sample count must be >= 1")
+        for what, n in (("sample count l", l), ("peek sample count", peek_samples)):
+            if not _integer(n) or n < 1:
+                raise ValueError(f"{what} must be an integer >= 1, got {n!r}")
         self.f = f
         self.l = l
         self.dim = f.ground_size
@@ -329,12 +330,12 @@ class MultilinearOracle:
 
     def __call__(self, x: np.ndarray) -> float:
         masks = sample_masks(_checked(self, x, 1), self.l, self._rng)
-        values = [self.f(frozenset(np.flatnonzero(m).tolist())) for m in masks]
+        values = [self.f(frozenset(m.nonzero()[0].tolist())) for m in masks]
         return float(np.add.reduce(values)) / self.l
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         mask = sample_masks(_checked(self, x, 1), 1, self._rng)[0]
-        base = frozenset(np.flatnonzero(mask).tolist())
+        base = frozenset(mask.nonzero()[0].tolist())
         f = self.f
         g = np.empty(self.dim)
         # One side of each pair is S itself, so that query takes base as is.

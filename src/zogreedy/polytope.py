@@ -61,22 +61,22 @@ def project(constraint: ConstraintSpec, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != upper.shape:
         raise ValueError(f"point has shape {y.shape}, expected {upper.shape}")
-    x = np.clip(y, 0.0, upper)
+    x = y.clip(0.0, upper)
     for idx, budget in zip(constraint.block_index, constraint.budgets):
-        if float(np.sum(x[idx])) <= budget:
+        if np.add.reduce(x[idx]) <= budget:
             continue
         yb, cb = y[idx], upper[idx]
         points = np.concatenate((yb, yb - cb))
-        order = np.argsort(-points)
+        order = (-points).argsort()
         points = points[order]
         signs = np.where(order < idx.size, 1.0, -1.0)
-        h = np.cumsum(signs * points) - np.cumsum(signs) * points
-        j = int(np.argmax(h > budget))
+        h = np.add.accumulate(signs * points) - np.add.accumulate(signs) * points
+        j = int((h > budget).argmax())
         if j == 0:  # the budget equals the block capacity up to rounding
             continue
         frac = (h[j] - budget) / (h[j] - h[j - 1])
         lam = points[j] + frac * (points[j - 1] - points[j])
-        x[idx] = np.clip(yb - lam, 0.0, cb)
+        x[idx] = (yb - lam).clip(0.0, cb)
     return x
 
 

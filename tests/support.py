@@ -13,7 +13,14 @@ import itertools
 import numpy as np
 import pytest
 
-from zogreedy import ConstraintSpec, SetOracle, contains, sample_sphere
+from zogreedy import (
+    BoxDomain,
+    ConstraintSpec,
+    SetOracle,
+    contains,
+    sample_sphere,
+    transform_constraint,
+)
 from zogreedy.objectives import NQP_BAND_ROWS
 
 
@@ -136,6 +143,24 @@ def random_small_constraint(rng: np.random.Generator, d: int) -> ConstraintSpec:
         return ConstraintSpec.block_budget(d, blocks, budgets, cap=1.0)
     limits = [int(rng.integers(1, len(b) + 1)) for b in blocks]
     return ConstraintSpec.partition_matroid(d, blocks, limits)
+
+
+def random_geometry(rng: np.random.Generator, d: int) -> ConstraintSpec:
+    """A random constraint: shipped family, shrunk image, or zero caps/budgets."""
+    C = random_small_constraint(rng, d)
+    r = rng.random()
+    if r < 0.3:
+        try:
+            return transform_constraint(
+                BoxDomain.unit_cube(d), C, float(rng.choice([0.02, 0.1, 1 / 3, 0.45]))
+            )
+        except ValueError:
+            return C
+    if r < 0.5:
+        upper = np.where(rng.random(d) < 0.3, 0.0, rng.uniform(0.0, 1.0, d))
+        budgets = [float(rng.choice([0.0, rng.uniform(0.0, 1.5)])) for _ in C.blocks]
+        return ConstraintSpec._shrunk(upper, C.blocks, budgets)
+    return C
 
 
 def random_matroid(rng: np.random.Generator, d: int) -> ConstraintSpec:

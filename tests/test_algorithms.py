@@ -80,8 +80,9 @@ class TestAlgoParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"T": 4.5}, {"T": 8.0}, {"B": 1.5}, {"B": 2.0}, {"l": 2.5},
-        {"trace_value_samples": 2.5},
-    ], ids=["T", "T_float", "B", "B_float", "l", "trace_value_samples"])
+        {"trace_value_samples": 2.5}, {"B": True}, {"l": True}, {"trace_value_samples": True},
+    ], ids=["T", "T_float", "B", "B_float", "l", "trace_value_samples",
+            "B_bool", "l_bool", "trace_value_samples_bool"])
     def test_non_integer_counts_rejected(self, kwargs):
         with pytest.raises(ValueError, match="integer"):
             AlgoParams(**kwargs)

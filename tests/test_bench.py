@@ -1,6 +1,9 @@
 import csv
+import importlib
 import math
 import re
+import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,23 @@ class TestLoadEdgeList:
         g = karate_club_graph()
         assert g.num_nodes == 34
         assert g.num_edges == 78
+
+    def test_bundled_data_under_another_package_name(self, tmp_path, monkeypatch):
+        """A copy of the package imported under another name, with no package
+        named ``zogreedy`` importable, reads the bundled data it carries."""
+        original = build_objective(load_config(CONFIG_DIR / "influence.ini"))
+        shutil.copytree(Path(bench.__file__).parent, tmp_path / "zogreedy_copy",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setitem(sys.modules, "zogreedy", None)
+        try:
+            copy = importlib.import_module("zogreedy_copy.bench")
+            f = copy.build_objective(copy.load_config(CONFIG_DIR / "influence.ini"))
+        finally:
+            for name in [n for n in sys.modules if n.partition(".")[0] == "zogreedy_copy"]:
+                del sys.modules[name]
+        assert f.ground_size == 34
+        assert f.peek({0, 33}) == original.peek({0, 33})
 
 
 class TestLoadMatrixCsv:

@@ -46,6 +46,17 @@ class TestSampleSphere:
         u = sample_sphere(3, np.random.default_rng(0))
         assert u.shape == (3,)
 
+    @pytest.mark.parametrize("size", [2.7, 2.0, "2", True], ids=["fraction", "float", "str", "bool"])
+    def test_non_integer_size_rejected(self, size):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="integer"):
+            sample_sphere(3, rng, size=size)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_numpy_integer_size(self):
+        u = sample_sphere(3, np.random.default_rng(0), size=np.int64(2))
+        assert np.array_equal(u, sample_sphere(3, np.random.default_rng(0), size=2))
+
 
 class TestSampleBall:
     def test_inside_unit_ball(self):
@@ -153,6 +164,15 @@ class TestBatchGrad:
                         domain=BoxDomain.unit_cube(2))
         with pytest.raises(DomainError):
             batch_grad(F, np.array([0.95, 0.95]), 0.1, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("batch", [2.5, 2.0, True, 0, -1],
+                             ids=["fraction", "float", "bool", "zero", "negative"])
+    def test_batch_must_be_a_positive_integer(self, batch):
+        """A float batch once drew int(batch) directions but divided by batch."""
+        F = linear_oracle([1.0, 1.0])
+        with pytest.raises(ValueError, match="batch size must be an integer"):
+            batch_grad(F, np.zeros(2), 0.1, batch, np.random.default_rng(0))
+        assert F.query_count == 0
 
     @pytest.mark.parametrize("d, batch", [(1, 3), (7, 1), (7, 5), (1000, 4)])
     def test_same_stream_as_single_draws(self, d, batch):

@@ -577,6 +577,23 @@ class TestMultilinearValueOracle:
         with pytest.raises(ValueError, match="peek sample count"):
             multilinear_oracle(f, l=4, seed=0, peek_samples=peek_samples)
 
+    @pytest.mark.parametrize("l, peek_samples, message", [
+        (2.5, 4, "sample count l"), (2.0, 4, "sample count l"), (True, 4, "sample count l"),
+        (1, 2.5, "peek sample count"), (1, True, "peek sample count"),
+    ], ids=["l-fraction", "l-float", "l-bool", "peek-fraction", "peek-bool"])
+    def test_counts_checked_when_built(self, l, peek_samples, message):
+        """Once, a float count failed only at the first counted call or trace pass."""
+        f, _ = random_weighted_coverage(3, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=f"{message} must be an integer >= 1"):
+            multilinear_oracle(f, l=l, seed=0, peek_samples=peek_samples)
+
+    def test_numpy_integer_counts(self):
+        f, _ = random_weighted_coverage(3, np.random.default_rng(3))
+        F = multilinear_oracle(f, l=np.int64(2), seed=0, peek_samples=np.int32(3))
+        F(np.full(3, 0.5))
+        F.peek_rows(np.full((1, 3), 0.5))
+        assert f.query_count == 2
+
     def test_peek_spends_nothing(self):
         rng = np.random.default_rng(3)
         f, _ = random_weighted_coverage(3, rng)

@@ -17,29 +17,12 @@ from support import (
     lmo_reference,
     multilinear_bruteforce,
     project_reference,
+    random_geometry,
     random_matroid,
     random_point_in,
     random_small_constraint,
     random_weighted_coverage,
 )
-
-
-def random_geometry(rng, d):
-    """A random constraint: shipped family, shrunk image, or zero caps/budgets."""
-    C = random_small_constraint(rng, d)
-    r = rng.random()
-    if r < 0.3:
-        try:
-            return transform_constraint(
-                BoxDomain.unit_cube(d), C, float(rng.choice([0.02, 0.1, 1 / 3, 0.45]))
-            )
-        except ValueError:
-            return C
-    if r < 0.5:
-        upper = np.where(rng.random(d) < 0.3, 0.0, rng.uniform(0.0, 1.0, d))
-        budgets = [float(rng.choice([0.0, rng.uniform(0.0, 1.5)])) for _ in C.blocks]
-        return ConstraintSpec._shrunk(upper, C.blocks, budgets)
-    return C
 
 
 def random_layout(rng):
