@@ -29,7 +29,6 @@ from .objectives import (
     coverage_set_oracle,
     coverage_value_oracle,
     influence_set_oracle,
-    logdet_eval,
     logdet_set_oracle,
     nqp_eval,
     nqp_generate,
@@ -64,7 +63,6 @@ __all__ = [
     "independent",
     "influence_set_oracle",
     "lmo",
-    "logdet_eval",
     "logdet_set_oracle",
     "momentum_update",
     "nqp_eval",

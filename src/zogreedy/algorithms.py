@@ -35,7 +35,6 @@ Trace instrumentation uses uncounted peeks and a separate random stream.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -81,9 +80,9 @@ class AlgoParams:
     trace_value_samples: int = 64
 
     def __post_init__(self):
-        if not isinstance(self.T, numbers.Integral) or self.T < 4:
+        if not _integer(self.T) or self.T < 4:
             raise ValueError("iteration count T must be an integer >= 4")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         # "not 0 < v < inf" so that NaN fails too
         if not 0 < self.delta < math.inf:

@@ -85,7 +85,7 @@ def load_edge_list(path) -> Graph:
     Blank lines and ``#`` comments are skipped; duplicate edges collapse; the
     node count is the largest index seen plus one.
     """
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     max_index = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -102,8 +102,7 @@ def load_edge_list(path) -> Graph:
             if u < 0 or v < 0:
                 raise ValueError(f"{path}: line {lineno}: negative node index")
             max_index = max(max_index, u, v)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
+            edges.append((u, v))
     if max_index < 0:
         raise ValueError(f"{path}: empty edge list")
     return Graph.from_edges(max_index + 1, edges)

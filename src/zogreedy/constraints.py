@@ -272,20 +272,18 @@ def contains(
     ``(n, dim)``, so always for ``n = 0``; never when a coordinate is NaN."""
     upper = constraint.upper
     x = np.asarray(x, dtype=float)
-    rows = x.ndim == 2
-    if x.ndim > 2 or x.shape[rows:] != upper.shape:
+    if x.ndim > 2 or x.shape[-1:] != upper.shape:
         raise ValueError(f"point has shape {x.shape}, expected {upper.shape} or (n, {upper.size})")
-    if rows and not len(x):
+    if not x.size:
         return True
-    # a box holds every row iff it holds their columnwise extremes; min() is
-    # NaN when any coordinate is, so a NaN point fails too
-    lo, hi = (x.min(axis=0), x.max(axis=0)) if rows else (x, x)
-    if not (lo.min() >= -tol and (hi <= upper + tol).all()):
+    # the minimum is NaN when any coordinate is, so a NaN point fails too
+    if not (np.minimum.reduce(x, axis=None) >= -tol
+            and np.logical_and.reduce(x <= upper + tol, axis=None)):
         return False
     for idx, budget in zip(constraint.block_index, constraint.budgets):
-        # take() copies contiguous rows, which np.sum adds as it adds one point
-        total = np.sum(x.take(idx, axis=1), axis=1).max() if rows else np.sum(x[idx])
-        if total > budget + tol:
+        # take(), unlike x[:, idx], copies each block to a row that sums as np.sum does
+        totals = np.add.reduce(x.take(idx, axis=-1), axis=-1)
+        if np.maximum.reduce(totals, axis=None) > budget + tol:
             return False
     return True
 
@@ -295,10 +293,24 @@ def _integer(n) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
+def _size(n, what: str) -> int:
+    """``n`` as an int >= 1: ``TypeError`` for a non-integer or bool, ``ValueError`` below 1."""
+    if not _integer(n):
+        raise TypeError(f"{what} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{what} must be an integer >= 1")
+    return int(n)
+
+
 def _members(subset, ground: frozenset) -> frozenset:
-    """``subset`` as a frozenset of ints drawn from ``ground``; ``ValueError`` otherwise."""
+    """``subset`` as a frozenset of ints drawn from ``ground``; ``ValueError``
+    otherwise, for bools too.  A set of Python ints is taken as it is."""
     try:
-        members = frozenset(map(operator.index, subset))
+        elements = subset if isinstance(subset, (set, frozenset)) else tuple(subset)
+        types = set(map(type, elements))
+        if bool in types:
+            raise TypeError("got a bool")
+        members = frozenset(elements if types <= {int} else map(operator.index, elements))
     except TypeError as exc:
         raise ValueError(f"set elements must be integers: {exc}") from None
     if not members <= ground:

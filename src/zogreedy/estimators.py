@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import _integer
+from .constraints import _integer, _size
 
 
 def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -20,8 +20,7 @@ def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -
     integer ``size``.  The norms are ``np.linalg.norm``'s own formula for
     rows, ``sqrt(add.reduce(u * u))``, without its Python-level wrapper.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    _size(dim, "dimension")
     if size is not None and not _integer(size):
         raise ValueError(f"sample count must be an integer, got {size!r}")
     n = 1 if size is None else size

@@ -7,11 +7,11 @@ objectives: log-determinant active-set selection and one-hop influence
 coverage on an undirected graph.  All four are monotone (DR-)submodular on
 their domains.
 
-Each public function here is a data builder, an oracle builder, or the kernel
-an oracle runs on each counted query (:func:`nqp_eval`, :func:`logdet_eval`).
-The builders check their data once, and the oracles each point or set.  The
-set-function builders also hand their oracle a batched kernel that evaluates
-the sets given as rows of a boolean mask matrix in one array pass.
+Each public function here is a data builder, an oracle builder, or
+:func:`nqp_eval`.  The builders check their data once, :class:`Graph` its ids,
+and the oracles each point or set, so the kernels behind counted set queries
+check nothing again.  The set-function builders also hand their oracle a
+batched kernel for the sets given as the rows of a boolean mask matrix.
 
 The quadratic oracle checks once that H is symmetric, in bands of rows, and
 each query then reads only the upper band triangle of H (:func:`nqp_eval`):
@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import BoxDomain
+from .constraints import BoxDomain, _members, _size
 from .oracles import SetOracle, ValueOracle, row_chunks
 
 # Set values memoized per built-in logdet and coverage set oracle.  Counted
@@ -62,8 +61,7 @@ def nqp_generate(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     ``0.5 * (H + H.T)``, and ``-(H.T @ 1)`` negates exactly, so ``H`` and ``b``
     are bitwise those of ``H = -abs(draw); H = 0.5 * (H + H.T); b = -H.T @ 1``.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _size(d, "dimension")
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((d, d))
     np.negative(np.abs(H, out=H), out=H)
@@ -325,20 +323,17 @@ def rbf_covariance(X: np.ndarray, h: float) -> np.ndarray:
     return sigma
 
 
-def logdet_eval(sigma: np.ndarray, S) -> float:
+def logdet_eval(sigma: np.ndarray, S: frozenset) -> float:
     """log det(I + Sigma[S, S]) via Cholesky; 0 on the empty set.
 
-    ``S`` is read as a set of integers: repeats count once, ``0.5`` raises.
-
-    Raises ``numpy.linalg.LinAlgError`` when I + Sigma[S, S] is not positive
-    definite (i.e. Sigma is not PSD).
+    The logdet oracle's kernel for one counted query: ``sigma`` is the float
+    array and ``S`` the set of indices ``SetOracle`` has already checked, so
+    neither is checked again.  Raises ``numpy.linalg.LinAlgError`` when
+    I + Sigma[S, S] is not positive definite (i.e. Sigma is not PSD).
     """
-    sigma = np.asarray(sigma, dtype=float)
-    idx = sorted(set(map(operator.index, S)))
+    idx = sorted(S)
     if not idx:
         return 0.0
-    if idx[0] < 0 or idx[-1] >= sigma.shape[0]:
-        raise ValueError(f"subset {idx} outside the index range of Sigma")
     sub = sigma.take(idx, 0).take(idx, 1)
     sub.reshape(-1)[::len(idx) + 1] += 1.0  # I + Sigma[S, S], in place
     chol = np.linalg.cholesky(sub)
@@ -376,7 +371,7 @@ def logdet_set_oracle(sigma: np.ndarray) -> SetOracle:
     sigma = np.array(sigma, dtype=float)
     sigma.setflags(write=False)
     d = sigma.shape[0]
-    bound = max(logdet_eval(sigma, range(d)), 1e-12)
+    bound = max(logdet_eval(sigma, frozenset(range(d))), 1e-12)
     fn = functools.lru_cache(maxsize=SET_VALUE_CACHE)(lambda S: logdet_eval(sigma, S))
     return SetOracle(
         fn, ground_size=d, bound_M=bound, name="logdet",
@@ -392,18 +387,17 @@ def logdet_set_oracle(sigma: np.ndarray) -> SetOracle:
 class Graph:
     """Undirected simple graph as per-node neighbor sets.
 
-    ``reach[u]`` is the bitmask (bit ``v`` set <=> ``v`` reached) of node
-    ``u`` and its neighbors, built once per graph.
+    ``neighbors[u]`` holds the neighbors of node ``u``.  Each id is checked
+    once, here: an integer, not a bool, in ``range(num_nodes)``, or
+    ``ValueError``; the sets are stored as frozensets of Python ints.
     """
 
     neighbors: tuple[frozenset, ...]
-    reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        reach = tuple(
-            sum(1 << v for v in nbrs | {u}) for u, nbrs in enumerate(self.neighbors)
-        )
-        object.__setattr__(self, "reach", reach)
+        nodes = frozenset(range(len(self.neighbors)))
+        object.__setattr__(self, "neighbors",
+                           tuple(_members(nbrs, nodes) for nbrs in self.neighbors))
 
     @property
     def num_nodes(self) -> int:
@@ -415,19 +409,21 @@ class Graph:
 
     @classmethod
     def from_edges(cls, num_nodes: int, edges) -> "Graph":
-        adj: list[set] = [set() for _ in range(num_nodes)]
+        """Repeated edges and self-loops are dropped; all ids are checked first."""
+        edges = list(edges)
+        nodes = frozenset(range(num_nodes))
+        _members(itertools.chain.from_iterable(edges), nodes)
+        adj: list[set] = [set() for _ in nodes]
         for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                continue
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(tuple(frozenset(a) for a in adj))
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        return cls(tuple(map(frozenset, adj)))
 
 
 def _influence(reach: tuple[int, ...], S) -> float:
-    """Nodes reached through one hop from seeds already checked to be nodes of
-    the graph, seeds included: the OR of their ``Graph.reach`` bitmasks."""
+    """Nodes reached through one hop from seeds already checked to be nodes,
+    seeds included: the OR of their bitmasks ``reach[u]`` of ``u`` and its neighbors."""
     reached = 0
     for u in S:
         reached |= reach[u]
@@ -446,19 +442,21 @@ def influence_batch(reach: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def influence_set_oracle(graph: Graph) -> SetOracle:
     """One-hop influence of a seed set as a set function on the graph's nodes.
 
-    Counted queries run the bitmask kernel :func:`_influence` on the members
-    ``SetOracle`` has already checked; uncounted batches of masks run
-    :func:`influence_batch` on a dense ``A + I`` built once, here.  Unlike the
+    Counted queries run :func:`_influence` on the members ``SetOracle`` has
+    checked, and uncounted batches of masks :func:`influence_batch`; both read
+    ``A + I``, built once, here, as bitmasks and as a dense matrix.  Unlike the
     logdet and coverage oracles, it does not memoize values.
     """
     n = graph.num_nodes
-    reach = np.eye(n, dtype=np.float32)
+    dense = np.eye(n, dtype=np.float32)
+    bits = []
     for u, nbrs in enumerate(graph.neighbors):
-        reach[u, list(nbrs)] = 1.0
+        dense[u, list(nbrs)] = 1.0
+        bits.append(sum(1 << v for v in nbrs | {u}))
     return SetOracle(
-        functools.partial(_influence, graph.reach),
+        functools.partial(_influence, tuple(bits)),
         ground_size=n,
         bound_M=float(n),
         name="influence",
-        batch_fn=lambda masks: influence_batch(reach, masks),
+        batch_fn=lambda masks: influence_batch(dense, masks),
     )

@@ -21,13 +21,11 @@ however long it is.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from typing import Callable, Optional
 
 import numpy as np
 
-from .constraints import BoxDomain, DomainError, _integer, _members, contains
+from .constraints import BoxDomain, DomainError, _integer, _members, _size, contains
 
 # The one memory budget of a bounded pass: bytes of one chunk of rows.
 CHUNK_BYTES = 2**17
@@ -88,9 +86,7 @@ class ValueOracle:
             raise ValueError("lipschitz_G must be finite and strictly positive")
         self._fn = fn
         self._batch_fn = batch_fn or (lambda Z: [float(fn(z)) for z in Z])
-        self.dim = operator.index(dim)
-        if self.dim < 1:
-            raise ValueError("dim must be an integer >= 1")
+        self.dim = _size(dim, "dim")
         self.lipschitz_G = float(lipschitz_G)
         self._grad = grad
         self.domain = domain
@@ -174,7 +170,7 @@ class NoisyOracle:
     def __init__(self, inner: ValueOracle, sigma0: float, seed: int = 0):
         if not 0 <= sigma0 < math.inf:  # NaN fails too
             raise ValueError("sigma0 must be finite and non-negative")
-        if not isinstance(seed, numbers.Integral) or seed < 0:
+        if not _integer(seed) or seed < 0:
             raise ValueError("seed must be a non-negative integer")
         self.inner = inner
         self.sigma0 = float(sigma0)
@@ -229,9 +225,7 @@ class SetOracle:
         self._fn = fn
         self._batch_fn = batch_fn or (
             lambda masks: [fn(frozenset(np.flatnonzero(m).tolist())) for m in masks])
-        self.ground_size = operator.index(ground_size)
-        if self.ground_size < 1:
-            raise ValueError("ground_size must be an integer >= 1")
+        self.ground_size = _size(ground_size, "ground_size")
         self._ground = frozenset(range(self.ground_size))
         self.bound_M = float(bound_M)
         self.name = name

@@ -349,6 +349,16 @@ def box_contains_reference(upper: np.ndarray, x: np.ndarray, tol: float) -> bool
     return bool(np.all(x >= -tol) and np.all(x <= upper + tol))
 
 
+def contains_reference(constraint, x: np.ndarray, tol: float) -> bool:
+    """Membership of one point: the box predicate, then one ``np.sum`` per block
+    (the original predicate)."""
+    x = np.asarray(x, dtype=float)
+    return box_contains_reference(constraint.upper, x, tol) and all(
+        np.sum(x[list(block)]) <= budget + tol
+        for block, budget in zip(constraint.blocks, constraint.budgets)
+    )
+
+
 def batch_grad_reference(oracle, x_t: np.ndarray, delta: float, batch: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Two-point batch estimate with one ``sample_sphere`` draw per direction."""

@@ -50,8 +50,9 @@ def identity_oracle():
 class TestAlgoParams:
     # None draws OS entropy, so a run on it is not deterministic; the others
     # used to fail later, inside numpy
-    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3", np.float64(2.0)],
-                             ids=["none", "negative", "float", "string", "numpy_float"])
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3", np.float64(2.0), True, False],
+                             ids=["none", "negative", "float", "string", "numpy_float", "true",
+                                  "false"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             AlgoParams(seed=seed)

@@ -13,6 +13,7 @@ from zogreedy import (
 
 from support import (
     box_contains_reference,
+    contains_reference,
     random_matroid,
     random_point_in,
     random_small_constraint,
@@ -185,6 +186,24 @@ class TestContainsRows:
                                                      (False, False)}
         assert (0, True) in verdicts
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+    def test_points_and_rows_match_the_point_reference(self, tol):
+        """One body for a point and a matrix: each verdict is the one-point reference's."""
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for _ in range(600):
+            d = int(rng.integers(1, 41))
+            K = (random_small_constraint if rng.random() < 0.5 else random_matroid)(rng, d)
+            if rng.random() < 0.5:
+                K = transform_constraint(BoxDomain.unit_cube(d), K, rng.uniform(0.01, 0.2))
+            Z = _rows_at_the_bounds(K, int(rng.integers(0, 5)), tol, rng)
+            Z[rng.random(Z.shape) < 0.1] = -0.0
+            expected = [contains_reference(K, z, tol) for z in Z]
+            assert [contains(K, z, tol) for z in Z] == expected
+            assert contains(K, Z, tol) == all(expected)
+            verdicts.update(expected)
+        assert verdicts == {True, False}
+
     def test_rejects_other_shapes(self):
         K = ConstraintSpec.block_budget(3, [(0, 1)], [1.0])
         for x in [np.zeros((2, 4)), np.zeros((1, 2, 3)), np.zeros(()), np.zeros(4)]:
@@ -317,8 +336,10 @@ class TestIndependence:
         with pytest.raises(ValueError):
             independent(K, {0})
 
-    @pytest.mark.parametrize("subset", [[0.9, 2.5], [2.0], ["1"], [np.float64(0.0)]],
-                             ids=["fractions", "integral_float", "string", "numpy_float"])
+    @pytest.mark.parametrize("subset", [[0.9, 2.5], [2.0], ["1"], [np.float64(0.0)],
+                                        [True, 2], [True, True], [False, True]],
+                             ids=["fractions", "integral_float", "string", "numpy_float",
+                                  "bool", "bools", "false_true"])
     def test_non_integer_members_rejected(self, subset):
         M = ConstraintSpec.partition_matroid(4, [(0, 1), (2, 3)], [1, 2])
         with pytest.raises(ValueError, match="set elements must be integers"):
@@ -328,5 +349,4 @@ class TestIndependence:
         M = ConstraintSpec.partition_matroid(4, [(0, 1), (2, 3)], [1, 2])
         assert independent(M, [np.int64(0), np.int32(2), 3])
         assert not independent(M, np.array([0, 1]))
-        assert independent(M, [True, 2])  # True is element 1
-        assert not independent(M, [False, True])
+        assert independent(M, (np.int8(1), np.uint16(2)))

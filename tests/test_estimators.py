@@ -53,6 +53,15 @@ class TestSampleSphere:
             sample_sphere(3, rng, size=size)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
+    @pytest.mark.parametrize("dim, error", [(2.5, TypeError), (3.0, TypeError), (True, TypeError),
+                                            ("3", TypeError), (0, ValueError)],
+                             ids=["fraction", "float", "bool", "str", "zero"])
+    def test_dimension_must_be_a_positive_integer(self, dim, error):
+        rng = np.random.default_rng(0)
+        with pytest.raises(error, match="dimension must be an integer"):
+            sample_sphere(dim, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     def test_numpy_integer_size(self):
         u = sample_sphere(3, np.random.default_rng(0), size=np.int64(2))
         assert np.array_equal(u, sample_sphere(3, np.random.default_rng(0), size=2))

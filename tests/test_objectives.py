@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -17,7 +18,6 @@ from zogreedy import (
     coverage_value_oracle,
     dbg,
     influence_set_oracle,
-    logdet_eval,
     logdet_set_oracle,
     nqp_eval,
     nqp_generate,
@@ -65,6 +65,13 @@ class TestNqpGenerate:
     def test_one_dimensional(self):
         H, b = nqp_generate(1, seed=0)
         assert b[0] == -H[0, 0]
+
+    @pytest.mark.parametrize("d, error", [(2.0, TypeError), (True, TypeError), ("3", TypeError),
+                                          (0, ValueError)],
+                             ids=["float", "bool", "string", "zero"])
+    def test_dimension_must_be_a_positive_integer(self, d, error):
+        with pytest.raises(error, match="dimension must be an integer"):
+            nqp_generate(d, 0)
 
     @pytest.mark.parametrize("d, budget", with_one_row_chunks(
         [1, 2, 17, 300, 1000, 1001], ["1", "2", "17", "300", "1000", "1001"]))
@@ -364,39 +371,47 @@ def test_coverage_gradient_equals_topic_loop(P, x):
 
 
 class TestLogdet:
+    """The logdet oracle's counted values: its kernel on the checked members."""
+
     def test_identity_covariance(self):
-        sigma = np.eye(5)
-        assert logdet_eval(sigma, {0, 2, 4}) == pytest.approx(3 * math.log(2.0))
+        f = logdet_set_oracle(np.eye(5))
+        assert f({0, 2, 4}) == pytest.approx(3 * math.log(2.0))
 
     def test_empty_set(self):
-        assert logdet_eval(np.eye(3), set()) == 0.0
+        assert logdet_set_oracle(np.eye(3))(set()) == 0.0
 
     def test_two_by_two_hand_value(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
         # det([[2, .5], [.5, 2]]) = 3.75
-        assert logdet_eval(sigma, {0, 1}) == pytest.approx(math.log(3.75))
+        assert logdet_set_oracle(sigma)({0, 1}) == pytest.approx(math.log(3.75))
 
     def test_non_psd_raises(self):
         sigma = np.array([[1.0, 3.0], [3.0, 1.0]])  # eigenvalues 4, -2
+        # the bound is the full set's value, whose block is the least definite
         with pytest.raises(np.linalg.LinAlgError):
-            logdet_eval(sigma, {0, 1})
+            logdet_set_oracle(sigma)
 
     @pytest.mark.parametrize("S, members", [
         ([0, 0], {0}), ([2, 0, 2, 2], {0, 2}), ((1, 1, 1), {1}), ([3, 3, 1, 0, 1], {0, 1, 3}),
     ])
     def test_repeated_indices_count_once(self, S, members):
         sigma = rbf_covariance(np.random.default_rng(3).standard_normal((5, 4)), 0.75)
-        assert logdet_eval(sigma, S) == logdet_eval(sigma, members)
-        assert logdet_eval(np.eye(4), S) == pytest.approx(len(members) * math.log(2.0))
+        f = logdet_set_oracle(sigma)
+        assert f(S) == f(members) == logdet_reference(sigma, members)
+        assert logdet_set_oracle(np.eye(4))(S) == pytest.approx(len(members) * math.log(2.0))
 
-    @pytest.mark.parametrize("S", [[0.5], [1.7], [0, 2.0], [np.float64(1.0)], ["1"]])
+    @pytest.mark.parametrize("S", [[0.5], [1.7], [0, 2.0], [np.float64(1.0)], ["1"], [True, 2]])
     def test_non_integral_indices_rejected(self, S):
-        with pytest.raises(TypeError):
-            logdet_eval(np.eye(3), S)
+        f = logdet_set_oracle(np.eye(3))
+        for evaluate in (f, f.peek):
+            with pytest.raises(ValueError, match="must be integers"):
+                evaluate(S)
+        assert f.query_count == 0
 
     @pytest.mark.parametrize("S", [[np.int64(2), 0], np.array([0, 2]), range(0, 3, 2)])
     def test_integer_likes_accepted(self, S):
-        assert logdet_eval(np.eye(3), S) == pytest.approx(2 * math.log(2.0))
+        f = logdet_set_oracle(np.eye(3))
+        assert f(S) == f({0, 2}) == pytest.approx(2 * math.log(2.0))
 
 
 class TestRbfCovariance:
@@ -472,14 +487,53 @@ class TestInfluence:
             f = influence_set_oracle(g)
             for p in (0.0, 0.1, 0.5, 1.0):
                 S = frozenset(np.flatnonzero(rng.random(g.num_nodes) < p).tolist())
-                assert objectives._influence(g.reach, S) == influence_reference(g, S)
                 assert f(S) == f.peek(S) == influence_reference(g, S)
 
     def test_reach_bitmasks(self):
+        """The oracle owns the per-node bitmasks; the graph keeps only its adjacency."""
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
-        assert g.reach == (0b0011, 0b0111, 0b0110, 0b1000)
+        f = influence_set_oracle(g)
+        assert f._fn.args == ((0b0011, 0b0111, 0b0110, 0b1000),)
+        assert [f({u}) for u in range(4)] == [influence_reference(g, {u}) for u in range(4)]
+        assert [f({u}) for u in range(4)] == [2.0, 3.0, 2.0, 1.0]
         assert g == Graph(g.neighbors)
-        assert "reach" not in repr(g)
+        assert [field.name for field in dataclasses.fields(Graph)] == ["neighbors"]
+        assert repr(g) == ("Graph(neighbors=(frozenset({1}), frozenset({0, 2}), "
+                           "frozenset({1}), frozenset()))")
+
+
+class TestGraphIds:
+    """``Graph`` and ``from_edges`` check every node id once, when built."""
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0.7, 1)], "must be integers"), ([(0, 1.0)], "must be integers"),
+        ([(True, 2)], "must be integers"), ([(0, "1")], "must be integers"),
+        ([(0, 5)], "element 5 outside"), ([(3, 0)], "element 3 outside"),
+        ([(0, -1)], "element -1 outside"), ([(-3, -2)], "element -3 outside"),
+    ], ids=["float", "integral_float", "bool", "string", "past_the_end", "num_nodes",
+            "negative", "both_negative"])
+    def test_from_edges_rejects_bad_ids(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(3, [(0, 1)] + edges)
+
+    @pytest.mark.parametrize("neighbors, message", [
+        ((frozenset({1}), frozenset({0, 7}), frozenset()), "element 7 outside"),
+        ((frozenset({1}), frozenset({0, -1}), frozenset()), "element -1 outside"),
+        ((frozenset({1.5}), frozenset(), frozenset()), "must be integers"),
+        ((frozenset({1.0}), frozenset(), frozenset()), "must be integers"),
+        (({True}, set(), set()), "must be integers"),
+    ], ids=["past_the_end", "negative", "float", "integral_float", "bool"])
+    def test_graph_rejects_bad_ids(self, neighbors, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(neighbors)
+
+    def test_integer_likes_stored_as_ints(self):
+        g = Graph.from_edges(np.int64(3), np.array([[0, 1], [2, 1], [1, 1], [1, 0]]))
+        h = Graph(({np.int64(1)}, [0, np.int32(2)], (1,)))
+        assert g == h == Graph.from_edges(3, [(0, 1), (1, 2)])
+        for nbrs in g.neighbors + h.neighbors:
+            assert type(nbrs) is frozenset and all(type(v) is int for v in nbrs)
+        assert influence_set_oracle(g)({0}) == 2.0
 
 
 def _check_monotone_submodular(eval_set, d):
@@ -513,7 +567,7 @@ class TestStructuralProperties:
         rng = np.random.default_rng(18)
         X = rng.standard_normal((5, 6))
         sigma = rbf_covariance(X, 0.75)
-        _check_monotone_submodular(lambda S: logdet_eval(sigma, S), 6)
+        _check_monotone_submodular(logdet_set_oracle(sigma), 6)
 
     def test_multilinear_gradient_identity(self):
         rng = np.random.default_rng(19)
@@ -629,7 +683,7 @@ class TestOracleBuilders:
         rng = np.random.default_rng(2)
         sigma = rbf_covariance(rng.standard_normal((4, 5)), 0.75)
         f = logdet_set_oracle(sigma)
-        assert f.bound_M == pytest.approx(logdet_eval(sigma, range(5)))
+        assert f.bound_M == logdet_reference(sigma, range(5))
 
 
 def active_set_instance():
@@ -648,7 +702,7 @@ def topics_instance():
 def uncached_value(build: str, data: np.ndarray, S) -> float:
     """The set value straight from the kernel, with no oracle in between."""
     if build == "logdet":
-        return logdet_eval(data, S)
+        return objectives.logdet_eval(data, frozenset(S))
     x = np.zeros(data.shape[1])
     x[sorted(S)] = 1.0
     return float(objectives.coverage_batch(data, x[None])[0])
@@ -714,7 +768,7 @@ class TestSetValueMemo:
 
         def failing(sigma, S):
             calls.append(S)
-            return logdet_eval(bad, S)
+            return logdet_reference(bad, S)
 
         monkeypatch.setattr(objectives, "logdet_eval", failing)
         for _ in range(3):
@@ -832,9 +886,8 @@ class TestKernelsMatchReference:
         masks[2] = False
         masks[2, 13] = True
         sets = [np.flatnonzero(m).tolist() for m in masks]
-        assert [logdet_eval(sigma, S) for S in sets] == [
-            logdet_reference(sigma, S) for S in sets
-        ]
+        f = logdet_set_oracle(sigma)
+        assert [f(S) for S in sets] == [logdet_reference(sigma, S) for S in sets]
 
     def test_influence_on_karate(self):
         g = karate_club_graph()

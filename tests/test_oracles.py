@@ -80,9 +80,9 @@ class TestValueOracle:
         with pytest.raises(ValueError):
             F.gradient(np.zeros(2))
 
-    @pytest.mark.parametrize("dim, error", [(2.5, TypeError), ("3", TypeError),
+    @pytest.mark.parametrize("dim, error", [(2.5, TypeError), ("3", TypeError), (True, TypeError),
                                             (0, ValueError), (-2, ValueError)],
-                             ids=["float", "string", "zero", "negative"])
+                             ids=["float", "string", "bool", "zero", "negative"])
     def test_dim_must_be_a_positive_integer(self, dim, error):
         with pytest.raises(error):
             ValueOracle(lambda x: 0.0, dim=dim, lipschitz_G=1.0)
@@ -327,8 +327,8 @@ class TestSetOracle:
             f({3})
 
     @pytest.mark.parametrize("size, error", [(3.7, TypeError), ("3", TypeError),
-                                             (0, ValueError), (-2, ValueError)],
-                             ids=["float", "string", "zero", "negative"])
+                                             (True, TypeError), (0, ValueError), (-2, ValueError)],
+                             ids=["float", "string", "bool", "zero", "negative"])
     def test_ground_size_must_be_a_positive_integer(self, size, error):
         with pytest.raises(error):
             SetOracle(lambda S: float(len(S)), ground_size=size, bound_M=4.0)
@@ -344,8 +344,10 @@ class TestSetOracle:
             SetOracle(lambda S: 1e9 * len(S), ground_size=2, bound_M=M)
 
     @pytest.mark.parametrize("subset", [
-        [0.5], [1.7], [1.0], [np.float64(0.0)], [0, "1"],
-    ], ids=["half", "one_point_seven", "integral_float", "numpy_float", "string"])
+        [0.5], [1.7], [1.0], [np.float64(0.0)], [0, "1"], [True, False, True], [0, True],
+        {False},
+    ], ids=["half", "one_point_seven", "integral_float", "numpy_float", "string", "bools",
+            "int_and_bool", "bool_set"])
     def test_non_integer_elements_rejected(self, subset):
         f = or_oracle()
         for evaluate in (f, f.peek):
@@ -357,9 +359,10 @@ class TestSetOracle:
         (frozenset({3.0}), "set elements must be integers"),
         ([0.5], "set elements must be integers"),
         (["a"], "set elements must be integers"),
+        (frozenset({True}), "set elements must be integers"),
         ({-1}, "element -1 outside the ground set"),
         ({0, 4}, "element 4 outside the ground set"),
-    ], ids=["float_frozenset", "half", "string", "negative", "ground_size"])
+    ], ids=["float_frozenset", "half", "string", "bool_frozenset", "negative", "ground_size"])
     def test_rejected_members_are_not_counted(self, subset, message):
         calls = []
         f = SetOracle(lambda S: calls.append(S) or 0.0, ground_size=4, bound_M=1.0)
@@ -371,7 +374,7 @@ class TestSetOracle:
     def test_members_reach_fn_as_a_checked_frozenset(self):
         seen = []
         f = SetOracle(lambda S: seen.append(S) or 0.0, ground_size=4, bound_M=1.0)
-        f([np.int64(3), True, 3])
+        f([np.int64(3), np.int32(1), 3])
         assert seen == [frozenset({1, 3})]
         assert all(type(i) is int for i in seen[0])
 
