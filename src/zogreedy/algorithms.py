@@ -45,7 +45,7 @@ from .constraints import (
     PARTITION_MATROID,
     BoxDomain,
     ConstraintSpec,
-    _integer,
+    _count,
     contains,
     independent,
     transform_constraint,
@@ -80,20 +80,14 @@ class AlgoParams:
     trace_value_samples: int = 64
 
     def __post_init__(self):
-        if not _integer(self.T) or self.T < 4:
-            raise ValueError("iteration count T must be an integer >= 4")
-        if not _integer(self.seed) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        for name, least in (("T", 4), ("seed", 0), ("B", 1), ("l", 1),
+                            ("trace_value_samples", 1)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         # "not 0 < v < inf" so that NaN fails too
         if not 0 < self.delta < math.inf:
             raise ValueError("smoothing radius delta must be finite and positive")
-        if not all(_integer(n) and n >= 1 for n in (self.B, self.l)):
-            raise ValueError("batch sizes B and l must be integers >= 1")
         if self.eta0 is not None and not 0 < self.eta0 < math.inf:
             raise ValueError("eta0 must be finite and positive when given")
-        samples = self.trace_value_samples
-        if not _integer(samples) or samples < 1:
-            raise ValueError("trace_value_samples must be an integer >= 1")
 
 
 @dataclass(frozen=True)

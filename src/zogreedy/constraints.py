@@ -48,20 +48,18 @@ def _as_readonly_array(values, name: str) -> np.ndarray:
 
 
 def _normalize_blocks(dim: int, blocks) -> tuple[tuple[int, ...], ...]:
-    seen: set[int] = set()
-    out = []
-    for block in blocks:
-        idx = tuple(int(i) for i in block)
-        if not idx:
-            raise ValueError("blocks must be non-empty")
-        for i in idx:
-            if not 0 <= i < dim:
-                raise ValueError(f"block index {i} out of range for dim {dim}")
-            if i in seen:
-                raise ValueError(f"blocks must be pairwise disjoint (index {i} repeated)")
-            seen.add(i)
-        out.append(idx)
-    return tuple(out)
+    """``blocks`` as tuples of ints, each in its given order: non-empty, pairwise
+    disjoint, and of integer indices in ``range(dim)`` (:func:`_members`)."""
+    blocks = tuple(map(tuple, blocks))
+    if not blocks:  # a box: no ground set of dim members to build
+        return ()
+    ground = frozenset(range(dim))
+    members = [_members(block, ground) for block in blocks]
+    if not all(members):
+        raise ValueError("blocks must be non-empty")
+    if sum(map(len, blocks)) != len(frozenset().union(*members)):
+        raise ValueError("blocks must be pairwise disjoint (an index repeats)")
+    return tuple(tuple(map(operator.index, block)) for block in blocks)
 
 
 def _index_arrays(blocks) -> tuple[np.ndarray, ...]:
@@ -178,18 +176,18 @@ class ConstraintSpec:
     def block_budget(cls, dim: int, blocks, budgets, cap: float = 1.0) -> "ConstraintSpec":
         return cls(
             kind=BLOCK_BUDGET,
-            upper=np.full(int(dim), float(cap)),
-            blocks=tuple(tuple(b) for b in blocks),
-            budgets=tuple(budgets),
+            upper=np.full(_count(dim, "dim"), float(cap)),
+            blocks=blocks,
+            budgets=budgets,
         )
 
     @classmethod
     def partition_matroid(cls, dim: int, blocks, limits) -> "ConstraintSpec":
         return cls(
             kind=PARTITION_MATROID,
-            upper=np.ones(int(dim)),
-            blocks=tuple(tuple(b) for b in blocks),
-            budgets=tuple(float(k) for k in limits),
+            upper=np.ones(_count(dim, "dim")),
+            blocks=blocks,
+            budgets=limits,
         )
 
     @classmethod
@@ -216,7 +214,7 @@ class BoxDomain(ConstraintSpec):
 
     @classmethod
     def unit_cube(cls, dim: int) -> "BoxDomain":
-        return cls(np.ones(int(dim)))
+        return cls(np.ones(_count(dim, "dim")))
 
 
 def transform_constraint(
@@ -288,17 +286,11 @@ def contains(
     return True
 
 
-def _integer(n) -> bool:
-    """True for a value of any integer type but bool: True is no count."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
-
-
-def _size(n, what: str) -> int:
-    """``n`` as an int >= 1: ``TypeError`` for a non-integer or bool, ``ValueError`` below 1."""
-    if not _integer(n):
-        raise TypeError(f"{what} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{what} must be an integer >= 1")
+def _count(n, what: str, least: int = 1) -> int:
+    """``n`` as an int, for a value of any integer type but bool that is at
+    least ``least``; ``ValueError`` naming ``what`` otherwise.  True is no count."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {n!r}")
     return int(n)
 
 

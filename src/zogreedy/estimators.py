@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import _integer, _size
+from .constraints import _count
 
 
 def sample_sphere(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform draw(s) from the unit sphere, via normalized Gaussians.
 
     Returns shape (dim,) when ``size`` is None, else (size, dim) for an
-    integer ``size``.  The norms are ``np.linalg.norm``'s own formula for
+    integer ``size >= 0``.  The norms are ``np.linalg.norm``'s own formula for
     rows, ``sqrt(add.reduce(u * u))``, without its Python-level wrapper.
     """
-    _size(dim, "dimension")
-    if size is not None and not _integer(size):
-        raise ValueError(f"sample count must be an integer, got {size!r}")
-    n = 1 if size is None else size
+    dim = _count(dim, "dimension")
+    n = 1 if size is None else _count(size, "sample count", 0)
     u = rng.standard_normal((n, dim))
     norms = np.sqrt(np.add.reduce(u * u, axis=1))
     while (norms < 1e-12).any():
@@ -45,8 +43,7 @@ def batch_grad(
     in the twice-shrunk domain.  Spends exactly ``2 * batch`` queries, for an
     integer ``batch >= 1``.
     """
-    if not _integer(batch) or batch < 1:
-        raise ValueError(f"batch size must be an integer >= 1, got {batch!r}")
+    batch = _count(batch, "batch size")
     center = np.asarray(x_t, dtype=float) + delta
     d = center.size
     total = np.zeros(center.shape)

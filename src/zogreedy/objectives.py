@@ -8,10 +8,11 @@ coverage on an undirected graph.  All four are monotone (DR-)submodular on
 their domains.
 
 Each public function here is a data builder, an oracle builder, or
-:func:`nqp_eval`.  The builders check their data once, :class:`Graph` its ids,
-and the oracles each point or set, so the kernels behind counted set queries
-check nothing again.  The set-function builders also hand their oracle a
-batched kernel for the sets given as the rows of a boolean mask matrix.
+:func:`nqp_eval`.  The builders check their data once, :class:`Graph` its
+adjacency, and the oracles each point or set, so the kernels behind counted
+set queries check nothing again.  The set-function builders also hand their
+oracle a batched kernel for the sets given as the rows of a boolean mask
+matrix.
 
 The quadratic oracle checks once that H is symmetric, in bands of rows, and
 each query then reads only the upper band triangle of H (:func:`nqp_eval`):
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import BoxDomain, _members, _size
+from .constraints import BoxDomain, _count, _members
 from .oracles import SetOracle, ValueOracle, row_chunks
 
 # Set values memoized per built-in logdet and coverage set oracle.  Counted
@@ -61,8 +63,8 @@ def nqp_generate(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     ``0.5 * (H + H.T)``, and ``-(H.T @ 1)`` negates exactly, so ``H`` and ``b``
     are bitwise those of ``H = -abs(draw); H = 0.5 * (H + H.T); b = -H.T @ 1``.
     """
-    _size(d, "dimension")
-    rng = np.random.default_rng(seed)
+    d = _count(d, "dimension")
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     H = rng.standard_normal((d, d))
     np.negative(np.abs(H, out=H), out=H)
     for rows in row_chunks(d, 8 * d):
@@ -153,6 +155,23 @@ def nqp_eval(
     return values[0] if x.ndim == 1 else np.array(values)
 
 
+def _require_symmetric(A: np.ndarray, what: str, not_finite: str) -> None:
+    """``ValueError(not_finite)`` unless the square ``A`` is finite, and one naming
+    ``what`` unless it equals its transpose exactly.  One pass in bands of rows
+    ``lo:hi`` from column ``lo`` on, against their mirror columns, so no ``(d, d)``
+    temporary is made; equal bands make ``A`` symmetric, so finite ones make it finite."""
+    d = A.shape[0]
+    for rows in row_chunks(d, d):
+        lo, hi = rows.start, rows.stop
+        band = A[lo:hi, lo:]
+        if not (np.isfinite(band).all() and np.array_equal(band, A[lo:, lo:hi].T)):
+            # min and max are not finite when any entry is not (NaN included)
+            if np.isfinite(A.min()) and np.isfinite(A.max()):
+                raise ValueError(f"{what} must be symmetric; rows {lo}:{hi} "
+                                 "differ from their columns")
+            raise ValueError(not_finite)
+
+
 def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
     """Value oracle for a quadratic instance with exact gradient H x + b.
 
@@ -161,9 +180,8 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
     Lipschitz constant.  ``H`` must be ``(d, d)`` for ``d = b.size``, both
     must be finite, and ``H`` must equal its transpose exactly, or
     ``ValueError`` is raised.  Symmetry is checked once, here, in bands of
-    rows (:func:`~zogreedy.oracles.row_chunks`), each against its mirror
-    columns, so no ``(d, d)`` temporary is made; each query then
-    runs :func:`nqp_eval`, which reads only the upper band triangle of ``H``.
+    rows (:func:`_require_symmetric`); each query then runs
+    :func:`nqp_eval`, which reads only the upper band triangle of ``H``.
     ``H`` is not copied.
     """
     H = np.asarray(H, dtype=float)
@@ -174,18 +192,7 @@ def nqp_oracle(H: np.ndarray, b: np.ndarray) -> ValueOracle:
                          f"got H{H.shape}, b{b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("nqp entries of H and b must be finite")
-    # One pass over H in bands of rows lo:hi from column lo on, each compared
-    # with its mirror columns through bool temporaries of d bytes a row.  Equal
-    # bands make H symmetric, so finite bands make all of H finite.
-    for rows in row_chunks(d, d):
-        lo, hi = rows.start, rows.stop
-        band = H[lo:hi, lo:]
-        if not (np.isfinite(band).all() and np.array_equal(band, H[lo:, lo:hi].T)):
-            # min and max are not finite when any entry is not (NaN included)
-            if np.isfinite(H.min()) and np.isfinite(H.max()):
-                raise ValueError(f"nqp H must be symmetric; rows {lo}:{hi} "
-                                 "differ from their columns")
-            raise ValueError("nqp entries of H and b must be finite")
+    _require_symmetric(H, "nqp H", "nqp entries of H and b must be finite")
     G = float(np.linalg.norm(b))
     # Consecutive calls, counted queries and trace chunks alike, sweep the
     # bands in alternate directions, so each starts on the bands the last one
@@ -311,8 +318,8 @@ def rbf_covariance(X: np.ndarray, h: float) -> np.ndarray:
     ``Sigma[i, j] = exp(-||X[:, i] - X[:, j]||^2 / h^2)``; symmetric with unit
     diagonal.
     """
-    if not h > 0:  # NaN fails too
-        raise ValueError("bandwidth h must be strictly positive")
+    if not 0 < h < math.inf:  # NaN fails too
+        raise ValueError("bandwidth h must be finite and strictly positive")
     X = np.asarray(X, dtype=float)
     sq = np.sum(X * X, axis=0)
     dist2 = sq[:, None] + sq[None, :] - 2.0 * X.T @ X
@@ -365,10 +372,15 @@ def logdet_batch(sigma: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def logdet_set_oracle(sigma: np.ndarray) -> SetOracle:
     """Active-set selection objective f(S) = log det(I + Sigma[S, S]).
 
-    ``Sigma`` is copied once, here, so the memoized set values
-    (:data:`SET_VALUE_CACHE`) cannot go stale; a ``LinAlgError`` is not memoized.
+    ``Sigma`` must be non-empty, square, finite and exactly its transpose (pass
+    ``0.5 * (S + S.T)``), or ``ValueError``.  It is copied once, here, so the
+    memoized set values (:data:`SET_VALUE_CACHE`) cannot go stale; a
+    ``LinAlgError`` is not memoized.
     """
     sigma = np.array(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or not sigma.size:
+        raise ValueError(f"logdet Sigma must be a non-empty square matrix, got {sigma.shape}")
+    _require_symmetric(sigma, "logdet Sigma", "logdet entries of Sigma must be finite")
     sigma.setflags(write=False)
     d = sigma.shape[0]
     bound = max(logdet_eval(sigma, frozenset(range(d))), 1e-12)
@@ -387,17 +399,24 @@ def logdet_set_oracle(sigma: np.ndarray) -> SetOracle:
 class Graph:
     """Undirected simple graph as per-node neighbor sets.
 
-    ``neighbors[u]`` holds the neighbors of node ``u``.  Each id is checked
-    once, here: an integer, not a bool, in ``range(num_nodes)``, or
-    ``ValueError``; the sets are stored as frozensets of Python ints.
+    ``neighbors[u]`` holds the neighbors of node ``u``.  They are checked
+    once, here: each id an integer, not a bool, in ``range(num_nodes)``; no
+    node its own neighbor; and ``v`` in ``neighbors[u]`` exactly when ``u``
+    is in ``neighbors[v]``; or ``ValueError``.  The sets are stored as
+    frozensets of Python ints.
     """
 
     neighbors: tuple[frozenset, ...]
 
     def __post_init__(self):
         nodes = frozenset(range(len(self.neighbors)))
-        object.__setattr__(self, "neighbors",
-                           tuple(_members(nbrs, nodes) for nbrs in self.neighbors))
+        neighbors = tuple(_members(nbrs, nodes) for nbrs in self.neighbors)
+        for u, nbrs in enumerate(neighbors):
+            if u in nbrs:
+                raise ValueError(f"node {u} is its own neighbor")
+            if any(u not in neighbors[v] for v in nbrs):
+                raise ValueError(f"node {u} lists a neighbor that does not list it")
+        object.__setattr__(self, "neighbors", neighbors)
 
     @property
     def num_nodes(self) -> int:
@@ -411,7 +430,7 @@ class Graph:
     def from_edges(cls, num_nodes: int, edges) -> "Graph":
         """Repeated edges and self-loops are dropped; all ids are checked first."""
         edges = list(edges)
-        nodes = frozenset(range(num_nodes))
+        nodes = frozenset(range(_count(num_nodes, "num_nodes", 0)))
         _members(itertools.chain.from_iterable(edges), nodes)
         adj: list[set] = [set() for _ in nodes]
         for u, v in edges:

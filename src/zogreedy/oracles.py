@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constraints import BoxDomain, DomainError, _integer, _members, _size, contains
+from .constraints import BoxDomain, DomainError, _count, _members, contains
 
 # The one memory budget of a bounded pass: bytes of one chunk of rows.
 CHUNK_BYTES = 2**17
@@ -86,7 +86,7 @@ class ValueOracle:
             raise ValueError("lipschitz_G must be finite and strictly positive")
         self._fn = fn
         self._batch_fn = batch_fn or (lambda Z: [float(fn(z)) for z in Z])
-        self.dim = _size(dim, "dim")
+        self.dim = _count(dim, "dim")
         self.lipschitz_G = float(lipschitz_G)
         self._grad = grad
         self.domain = domain
@@ -170,11 +170,9 @@ class NoisyOracle:
     def __init__(self, inner: ValueOracle, sigma0: float, seed: int = 0):
         if not 0 <= sigma0 < math.inf:  # NaN fails too
             raise ValueError("sigma0 must be finite and non-negative")
-        if not _integer(seed) or seed < 0:
-            raise ValueError("seed must be a non-negative integer")
         self.inner = inner
         self.sigma0 = float(sigma0)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(_count(seed, "seed", 0))
 
     def __call__(self, x: np.ndarray) -> float:
         value = self.inner(x)
@@ -225,7 +223,7 @@ class SetOracle:
         self._fn = fn
         self._batch_fn = batch_fn or (
             lambda masks: [fn(frozenset(np.flatnonzero(m).tolist())) for m in masks])
-        self.ground_size = _size(ground_size, "ground_size")
+        self.ground_size = _count(ground_size, "ground_size")
         self._ground = frozenset(range(self.ground_size))
         self.bound_M = float(bound_M)
         self.name = name
@@ -310,17 +308,14 @@ class MultilinearOracle:
         self, f: SetOracle, l: int, rng: np.random.Generator,
         peek_rng: np.random.Generator, peek_samples: int,
     ):
-        for what, n in (("sample count l", l), ("peek sample count", peek_samples)):
-            if not _integer(n) or n < 1:
-                raise ValueError(f"{what} must be an integer >= 1, got {n!r}")
+        self.l = _count(l, "sample count l")
+        self._peek_samples = _count(peek_samples, "peek sample count")
         self.f = f
-        self.l = l
         self.dim = f.ground_size
         self.lipschitz_G = 2.0 * f.bound_M * np.sqrt(self.dim)
         self.domain = BoxDomain.unit_cube(self.dim)
         self._rng = rng
         self._peek_rng = peek_rng
-        self._peek_samples = peek_samples
 
     def __call__(self, x: np.ndarray) -> float:
         masks = sample_masks(_checked(self, x, 1), self.l, self._rng)

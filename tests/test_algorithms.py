@@ -54,9 +54,9 @@ class TestAlgoParams:
                              ids=["none", "negative", "float", "string", "numpy_float", "true",
                                   "false"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             AlgoParams(seed=seed)
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             NoisyOracle(identity_oracle(), 0.1, seed=seed)
 
     def test_numpy_integer_seeds_run_as_ints(self):

@@ -189,10 +189,12 @@ class TestRunCommand:
         (LOGDET, "bandwidth = 0.75", "bandwidth = wide"),
         (LOGDET, "bandwidth = 0.75", "bandwidth = nan"),
         (LOGDET, "bandwidth = 0.75", "bandwidth = -1"),
+        (LOGDET, "bandwidth = 0.75", "bandwidth = inf"),
         (CONTINUOUS, "budgets = 1 1", "budgets = nan 1"),
     ], ids=["T", "delta", "delta_nan", "B", "seed", "seed_negative", "seed_negative_logdet", "noise",
             "noise_nan", "noise_discrete", "noise_logdet", "topics", "articles", "rows",
-            "attributes", "bandwidth", "bandwidth_nan", "bandwidth_negative", "budgets_nan"])
+            "attributes", "bandwidth", "bandwidth_nan", "bandwidth_negative", "bandwidth_inf",
+            "budgets_nan"])
     def test_malformed_key_is_config_error(self, template, line, bad, tmp_path, capsys):
         """Each malformed value is a config error that names the config file."""
         assert template.count(line) == 1

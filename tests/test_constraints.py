@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 from zogreedy import (
+    AlgoParams,
     BoxDomain,
     ConstraintSpec,
     DomainError,
+    Graph,
     InfeasibleTransformError,
+    MultilinearOracle,
+    NoisyOracle,
+    SetOracle,
+    ValueOracle,
+    batch_grad,
     contains,
     independent,
+    nqp_generate,
+    sample_sphere,
     transform_constraint,
 )
 
@@ -350,3 +359,90 @@ class TestIndependence:
         assert independent(M, [np.int64(0), np.int32(2), 3])
         assert not independent(M, np.array([0, 1]))
         assert independent(M, (np.int8(1), np.uint16(2)))
+
+
+def _value_oracle(dim=2):
+    return ValueOracle(lambda x: float(x.sum()), dim=dim, lipschitz_G=1.0)
+
+
+def _multilinear(l=1, peek_samples=1):
+    f = SetOracle(lambda S: float(len(S)), ground_size=3, bound_M=3.0)
+    rng = np.random.default_rng(0)
+    return MultilinearOracle(f, l, rng, rng, peek_samples)
+
+
+# Every single integer taken from a caller, and every block index: the entry
+# point as a function of the integer, and the least value it accepts
+COUNTS = {
+    "ValueOracle.dim": (_value_oracle, 1),
+    "SetOracle.ground_size": (lambda n: SetOracle(lambda S: 0.0, ground_size=n, bound_M=1.0), 1),
+    "nqp_generate.d": (lambda n: nqp_generate(n, 0), 1),
+    "nqp_generate.seed": (lambda n: nqp_generate(2, n), 0),
+    "sample_sphere.dim": (lambda n: sample_sphere(n, np.random.default_rng(0)), 1),
+    "sample_sphere.size": (lambda n: sample_sphere(2, np.random.default_rng(0), size=n), 0),
+    "batch_grad.batch": (lambda n: batch_grad(_value_oracle(), np.zeros(2), 0.1, n,
+                                              np.random.default_rng(0)), 1),
+    "NoisyOracle.seed": (lambda n: NoisyOracle(_value_oracle(), 0.1, seed=n), 0),
+    "MultilinearOracle.l": (lambda n: _multilinear(l=n), 1),
+    "MultilinearOracle.peek_samples": (lambda n: _multilinear(peek_samples=n), 1),
+    "AlgoParams.T": (lambda n: AlgoParams(T=n), 4),
+    "AlgoParams.seed": (lambda n: AlgoParams(seed=n), 0),
+    "AlgoParams.B": (lambda n: AlgoParams(B=n), 1),
+    "AlgoParams.l": (lambda n: AlgoParams(l=n), 1),
+    "AlgoParams.trace_value_samples": (lambda n: AlgoParams(trace_value_samples=n), 1),
+    "block_budget.dim": (lambda n: ConstraintSpec.block_budget(n, [(0,)], [1.0]), 1),
+    "partition_matroid.dim": (lambda n: ConstraintSpec.partition_matroid(n, [(0,)], [1]), 1),
+    "unit_cube.dim": (BoxDomain.unit_cube, 1),
+    "Graph.from_edges.num_nodes": (lambda n: Graph.from_edges(n, []), 0),
+    "block_budget.index": (lambda n: ConstraintSpec.block_budget(8, [(7, n)], [1.0]), 0),
+    "partition_matroid.index": (lambda n: ConstraintSpec.partition_matroid(8, [(n, 7)], [1]), 0),
+}
+
+
+class TestCounts:
+    """One rule for a single integer from outside: any integer type but bool,
+    at least the entry's least value, or ``ValueError``."""
+
+    @pytest.mark.parametrize("bad", ["fraction", "float", "numpy_float", "bool", "string",
+                                     "below_least"])
+    @pytest.mark.parametrize("entry", list(COUNTS))
+    def test_rejected(self, entry, bad):
+        build, least = COUNTS[entry]
+        n = {"fraction": 2.5, "float": 2.0, "numpy_float": np.float64(2.0), "bool": True,
+             "string": "3", "below_least": least - 1}[bad]
+        # an index is checked as a set element: in range, or outside the ground set
+        with pytest.raises(ValueError, match="integer|outside the ground set"):
+            build(n)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    @pytest.mark.parametrize("entry", list(COUNTS))
+    def test_numpy_integers_accepted(self, entry, kind):
+        build, least = COUNTS[entry]
+        built = build(kind(least + 2))
+        if entry.startswith("AlgoParams"):
+            assert built == build(least + 2)
+            assert type(getattr(built, entry.split(".")[1])) is int
+
+    @pytest.mark.parametrize("build", [
+        lambda: nqp_generate(2, True),
+        lambda: ConstraintSpec.block_budget(3, [(0, 1.7)], [1.0]),
+        lambda: ConstraintSpec.partition_matroid(3, [(True, 2)], [1]),
+        lambda: BoxDomain.unit_cube(2.5),
+        lambda: ConstraintSpec.block_budget(2.5, [(0, 1)], [1.0]),
+    ], ids=["nqp_seed_true", "block_index_1.7", "matroid_index_true", "unit_cube_2.5",
+            "block_budget_dim_2.5"])
+    def test_no_value_is_truncated(self, build):
+        """Each of these once ran as the integer it truncates to."""
+        with pytest.raises(ValueError, match="integer"):
+            build()
+
+    def test_blocks_keep_their_order_as_ints(self):
+        K = ConstraintSpec.block_budget(4, [np.array([3, 1]), range(2, -1, -2)], [1.0, 1.0])
+        assert K.blocks == ((3, 1), (2, 0))
+        assert {type(i) for block in K.blocks for i in block} == {int}
+
+    @pytest.mark.parametrize("blocks", [[(0, 0)], [(1,), (0, 1)], [(0,), ()]],
+                             ids=["within", "across", "empty"])
+    def test_blocks_disjoint_and_non_empty(self, blocks):
+        with pytest.raises(ValueError, match="blocks must be"):
+            ConstraintSpec.block_budget(3, blocks, [1.0] * len(blocks))

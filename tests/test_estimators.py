@@ -53,12 +53,11 @@ class TestSampleSphere:
             sample_sphere(3, rng, size=size)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
-    @pytest.mark.parametrize("dim, error", [(2.5, TypeError), (3.0, TypeError), (True, TypeError),
-                                            ("3", TypeError), (0, ValueError)],
+    @pytest.mark.parametrize("dim", [2.5, 3.0, True, "3", 0],
                              ids=["fraction", "float", "bool", "str", "zero"])
-    def test_dimension_must_be_a_positive_integer(self, dim, error):
+    def test_dimension_must_be_a_positive_integer(self, dim):
         rng = np.random.default_rng(0)
-        with pytest.raises(error, match="dimension must be an integer"):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
             sample_sphere(dim, rng)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 

@@ -66,11 +66,9 @@ class TestNqpGenerate:
         H, b = nqp_generate(1, seed=0)
         assert b[0] == -H[0, 0]
 
-    @pytest.mark.parametrize("d, error", [(2.0, TypeError), (True, TypeError), ("3", TypeError),
-                                          (0, ValueError)],
-                             ids=["float", "bool", "string", "zero"])
-    def test_dimension_must_be_a_positive_integer(self, d, error):
-        with pytest.raises(error, match="dimension must be an integer"):
+    @pytest.mark.parametrize("d", [2.0, True, "3", 0], ids=["float", "bool", "string", "zero"])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
             nqp_generate(d, 0)
 
     @pytest.mark.parametrize("d, budget", with_one_row_chunks(
@@ -413,6 +411,27 @@ class TestLogdet:
         f = logdet_set_oracle(np.eye(3))
         assert f(S) == f({0, 2}) == pytest.approx(2 * math.log(2.0))
 
+    @pytest.mark.parametrize("sigma, message", [
+        (np.eye(3, 5), "square"), (np.ones(3), "square"), (np.zeros((0, 0)), "non-empty"),
+        (np.array([[1.0, 0.9], [0.0, 1.0]]), "logdet Sigma must be symmetric; rows 0:"),
+        (np.array([[1.0, 0.0], [0.9, 1.0]]), "logdet Sigma must be symmetric; rows 0:"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "logdet entries of Sigma must be finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "logdet entries of Sigma must be finite"),
+    ], ids=["wide", "vector", "empty", "upper_only", "lower_only", "nan", "inf"])
+    def test_sigma_checked_when_built(self, sigma, message):
+        """A 3 x 5 Sigma once ran on its leading block, and an asymmetric one
+        through its lower triangle."""
+        with pytest.raises(ValueError, match=message):
+            logdet_set_oracle(sigma)
+
+    def test_sigma_symmetric_at_every_band(self, monkeypatch):
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", 1)
+        sigma = rbf_covariance(np.random.default_rng(3).standard_normal((5, 6)), 2.0)
+        logdet_set_oracle(sigma)
+        sigma[5, 4] = np.nextafter(sigma[5, 4], 2.0)
+        with pytest.raises(ValueError, match="rows 4:5 differ"):
+            logdet_set_oracle(sigma)
+
 
 class TestRbfCovariance:
     def test_identical_columns(self):
@@ -442,6 +461,11 @@ class TestRbfCovariance:
     def test_nan_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
             rbf_covariance(np.ones((2, 2)), float("nan"))
+
+    def test_infinite_bandwidth(self):
+        """An infinite bandwidth once gave an all-ones Sigma."""
+        with pytest.raises(ValueError, match="bandwidth h must be finite"):
+            rbf_covariance(np.eye(2), float("inf"))
 
 
 class TestInfluence:
@@ -524,6 +548,17 @@ class TestGraphIds:
         (({True}, set(), set()), "must be integers"),
     ], ids=["past_the_end", "negative", "float", "integral_float", "bool"])
     def test_graph_rejects_bad_ids(self, neighbors, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(neighbors)
+
+    @pytest.mark.parametrize("neighbors, message", [
+        # a one-sided edge once built with f({0}) = 2 but f({1}) = 1
+        ((frozenset({1}), frozenset(), frozenset()), "node 0 lists a neighbor that does not"),
+        ((frozenset({1, 2}), frozenset({0}), frozenset()), "node 0 lists a neighbor that does not"),
+        ((frozenset({0}),), "node 0 is its own neighbor"),
+        ((frozenset({1}), frozenset({0, 1})), "node 1 is its own neighbor"),
+    ], ids=["one_sided", "one_sided_of_two", "self_loop", "self_loop_beside_an_edge"])
+    def test_graph_is_symmetric_and_loop_free(self, neighbors, message):
         with pytest.raises(ValueError, match=message):
             Graph(neighbors)
 

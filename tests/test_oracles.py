@@ -80,11 +80,10 @@ class TestValueOracle:
         with pytest.raises(ValueError):
             F.gradient(np.zeros(2))
 
-    @pytest.mark.parametrize("dim, error", [(2.5, TypeError), ("3", TypeError), (True, TypeError),
-                                            (0, ValueError), (-2, ValueError)],
+    @pytest.mark.parametrize("dim", [2.5, "3", True, 0, -2],
                              ids=["float", "string", "bool", "zero", "negative"])
-    def test_dim_must_be_a_positive_integer(self, dim, error):
-        with pytest.raises(error):
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
             ValueOracle(lambda x: 0.0, dim=dim, lipschitz_G=1.0)
 
     def test_numpy_integer_dim(self):
@@ -326,11 +325,10 @@ class TestSetOracle:
         with pytest.raises(ValueError):
             f({3})
 
-    @pytest.mark.parametrize("size, error", [(3.7, TypeError), ("3", TypeError),
-                                             (True, TypeError), (0, ValueError), (-2, ValueError)],
+    @pytest.mark.parametrize("size", [3.7, "3", True, 0, -2],
                              ids=["float", "string", "bool", "zero", "negative"])
-    def test_ground_size_must_be_a_positive_integer(self, size, error):
-        with pytest.raises(error):
+    def test_ground_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match="ground_size must be an integer >= 1"):
             SetOracle(lambda S: float(len(S)), ground_size=size, bound_M=4.0)
 
     def test_numpy_integer_ground_size(self):
