@@ -108,7 +108,7 @@ def load_edge_list(path) -> Graph:
     return Graph.from_edges(max_index + 1, edges)
 
 
-def load_matrix_csv(path, unit_interval: bool = False) -> np.ndarray:
+def load_matrix_csv(path) -> np.ndarray:
     """Read a header-free rectangular numeric CSV into a row-major matrix."""
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -129,8 +129,6 @@ def load_matrix_csv(path, unit_interval: bool = False) -> np.ndarray:
     matrix = np.array(rows, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{path}: entries must be finite")
-    if unit_interval and (np.any(matrix < 0) or np.any(matrix > 1)):
-        raise ValueError(f"{path}: entries must lie in [0, 1]")
     return matrix
 
 
@@ -272,7 +270,7 @@ def _objective_builder(spec: dict, discrete: bool, directory: Path) -> partial:
         return partial(nqp_oracle, *nqp_generate(spec["dim"], seed))
     if kind == "coverage":
         if "topics_csv" in spec:
-            P = load_matrix_csv(directory / spec["topics_csv"], unit_interval=True)
+            P = load_matrix_csv(directory / spec["topics_csv"])
         else:
             P = synthetic_topics(spec.get("topics", 10), spec.get("articles", 24), seed)
         return partial(coverage_set_oracle if discrete else coverage_value_oracle, P)
@@ -301,7 +299,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = ConfigParser()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -510,8 +508,9 @@ def run_experiment(
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = [(cfg, algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))  # a pool starts all its workers at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, *zip(*cells)))
     else:
         results = [run_cell(*c) for c in cells]
@@ -582,9 +581,10 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 _SVG_COLORS = ["#1f6fb2", "#e07b39", "#4c9f70", "#9b5de5", "#d1495b", "#5f6caf"]
+_SVG_SIZE = (640, 400)  # width, height
 
 
-def write_svg(trace_csv, out_path, width: int = 640, height: int = 400) -> Path:
+def write_svg(trace_csv, out_path) -> Path:
     """Render mean value vs. mean queries per algorithm from a trace CSV."""
     series: dict[str, dict[int, list[tuple[float, float]]]] = {}
     with open(trace_csv, "r", encoding="utf-8", newline="") as fh:
@@ -612,6 +612,7 @@ def write_svg(trace_csv, out_path, width: int = 640, height: int = 400) -> Path:
     y_lo, y_hi = min(ys), max(ys)
     x_span = x_hi - x_lo or 1.0
     y_span = y_hi - y_lo or 1.0
+    width, height = _SVG_SIZE
     margin = 50
 
     def sx(x: float) -> float:

@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="replace the config's seed list")
     run_cmd.add_argument("--out-dir", default=None, help="override the output directory")
     run_cmd.add_argument("--jobs", type=int, default=1,
-                         help="run cells in this many worker processes")
+                         help="run cells in up to this many worker processes, "
+                              "one per cell at most")
 
     opt_cmd = sub.add_parser("opt", help="brute-force optimum of a discrete config")
     opt_cmd.add_argument("config", help="experiment INI file")

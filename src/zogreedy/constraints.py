@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +37,6 @@ class InfeasibleTransformError(ValueError):
     """The shrunk/translated constraint set is empty."""
 
 
-def _as_readonly_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True).reshape(-1)
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
 def _normalize_blocks(dim: int, blocks) -> tuple[tuple[int, ...], ...]:
     """``blocks`` as tuples of ints, each in its given order: non-empty, pairwise
     disjoint, and of integer indices in ``range(dim)`` (:func:`_members`)."""
@@ -60,16 +50,6 @@ def _normalize_blocks(dim: int, blocks) -> tuple[tuple[int, ...], ...]:
     if sum(map(len, blocks)) != len(frozenset().union(*members)):
         raise ValueError("blocks must be pairwise disjoint (an index repeats)")
     return tuple(tuple(map(operator.index, block)) for block in blocks)
-
-
-def _index_arrays(blocks) -> tuple[np.ndarray, ...]:
-    """Read-only ``np.intp`` index arrays of ``blocks``, built once per constraint."""
-    out = []
-    for block in blocks:
-        idx = np.array(block, dtype=np.intp)
-        idx.setflags(write=False)
-        out.append(idx)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -94,7 +74,6 @@ class ConstraintSpec:
     upper: np.ndarray
     blocks: tuple[tuple[int, ...], ...] = ()
     budgets: tuple[float, ...] = ()
-    block_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -121,12 +100,23 @@ class ConstraintSpec:
 
     def _store(self, upper, blocks, budgets) -> None:
         """Freeze the fields: read-only caps, int blocks, float budgets."""
-        upper = _as_readonly_array(upper, "upper")
-        blocks = _normalize_blocks(upper.size, blocks)
+        upper = np.array(upper, dtype=float).reshape(-1)
+        if upper.size == 0:
+            raise ValueError("upper must be non-empty")
+        if not np.all(np.isfinite(upper)):
+            raise ValueError("upper must be finite")
+        upper.setflags(write=False)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", _normalize_blocks(upper.size, blocks))
         object.__setattr__(self, "budgets", tuple(float(b) for b in budgets))
-        object.__setattr__(self, "block_index", _index_arrays(blocks))
+
+    @functools.cached_property
+    def block_index(self) -> tuple[np.ndarray, ...]:
+        """Each block as a read-only ``np.intp`` index array, built at first use."""
+        index = tuple(np.array(block, dtype=np.intp) for block in self.blocks)
+        for idx in index:
+            idx.setflags(write=False)
+        return index
 
     @functools.cached_property
     def block_scan(self) -> tuple[np.ndarray, ...]:

@@ -339,8 +339,6 @@ def logdet_eval(sigma: np.ndarray, S: frozenset) -> float:
     I + Sigma[S, S] is not positive definite (i.e. Sigma is not PSD).
     """
     idx = sorted(S)
-    if not idx:
-        return 0.0
     sub = sigma.take(idx, 0).take(idx, 1)
     sub.reshape(-1)[::len(idx) + 1] += 1.0  # I + Sigma[S, S], in place
     chol = np.linalg.cholesky(sub)

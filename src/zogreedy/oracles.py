@@ -7,15 +7,15 @@ reserved for instrumentation (trace columns, final reporting): ``peek_rows``
 evaluates every row of a matrix of points, and :meth:`SetOracle.peek_masks`
 every set given as a row of a boolean mask matrix.  ``ValueOracle.peek`` and
 ``SetOracle.peek`` are their one-row case.  Both paths check alike: a point,
-or a matrix's rows at once, with one :func:`contains` call on the domain; a
+or a matrix's rows a chunk at a time, with :func:`contains` on the domain; a
 set's members against the ground set, and its value against ``bound_M``.  The
 optimizers see a set function through :class:`MultilinearOracle`.
 
-Every pass over rows whose length grows with its input (trace values, the
-every-iterate check, the bands that build and check a quadratic's ``H``,
-logdet stacks, brute force) holds at most :data:`CHUNK_BYTES` at a time:
-:func:`row_chunks` cuts it by its own bytes per row, so its memory stays flat
-however long it is.
+Every pass over rows whose length grows with its input (trace values and
+their domain check, the every-iterate check, the bands that build and check
+a quadratic's ``H``, logdet stacks, brute force) holds at most
+:data:`CHUNK_BYTES` at a time: :func:`row_chunks` cuts it by its own bytes
+per row, so its memory stays flat however long it is.
 """
 
 from __future__ import annotations
@@ -41,13 +41,21 @@ def row_chunks(n: int, row_bytes: int):
 def _checked(oracle, x, ndim: int) -> np.ndarray:
     """``x`` as a float point (``ndim`` 1) or matrix of points (``ndim`` 2) of
     ``oracle.dim`` coordinates: ``ValueError`` for any other shape, and
-    :class:`DomainError` when a point leaves ``oracle.domain`` or has a NaN."""
+    :class:`DomainError` when a point leaves ``oracle.domain`` or has a NaN.
+    A matrix is checked a chunk of rows at a time (:func:`row_chunks`)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != ndim or x.shape[-1] != oracle.dim:
         if ndim == 1:
             raise ValueError(f"point has shape {x.shape}, expected ({oracle.dim},)")
         raise ValueError(f"points have shape {x.shape}, expected (n, {oracle.dim})")
-    if oracle.domain is not None and not contains(oracle.domain, x):
+    if oracle.domain is None:
+        return x
+    if ndim == 1:
+        inside = contains(oracle.domain, x)
+    else:
+        inside = all(contains(oracle.domain, x[rows])
+                     for rows in row_chunks(len(x), 8 * oracle.dim))
+    if not inside:
         what = f"point {x}" if ndim == 1 else f"one of {len(x)} points"
         cube = " (the unit cube)" if (oracle.domain.upper == 1.0).all() else ""
         raise DomainError(f"{what} leaves the box domain{cube}")

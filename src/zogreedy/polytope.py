@@ -84,10 +84,6 @@ def _fractional(v: float) -> bool:
     return _INTEGRALITY_EPS < v < 1.0 - _INTEGRALITY_EPS
 
 
-def _round_leftover(x: np.ndarray, i: int, rng: np.random.Generator) -> None:
-    x[i] = 1.0 if rng.random() < x[i] else 0.0
-
-
 def _merge_pair(x: np.ndarray, i: int, j: int, rng: np.random.Generator) -> None:
     """Make one of x_i, x_j integral while preserving both marginals.
 
@@ -126,7 +122,7 @@ def swap_round(
     x = np.asarray(x, dtype=float)
     if not contains(matroid, x, tol=1e-9):
         raise ValueError("point lies outside the matroid polytope")
-    x = np.clip(x, 0.0, 1.0).copy()
+    x = np.clip(x, 0.0, 1.0)
     covered = set(chain.from_iterable(matroid.blocks))
     singletons = [(i,) for i in range(matroid.dim) if i not in covered]
     for block in (*matroid.blocks, *singletons):
@@ -140,5 +136,5 @@ def swap_round(
             else:
                 carry = k
         if carry is not None:
-            _round_leftover(x, carry, rng)
+            x[carry] = 1.0 if rng.random() < x[carry] else 0.0
     return frozenset(int(i) for i in np.flatnonzero(x > 0.5))

@@ -379,6 +379,19 @@ class TestZga:
         zga(F, BoxDomain.unit_cube(1), K, AlgoParams(T=9, delta=0.05, B=4, seed=0))
         assert F.query_count == 2 * 4 * 9
 
+    def test_noisy_oracle_with_the_default_step(self):
+        """The default step reads G through the noisy wrapper, as from its inner oracle."""
+        H, b = nqp_generate(4, seed=14)
+        K = ConstraintSpec.block_budget(4, [(0, 1), (2, 3)], [1.0, 1.0])
+        params = AlgoParams(T=10, delta=0.05, B=2, seed=3)
+        noisy = NoisyOracle(nqp_oracle(H, b), sigma0=0.0, seed=1)
+        assert noisy.lipschitz_G == noisy.inner.lipschitz_G
+        out, trace = zga(noisy, BoxDomain.unit_cube(4), K, params)
+        exact_out, exact_trace = zga(nqp_oracle(H, b), BoxDomain.unit_cube(4), K, params)
+        assert np.array_equal(out, exact_out)
+        assert [r.value for r in trace.records] == [r.value for r in exact_trace.records]
+        assert noisy.query_count == 2 * 2 * 10
+
     def test_output_feasible_on_budget_polytope(self):
         H, b = nqp_generate(4, seed=14)
         F = nqp_oracle(H, b)
@@ -659,3 +672,18 @@ def test_a_step_that_skips_a_query_names_its_iteration(algorithm, monkeypatch):
     with pytest.raises(RuntimeError, match=f"iteration 3 spent {per_step - 1} queries, "
                                            f"not {per_step}"):
         start()
+
+
+@pytest.mark.parametrize("algorithm", ["bcg", "scg", "ga", "zga", "dbg"])
+def test_oracle_and_constraint_dimensions_must_agree(algorithm):
+    params = AlgoParams(T=5, delta=0.05, seed=0)
+    if algorithm == "dbg":
+        f = SetOracle(lambda S: float(len(S)), ground_size=3, bound_M=3.0)
+        args = (f, ConstraintSpec.partition_matroid(2, [(0, 1)], [1]))
+    elif algorithm in ("bcg", "zga"):
+        args = (nqp_oracle(*nqp_generate(3, 0)), BoxDomain.unit_cube(3),
+                ConstraintSpec.box(np.ones(2)))
+    else:
+        args = (nqp_oracle(*nqp_generate(3, 0)), ConstraintSpec.box(np.ones(2)))
+    with pytest.raises(ValueError, match="oracle and constraint dimensions differ"):
+        getattr(algorithms, algorithm)(*args, params)

@@ -67,10 +67,40 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="negative"):
             load_edge_list(p)
 
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        p = tmp_path / "edges.txt"
+        p.write_text("# a path\n\n0 1  # first edge\n   \n# 5 6\n1 2\n\n")
+        g = load_edge_list(p)
+        assert g.num_nodes == 3 and g.num_edges == 2
+
+    @pytest.mark.parametrize("line", ["0 x", "0 1.5", "a b"])
+    def test_non_integer_node_id_rejected(self, tmp_path, line):
+        p = tmp_path / "edges.txt"
+        p.write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError, match="line 2: non-integer node id"):
+            load_edge_list(p)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_empty_edge_list_rejected(self, tmp_path, text):
+        p = tmp_path / "edges.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="empty edge list"):
+            load_edge_list(p)
+
     def test_bundled_social_network(self):
         g = karate_club_graph()
         assert g.num_nodes == 34
         assert g.num_edges == 78
+
+    def test_bundled_data_is_checked(self, tmp_path, monkeypatch):
+        """A bundled edge list of another size is reported as corrupted."""
+        truncated = tmp_path / "edges.txt"
+        truncated.write_text("0 1\n1 33\n")
+        read = bench.load_edge_list
+        monkeypatch.setattr(bench, "load_edge_list", lambda path: read(truncated))
+        with pytest.raises(RuntimeError, match="bundled social-network data is corrupted"):
+            karate_club_graph()
 
     def test_bundled_data_under_another_package_name(self, tmp_path, monkeypatch):
         """A copy of the package imported under another name, with no package
@@ -109,19 +139,32 @@ class TestLoadMatrixCsv:
         with pytest.raises(ValueError, match="row 1"):
             load_matrix_csv(p)
 
-    def test_unit_interval_validation(self, tmp_path):
+    def test_entries_outside_the_unit_interval_are_read(self, tmp_path):
+        """The reader takes any finite reals; the coverage builders hold the
+        topic matrix's ``[0, 1]`` rule."""
         p = tmp_path / "m.csv"
-        p.write_text("0.5,1.2\n")
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            load_matrix_csv(p, unit_interval=True)
+        p.write_text("0.5,1.2\n-0.1,7\n")
+        np.testing.assert_array_equal(load_matrix_csv(p), [[0.5, 1.2], [-0.1, 7.0]])
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("unit_interval", [False, True])
-    def test_non_finite_cell_rejected(self, tmp_path, cell, unit_interval):
+    @pytest.mark.parametrize("blank_rows", [False, True])
+    def test_non_finite_cell_rejected(self, tmp_path, cell, blank_rows):
         p = tmp_path / "m.csv"
-        p.write_text(f"0.5,{cell}\n")
+        p.write_text(f"\n ,\n0.5,{cell}\n\n" if blank_rows else f"0.5,{cell}\n")
         with pytest.raises(ValueError, match="finite"):
-            load_matrix_csv(p, unit_interval=unit_interval)
+            load_matrix_csv(p)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("\n1,0\n\n , \n0.5,0.5\n,\n")
+        np.testing.assert_array_equal(load_matrix_csv(p), [[1.0, 0.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("text", ["", "\n", " , \n\n"], ids=["empty", "newline", "blank"])
+    def test_empty_matrix_rejected(self, tmp_path, text):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="empty matrix"):
+            load_matrix_csv(p)
 
 
 class TestSynthetics:
@@ -158,6 +201,15 @@ class TestBruteForce:
         )
         assert count_feasible_sets(M) == 64
         assert sum(1 for _ in iter_feasible_sets(M)) == 64
+
+    @pytest.mark.parametrize("K", [
+        ConstraintSpec.block_budget(3, [(0, 1, 2)], [1.0]),
+        ConstraintSpec.box(np.ones(3)),
+    ], ids=["block_budget", "box"])
+    def test_requires_a_partition_matroid(self, K):
+        f = SetOracle(lambda S: 0.0, ground_size=3, bound_M=1.0)
+        with pytest.raises(ValueError, match="brute force optimum needs a partition matroid"):
+            brute_force_opt(f, K)
 
     def test_capacity_guard(self):
         M = ConstraintSpec.partition_matroid(
@@ -323,6 +375,45 @@ T = 10
 """)
         with pytest.raises(ConfigError, match=re.escape(f"{p}: discrete objectives need a "
                                                         "partition_matroid constraint")):
+            load_config(p)
+
+    @pytest.mark.parametrize("section, text", [
+        ("objective", "[objective]\ndim = 4\n\n[bcg]\nT = 10\n"),
+        ("objective", "[objective]\n\n[bcg]\nT = 10\n"),
+    ], ids=["keys", "empty"])
+    def test_section_without_kind(self, tmp_path, section, text):
+        p = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: {section} needs a kind")):
+            load_config(p)
+
+    @pytest.mark.parametrize("blocks, expected", [
+        ("0,2 1,3", ((0, 2), (1, 3))),
+        ("3,0, 1", ((3, 0), (1,))),
+        ("0,1 2-3", ((0, 1), (2, 3))),
+    ], ids=["commas", "trailing_comma", "mixed"])
+    def test_comma_block_syntax(self, tmp_path, blocks, expected):
+        text = TINY_CONFIG.format(out=tmp_path / "out")
+        assert text.count("blocks = 0-1 2-3") == 1
+        cfg = load_config(write_config(tmp_path, text.replace("blocks = 0-1 2-3",
+                                                               f"blocks = {blocks}")))
+        assert cfg.constraint.blocks == expected
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("1 x", "run.seeds: invalid literal"),
+        ("1.5", "run.seeds: invalid literal"),
+        ("", "run.seeds must list at least one seed"),
+        ("  ", "run.seeds must list at least one seed"),
+    ], ids=["word", "float", "empty", "blank"])
+    def test_malformed_seeds(self, tmp_path, seeds, message):
+        text = TINY_CONFIG.format(out=tmp_path / "out")
+        p = write_config(tmp_path, text.replace("seeds = 1 2 3", f"seeds = {seeds}"))
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: {message}")):
+            load_config(p)
+
+    def test_no_algorithm_section(self, tmp_path):
+        text = TINY_CONFIG.format(out=tmp_path / "out")
+        p = write_config(tmp_path, text[:text.index("[bcg]")])
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: no algorithm sections found")):
             load_config(p)
 
     def test_loads_dimensions_from_data(self, tmp_path):
@@ -543,6 +634,52 @@ class TestRunExperiment:
                 assert strip_wall_clock(s_path) == strip_wall_clock(p_path)
                 assert len(read_csv(s_path)) > 1
 
+    @pytest.mark.parametrize("jobs, seeds, workers", [
+        (500, "1 2 3", [6]),
+        (4, "1 2 3", [4]),
+        (6, "1 2 3", [6]),
+        (2, "1", [2]),
+        (8, "1", [2]),
+    ], ids=["500_for_6_cells", "4_for_6_cells", "6_for_6_cells", "2_for_2_cells",
+            "8_for_2_cells"])
+    def test_jobs_start_at_most_one_worker_per_cell(self, tmp_path, monkeypatch,
+                                                    jobs, seeds, workers):
+        """No real pool is started: a stand-in records its ``max_workers`` and maps inline."""
+        started = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        text = TINY_CONFIG.format(out=tmp_path / "out").replace("seeds = 1 2 3",
+                                                                f"seeds = {seeds}")
+        cfg = load_config(write_config(tmp_path, text))
+        trace, _ = run_experiment(cfg, jobs=jobs, out_dir=tmp_path / "p")
+        serial, _ = run_experiment(cfg, out_dir=tmp_path / "s")
+        assert started == workers
+        assert ([row[:4] + row[5:] for row in read_csv(trace)]
+                == [row[:4] + row[5:] for row in read_csv(serial)])
+
+    def test_one_cell_runs_in_the_calling_process(self, tmp_path, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} was started")
+
+        monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        text = TINY_CONFIG.format(out=tmp_path / "out").replace("seeds = 1 2 3", "seeds = 1")
+        cfg = load_config(write_config(tmp_path, text[:text.index("[scg]")]))
+        trace, _ = run_experiment(cfg, jobs=8)
+        assert len(read_csv(trace)) == 1 + 10
+
     def test_discrete_experiment_runs(self, tmp_path):
         p = write_config(tmp_path, """
 [objective]
@@ -594,6 +731,28 @@ delta = 0.05
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+
+    def test_svg_size_is_fixed(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(bench.TRACE_HEADER) + "\nbcg,1,1,2,0.1,0.5\nbcg,1,2,4,0.2,0.7\n")
+        text = write_svg(trace, tmp_path / "chart.svg").read_text()
+        assert text.splitlines()[:2] == [
+            '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400" '
+            'viewBox="0 0 640 400">',
+            '<rect width="640" height="400" fill="white"/>',
+        ]
+
+    @pytest.mark.parametrize("text, message", [
+        ("algorithm,seed,iteration,queries,value\nbcg,1,1,2,0.5\n", "unexpected header"),
+        ("", "unexpected header None"),
+        (",".join(bench.TRACE_HEADER) + "\n", "no rows to plot"),
+    ], ids=["foreign_header", "empty_file", "header_only"])
+    def test_svg_rejects_a_trace_it_cannot_plot(self, tmp_path, text, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{trace}: {message}")):
+            write_svg(trace, tmp_path / "chart.svg")
+        assert not (tmp_path / "chart.svg").exists()
 
     def test_noisy_evaluations_keep_exact_accounting(self, tmp_path):
         p = write_config(tmp_path, """

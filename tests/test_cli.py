@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import zogreedy
 import zogreedy.bench
 from zogreedy import SetOracle
 from zogreedy.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -297,6 +301,48 @@ class TestRunCommand:
                      .format(out=tmp_path / "out"))
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1.2", "topic matrix entries must lie in [0, 1]"),
+        ("-0.1", "topic matrix entries must lie in [0, 1]"),
+        ("nan", "entries must be finite"),
+        ("inf", "entries must be finite"),
+        ("-inf", "entries must be finite"),
+    ], ids=["1.2", "-0.1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("template, replaced, articles", [
+        (DISCRETE, CSV_REPLACES, 6),
+        (COVERAGE, "topics = 3\narticles = 4\nseed = 3", 4),
+    ], ids=["set_function", "continuous"])
+    def test_topics_csv_entry_outside_unit_interval_is_config_error(
+            self, template, replaced, articles, entry, message, tmp_path, capsys):
+        """The coverage builders hold the topic matrix's [0, 1] rule for a
+        ``topics_csv`` too; the reader itself rejects only non-finite cells."""
+        rows = [["0.5"] * articles for _ in range(3)]
+        rows[2][articles - 1] = entry
+        (tmp_path / "topics.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+        assert template.count(replaced) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(template.replace(replaced, "topics_csv = topics.csv")
+                     .format(out=tmp_path / "out"))
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {p}: objective: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        """A non-ASCII comment loads under the C locale with UTF-8 mode off."""
+        p = tmp_path / "cafe.ini"
+        p.write_text("# Café\n" + CONTINUOUS.format(out=tmp_path / "out"), encoding="utf-8")
+        src = str(Path(zogreedy.__file__).resolve().parent.parent)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUTF8", None)
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "zogreedy.cli", "run", str(p)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert (tmp_path / "out" / "cli_tiny_trace.csv").exists()
 
     def test_objective_build_failure_is_a_failed_cell(self, discrete_config, tmp_path,
                                                       monkeypatch):

@@ -76,6 +76,15 @@ class TestTransformConstraint:
         np.testing.assert_allclose(Kp.upper, [0.5, 0.5, 0.5])
         assert Kp.budgets == pytest.approx((0.25,))
 
+    def test_dimensions_must_agree(self):
+        with pytest.raises(ValueError, match="constraint and domain dimensions differ"):
+            transform_constraint(BoxDomain.unit_cube(3), ConstraintSpec.box(np.ones(2)), 0.1)
+
+    def test_caps_above_the_domain_rejected(self):
+        K = ConstraintSpec.block_budget(2, [(0, 1)], [1.0])
+        with pytest.raises(ValueError, match="constraint caps must not exceed the domain box"):
+            transform_constraint(BoxDomain(np.array([1.0, 0.5])), K, 0.1)
+
     def test_budget_below_margin_rejected(self):
         K = ConstraintSpec.block_budget(2, [(0, 1)], [0.1])
         with pytest.raises(InfeasibleTransformError):
@@ -283,6 +292,53 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             K.upper[0] = 2.0
 
+    @pytest.mark.parametrize("upper, message", [
+        ([], "upper must be non-empty"),
+        ([1.0, np.nan], "upper must be finite"),
+        ([np.inf, 1.0], "upper must be finite"),
+        ([1.0, 0.0], "caps must be strictly positive"),
+        ([1.0, -0.5], "caps must be strictly positive"),
+    ], ids=["empty", "nan", "inf", "zero", "negative"])
+    def test_bad_upper_rejected(self, upper, message):
+        with pytest.raises(ValueError, match=message):
+            ConstraintSpec.box(upper)
+        with pytest.raises(ValueError, match=message):
+            BoxDomain(upper)
+
+    def test_upper_is_a_copy(self):
+        caps = np.ones(3)
+        K = ConstraintSpec.box(caps)
+        caps[0] = 0.5
+        assert K.upper[0] == 1.0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown constraint kind 'ball'"):
+            ConstraintSpec(kind="ball", upper=np.ones(2))
+
+    @pytest.mark.parametrize("budgets", [[1.0], [1.0, 1.0, 1.0]], ids=["fewer", "more"])
+    def test_one_budget_per_block(self, budgets):
+        with pytest.raises(ValueError, match="one budget per block"):
+            ConstraintSpec.block_budget(4, [(0, 1), (2, 3)], budgets)
+
+    def test_box_with_blocks_rejected(self):
+        with pytest.raises(ValueError, match="box constraints carry no blocks"):
+            ConstraintSpec(kind="box", upper=np.ones(2), blocks=((0, 1),), budgets=(1.0,))
+
+    @pytest.mark.parametrize("build", [
+        lambda: ConstraintSpec.block_budget(5, [(3, 1), (0, 4)], [1.0, 1.5]),
+        lambda: ConstraintSpec.partition_matroid(5, [(4,), (2, 0, 1)], [1, 2]),
+        lambda: transform_constraint(
+            BoxDomain.unit_cube(5), ConstraintSpec.block_budget(5, [(3, 1)], [1.0]), 0.1),
+        lambda: BoxDomain.unit_cube(5),
+    ], ids=["block_budget", "partition_matroid", "shrunk", "box"])
+    def test_block_index_is_each_block_as_read_only_indices(self, build):
+        K = build()
+        assert len(K.block_index) == len(K.blocks)
+        for idx, block in zip(K.block_index, K.blocks):
+            assert idx.dtype == np.intp and idx.tolist() == list(block)
+            assert not idx.flags.writeable
+        assert K.block_index is K.block_index
+
 
 class TestEquality:
     def test_equal_specs(self):
@@ -322,6 +378,13 @@ class TestEquality:
         assert table[ConstraintSpec.partition_matroid(2, [[0, 1]], [1.0])] == "matroid"
         assert table[BoxDomain(np.ones(2))] == "domain"
         assert len(table) == 3
+
+    @pytest.mark.parametrize("other", [None, 1.0, "box", (1.0, 1.0)],
+                             ids=["none", "float", "str", "tuple"])
+    def test_other_types_are_not_compared(self, other):
+        K = ConstraintSpec.box(np.ones(2))
+        assert K.__eq__(other) is NotImplemented
+        assert not K == other and K != other
 
     def test_shrunk_set_equals_its_public_twin(self):
         K = ConstraintSpec.block_budget(2, [(0, 1)], [1.0])

@@ -35,6 +35,7 @@ from support import (
     random_weighted_coverage,
     set_gradient_reference,
     table_set_oracle,
+    with_one_row_chunks,
 )
 
 
@@ -221,6 +222,42 @@ class TestPeekRows:
         with pytest.raises(DomainError):
             F.peek_rows(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, np.nan]]))
         assert seen == []
+
+    @pytest.mark.parametrize("build, budget", with_one_row_chunks([
+        lambda: nqp_oracle(*nqp_generate(4, 0)),
+        lambda: coverage_value_oracle(np.full((2, 4), 0.5)),
+        lambda: NoisyOracle(nqp_oracle(*nqp_generate(4, 0)), 0.1, seed=1),
+        lambda: multilinear_oracle(coverage_set_oracle(np.full((2, 4), 0.5)), 1, 0),
+    ], ["nqp", "coverage", "noisy", "multilinear"]))
+    def test_domain_check_holds_one_chunk_at_a_time(self, build, budget, monkeypatch):
+        """``peek_rows`` checks a matrix one chunk of rows per ``contains`` call,
+        and a bad last row raises before any value is computed."""
+        if budget is not None:
+            monkeypatch.setattr(oracles, "CHUNK_BYTES", budget)
+        F = build()
+        inner = getattr(F, "inner", getattr(F, "f", F))
+        computed = []
+        batch = inner._batch_fn
+        monkeypatch.setattr(inner, "_batch_fn", lambda Z: computed.append(len(Z)) or batch(Z))
+        checked = []
+        check = oracles.contains
+
+        def contains(domain, x, *args):
+            checked.append(len(x) if x.ndim == 2 else None)
+            return check(domain, x, *args)
+
+        monkeypatch.setattr(oracles, "contains", contains)
+        n = 7
+        Z = np.full((n, 4), 0.5)
+        rows = max(1, oracles.CHUNK_BYTES // (8 * 4))
+        assert len(F.peek_rows(Z)) == n and sum(computed) > 0
+        assert checked == [len(range(n)[lo:lo + rows]) for lo in range(0, n, rows)]
+        Z[-1, 3] = np.nan
+        checked.clear()
+        computed.clear()
+        with pytest.raises(DomainError, match="one of 7 points leaves the box domain"):
+            F.peek_rows(Z)
+        assert computed == [] and max(checked) <= rows and sum(checked) == n
 
     def test_batch_fn_gets_chunks_in_row_order(self, monkeypatch):
         monkeypatch.setattr(oracles, "CHUNK_BYTES", 8 * 2 * 3)  # three rows of two

@@ -129,7 +129,20 @@ class TestLmo:
         assert above_capacity >= 100
 
 
+    @pytest.mark.parametrize("g", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(1.0)],
+                             ids=["longer", "shorter", "row", "scalar"])
+    def test_rejects_a_gradient_of_another_shape(self, g):
+        with pytest.raises(ValueError, match=r"gradient has shape .*, expected \(2,\)"):
+            lmo(simplex_like(), g)
+
+
 class TestProject:
+    @pytest.mark.parametrize("y", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(1.0)],
+                             ids=["longer", "shorter", "row", "scalar"])
+    def test_rejects_a_point_of_another_shape(self, y):
+        with pytest.raises(ValueError, match=r"point has shape .*, expected \(2,\)"):
+            project(simplex_like(), y)
+
     def test_feasible_point_unchanged(self):
         C = simplex_like()
         y = np.array([0.3, 0.2])
@@ -266,6 +279,21 @@ class TestSwapRound:
         M = ConstraintSpec.partition_matroid(2, [(0, 1)], [1])
         with pytest.raises(ValueError):
             swap_round(np.array([0.9, 0.9]), M, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("K", [
+        ConstraintSpec.block_budget(2, [(0, 1)], [1.0]),
+        ConstraintSpec.box(np.ones(2)),
+    ], ids=["block_budget", "box"])
+    def test_requires_a_partition_matroid(self, K):
+        with pytest.raises(ValueError, match="swap rounding requires a partition matroid"):
+            swap_round(np.array([0.5, 0.5]), K, np.random.default_rng(0))
+
+    def test_input_left_unchanged(self):
+        M = ConstraintSpec.partition_matroid(4, [(0, 1, 2)], [2])
+        x = np.array([0.3, 0.7, 0.6, 0.5])
+        before = x.copy()
+        swap_round(x, M, np.random.default_rng(0))
+        assert np.array_equal(x, before)
 
     def test_nan_input_rejected(self):
         M = ConstraintSpec.partition_matroid(3, [(0, 1, 2)], [1])
